@@ -30,22 +30,14 @@ the minimal-time one is reported and all converged times are listed.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
-from .constraint_model import (
-    BallInCoords,
-    Box,
-    ConstraintSet,
-    MaximizerResult,
-    Typical,
-    maximizer,
-)
+from .constraint_model import Box, ConstraintSet, Typical, maximizer
 from .dynamics import (
-    BoundaryResidual,
     ConservationReport,
     Protocol,
     Trajectory,
@@ -53,17 +45,17 @@ from .dynamics import (
     conservation_report,
     evolve_costate,
     evolve_unitary,
-    protocol_from_function,
 )
-from .errors import DegenerateProblemError, NotConvergedError, ValidationError
+from .errors import DegenerateProblemError, ValidationError
 from .sun_algebra import (
     BranchAmbiguityError,
+    commutator,
     dagger,
     exp_op,
     expand,
     generalized_gellmann,
     hs_norm,
-    inner,
+    log_norms,
     log_op,
     reconstruct,
     traceless,
@@ -248,10 +240,14 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
                   tol: Tolerances = DEFAULT_TOL) -> SolveResult:
     """Solve the navigation problem (full control subspace, norm <= omega).
 
-    Scans T for the smallest positive root of
-    ||log(e^{i H_d T} U_f)|| = omega T (bracketing + bisection), recovers
-    H_c(0) from the principal log at the root, and reproduces the motion on
-    a dense midpoint-sampled grid with the exact costate F = lambda_0 H_c.
+    Scans T on 4096 points for the smallest positive root of
+    g(T) = ||log(e^{i H_d T} U_f)|| - omega T, polishes the first sign
+    change with Brent's method, recovers H_c(0) from the principal log at
+    the root, and reproduces the motion on a dense midpoint-sampled grid
+    with the exact costate F = lambda_0 H_c.  Each stage is one stacked
+    operation over its sample times.  Scan samples on the logarithm branch
+    cut are skipped; a cut met inside the bracket or at the root returns an
+    unconverged result that says so.
     """
     if omega <= 0:
         raise ValidationError("omega must be positive")
@@ -263,9 +259,17 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
         return SolveResult(True, 0.0, 0.0, 0.0, None, None, None, None, (),
                            options.seed, 0, (0.0,), "target is the identity")
 
-    def log_norm(t_val: float) -> float:
-        w = exp_op(drift, -t_val) @ target      # e^{i H_d t} U_f
-        return hs_norm(log_op(w, tol))
+    def g(ts: np.ndarray) -> np.ndarray:
+        # e^{i H_d t} U_f for every t; NaN where the logarithm is refused
+        return log_norms(exp_op(drift, -ts) @ target, tol) - omega * ts
+
+    def g_scalar(t_val: float) -> float:
+        val = float(g(np.array([t_val]))[0])
+        if np.isnan(val):
+            raise BranchAmbiguityError(
+                f"log(e^{{i H_d T}} U_f) refused at T = {t_val:.17g}: on the "
+                f"branch cut, or off the unitary group")
+        return val
 
     try:
         l0 = hs_norm(log_op(target, tol))
@@ -277,43 +281,24 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
 
     n_scan = 4096
     ts = np.linspace(t_max / n_scan, t_max, n_scan)
-    gs = np.full(n_scan, np.nan)
-    for i, t_val in enumerate(ts):
-        try:
-            gs[i] = log_norm(t_val) - omega * t_val
-        except BranchAmbiguityError:
-            continue
-
-    root = None
-    prev_t, prev_g = 0.0, l0   # g(0+) = ||log U_f|| > 0
-    for t_val, g in zip(ts, gs):
-        if np.isnan(g):
-            prev_t, prev_g = t_val, np.nan
-            continue
-        if not np.isnan(prev_g) and prev_g > 0.0 >= g:
-            lo, hi = prev_t, t_val
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                try:
-                    gm = log_norm(mid) - omega * mid
-                except BranchAmbiguityError:
-                    mid = lo + 0.49 * (hi - lo)
-                    gm = log_norm(mid) - omega * mid
-                if gm > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
-            break
-        prev_t, prev_g = t_val, g
-    if root is None:
+    gs = g(ts)
+    prev = np.concatenate([[l0], gs[:-1]])   # g(0+) = ||log U_f|| > 0
+    # NaN samples compare false on both sides, so no bracket touches them
+    hits = np.flatnonzero((prev > 0.0) & (gs <= 0.0))
+    if hits.size == 0:
         return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
                            None, None, (), options.seed, 0, (),
                            f"no root of the log-norm equation below T = {t_max:.4g}")
-
-    t_star = float(root)
-    w = exp_op(drift, -t_star) @ target
-    hc0 = log_op(w, tol) / t_star
+    i = int(hits[0])
+    lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
+    try:
+        t_star = float(brentq(g_scalar, lo, hi, xtol=1e-15))
+        hc0 = log_op(exp_op(drift, -t_star) @ target, tol) / t_star
+    except BranchAmbiguityError as exc:
+        return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
+                           None, None, (), options.seed, 0, (),
+                           f"logarithm branch cut met in the root bracket "
+                           f"[{lo:.6g}, {hi:.6g}]: {exc}")
 
     # verify the closed form hits the target
     endpoint = exp_op(drift, t_star) @ exp_op(hc0, t_star)
@@ -323,16 +308,13 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
                            None, None, None, None, (), options.seed, 0, (),
                            "root found but closed form misses the target")
 
+    # H_c(t) = e^{-i H_d t} H_c(0) e^{i H_d t} at every cell midpoint
     grid = np.linspace(0.0, t_star, options.refine_points + 1)
-    basis = constraint.control_basis
-
-    def controls_at(t_val: float) -> np.ndarray:
-        frame = exp_op(drift, t_val)
-        hc = frame @ hc0 @ dagger(frame)
-        return np.array([inner(hc, b) for b in basis])
-
-    protocol = protocol_from_function(constraint, grid, controls_at,
-                                      sampling="midpoint")
+    frames = exp_op(drift, 0.5 * (grid[:-1] + grid[1:]))
+    controls = 0.5 * np.einsum("kab,jba->kj", frames @ hc0 @ dagger(frames),
+                               np.stack(constraint.control_basis)).real
+    del frames   # not held while the trajectory is propagated (peak memory)
+    protocol = Protocol(constraint, grid, controls)
     traj = evolve_unitary(protocol)
     denom = float(np.trace(drift @ hc0).real) + 2.0 * omega ** 2
     message = ""
@@ -353,40 +335,34 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
         n_starts=1, extremal_times=(t_star,), message=message)
 
 
-def interaction_picture_reduce(c: ConstraintSet, n_phases: int = 16,
-                               tol: float = 1e-9) -> dict:
+def interaction_picture_reduce(c: ConstraintSet, tol: float = 1e-9) -> dict:
     """Check whether the constraint survives transfer to the drift frame.
 
     The bound must be conjugation invariant (only the Hilbert-Schmidt ball
     kind is) and the control subspace must be mapped into itself by
-    e^{i H_d s}, checked numerically at ``n_phases`` sample phases.  When
-    reducible, the same constraint with zero drift governs the problem in
-    the interaction picture.
+    e^{i H_d s} for every s.  That holds exactly when -i[H_d, c_j] lies in
+    the subspace for every frame element c_j, checked as a projection
+    residual below ``tol`` relative to ||H_d||.  When reducible, the same
+    constraint with zero drift governs the problem in the interaction
+    picture.
     """
     if not isinstance(c.kind, Typical):
         return {"reducible": False, "reduced": None,
                 "reason": "bound is not conjugation invariant"}
     drift_scale = hs_norm(c.drift)
-    if drift_scale < 1e-14:
-        reduced = ConstraintSet(c.dim, np.zeros_like(c.drift), c.control_basis,
-                                c.kind, c.control_names)
-        return {"reducible": True, "reduced": reduced, "reason": "drift-free"}
-    span = c.control_span
-    period = 2.0 * np.pi / drift_scale
-    for k in range(1, n_phases + 1):
-        s = k * period / n_phases
-        frame = exp_op(c.drift, -s)       # e^{i H_d s}
-        for b in c.control_basis:
-            conj = frame @ b @ dagger(frame)
-            res = hs_norm(conj - sum(inner(conj, e) * e for e in span))
-            if res > tol:
+    reason = "drift-free"
+    if drift_scale >= 1e-14:
+        reason = "subspace invariant under the drift frame"
+        for j, b in enumerate(c.control_basis):
+            comm = commutator(c.drift, b)
+            res = hs_norm(comm - c.project_control(comm))
+            if res > tol * drift_scale:
                 return {"reducible": False, "reduced": None,
-                        "reason": f"conjugation leaves the subspace "
-                                  f"(residual {res:.2e} at phase {s:.3g})"}
+                        "reason": f"-i[H_d, c_{j}] leaves the subspace "
+                                  f"(residual {res:.2e})"}
     reduced = ConstraintSet(c.dim, np.zeros_like(c.drift), c.control_basis,
                             c.kind, c.control_names)
-    return {"reducible": True, "reduced": reduced,
-            "reason": "subspace invariant under the drift frame"}
+    return {"reducible": True, "reduced": reduced, "reason": reason}
 
 
 def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray, t_final: float,

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .sun_algebra import (
     commutator,
-    expand,
-    generalized_gellmann,
     hs_norm,
     inner,
     project,
@@ -164,18 +162,28 @@ class ConstraintSet:
         u = np.asarray(u, dtype=float)
         return self.drift + np.einsum("j,jab->ab", u, np.stack(self.control_basis))
 
-    def bound_violation(self, u: np.ndarray) -> float:
-        """How far the coefficients u stick out of the admissible region."""
+    def bound_violation(self, u: np.ndarray) -> float | np.ndarray:
+        """How far the coefficients u stick out of the admissible region.
+
+        ``u`` is one coefficient vector (l,) or a stack (K, l); a stack gives
+        one value per row.  The Hilbert-Schmidt ball is the coefficient ball
+        whose metric is the frame's Gram matrix.
+        """
         u = np.asarray(u, dtype=float)
-        if isinstance(self.kind, Typical):
-            hc = np.einsum("j,jab->ab", u, np.stack(self.control_basis))
-            return max(0.0, hs_norm(hc) - self.kind.omega)
         if isinstance(self.kind, Box):
             lo = np.asarray(self.kind.lo, float)
             hi = np.asarray(self.kind.hi, float)
-            return float(max(np.max(lo - u, initial=0.0), np.max(u - hi, initial=0.0)))
-        g = np.asarray(self.kind.metric, float)
-        return max(0.0, float(np.sqrt(u @ g @ u)) - self.kind.radius)
+            return np.maximum(np.max(lo - u, axis=-1, initial=0.0),
+                              np.max(u - hi, axis=-1, initial=0.0))
+        if isinstance(self.kind, Typical):
+            stack = np.stack(self.control_basis)
+            g = 0.5 * np.einsum("iab,jba->ij", stack, stack).real
+            radius = self.kind.omega
+        else:
+            g = np.asarray(self.kind.metric, float)
+            radius = self.kind.radius
+        quad = np.einsum("...i,ij,...j->...", u, g, u)
+        return np.maximum(0.0, np.sqrt(np.maximum(quad, 0.0)) - radius)
 
 
 @dataclass(frozen=True)
@@ -211,10 +219,6 @@ class MaximizerResult:
     hamiltonian: Optional[np.ndarray] = None
     controls: Optional[np.ndarray] = None
     partially_singular: tuple[int, ...] = ()
-
-
-def _span_basis(dim: int) -> list[np.ndarray]:
-    return generalized_gellmann(dim)
 
 
 def classify(c: ConstraintSet, tol: Tolerances = DEFAULT_TOL) -> ClassificationReport:

@@ -9,7 +9,7 @@ hence tr[F^2]) frozen by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +60,7 @@ class Protocol:
             raise ValidationError(
                 f"controls shape {controls.shape} does not match grid/continuum "
                 f"({len(grid)-1} cells x {self.constraint.n_controls} controls)")
-        worst = max(self.constraint.bound_violation(u) for u in controls)
+        worst = float(np.max(self.constraint.bound_violation(controls)))
         if worst > 1e-10:
             raise ValidationError(
                 f"controls leave the admissible set by {worst:.3e} (> 1e-10)")
@@ -196,17 +196,19 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
     """
     if traj.costates is None:
         raise MissingCostateError("trajectory has no costates attached")
+    us = traj.unitaries
+    gram = dagger(us) @ us
+    gram -= np.eye(us.shape[-1])
+    unitarity = float(np.max(np.abs(gram)))
+    del gram   # freed before the Hamiltonian stack is built (peak memory)
     hs = traj.protocol.hamiltonians()
     fs = traj.costates
     hf = np.einsum("kab,kba->k", hs, fs[:-1]).real
     f2 = np.einsum("kab,kba->k", fs, fs).real
-    n = traj.protocol.constraint.dim
-    eye = np.eye(n)
-    unit = np.array([np.max(np.abs(dagger(u) @ u - eye)) for u in traj.unitaries])
     return ConservationReport(
         hf_drift=float(np.max(np.abs(hf - hf[0]))),
         f2_drift=float(np.max(np.abs(f2 - f2[0]))),
-        unitarity_drift=float(np.max(unit)),
+        unitarity_drift=unitarity,
     )
 
 

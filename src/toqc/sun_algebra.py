@@ -39,10 +39,10 @@ __all__ = [
     "project",
     "exp_op",
     "log_op",
+    "log_norms",
     "dagger",
     "traceless",
     "is_traceless_hermitian",
-    "is_special_unitary",
     "require_traceless_hermitian",
     "require_same_dim",
     "random_traceless_hermitian",
@@ -58,8 +58,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return a.conj().T
+    """Hermitian conjugate (of each matrix, for a stack)."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def traceless(a: np.ndarray) -> np.ndarray:
@@ -75,15 +75,6 @@ def is_traceless_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool
         and np.max(np.abs(a - dagger(a))) < tol.hermitian
         and abs(np.trace(a)) < tol.trace * max(1.0, float(np.max(np.abs(a))))
     )
-
-
-def is_special_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    n = u.shape[0]
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    if np.max(np.abs(dagger(u) @ u - np.eye(n))) >= tol.unitary:
-        return False
-    return abs(np.linalg.det(u) - 1.0) < tol.unitary
 
 
 def require_traceless_hermitian(a: np.ndarray, name: str = "operator",
@@ -200,17 +191,49 @@ def project(a: np.ndarray, subspace: list[np.ndarray] | np.ndarray,
     return np.einsum("j,jab->ab", coeffs, stack)
 
 
-def exp_op(a: np.ndarray, s: float = 1.0) -> np.ndarray:
+def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
     """exp(-i s A) for Hermitian A, via eigendecomposition.
 
     The result is unitary to machine precision; for traceless A it lies in
-    SU(N) exactly up to rounding.
+    SU(N) exactly up to rounding.  An array of times ``s`` gives the stack
+    of exp(-i s_k A), shape ``s.shape + (N, N)``, from one decomposition.
     """
     w, v = np.linalg.eigh(a)
-    return (v * np.exp(-1j * s * w)) @ dagger(v)
+    phases = np.exp((-1j * np.asarray(s, dtype=float))[..., None] * w)
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
-def _principal_phases(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _remove_periods(phases: np.ndarray) -> np.ndarray:
+    """Make each row of principal eigenphases sum to zero.
+
+    Since det U = 1 the phases in (-pi, pi] sum to a multiple k of 2*pi; k
+    whole periods are removed from the k largest phases (k > 0) or added to
+    the |k| smallest (k < 0), the shift that costs the least Hilbert-Schmidt
+    norm.
+    """
+    n = phases.shape[-1]
+    rank = np.argsort(np.argsort(phases, axis=-1), axis=-1)
+    k = np.rint(np.sum(phases, axis=-1) / (2.0 * np.pi)).astype(int)[..., None]
+    return phases - 2.0 * np.pi * ((k > 0) & (rank >= n - k)) \
+        + 2.0 * np.pi * ((k < 0) & (rank < -k))
+
+
+def _branch_cut_hit(eigvals: np.ndarray, tol: Tolerances) -> np.ndarray:
+    return np.min(np.abs(eigvals + 1.0), axis=-1) < tol.branch_cut
+
+
+def log_op(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Principal traceless Hermitian L with exp(-i L) = U.
+
+    Eigenphases are taken in (-pi, pi], and the whole periods their sum
+    picks up are removed as in :func:`_remove_periods`.
+
+    Raises
+    ------
+    BranchAmbiguityError
+        if any eigenvalue of U lies within ``tol.branch_cut`` of -1, or U is
+        too far from unitary to diagonalize.
+    """
     # Complex Schur form: for a (normal) unitary matrix T is diagonal and Z
     # unitary, which is what makes the reassembled logarithm exactly Hermitian.
     t, z = scipy.linalg.schur(u, output="complex")
@@ -218,39 +241,28 @@ def _principal_phases(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nd
     if offdiag > 1e-8:
         raise BranchAmbiguityError("matrix is not unitary enough to diagonalize")
     eigvals = np.diag(t)
-    if np.min(np.abs(eigvals + 1.0)) < tol.branch_cut:
+    if _branch_cut_hit(eigvals, tol):
         raise BranchAmbiguityError(
             "eigenvalue within tolerance of -1: principal logarithm branch is "
             "ambiguous; perturb the operator or choose a branch explicitly")
-    return -np.angle(eigvals), z
-
-
-def log_op(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Principal traceless Hermitian L with exp(-i L) = U.
-
-    Eigenphases are taken in (-pi, pi]; since det U = 1 their sum is a
-    multiple of 2*pi, and that multiple is removed by shifting whole periods
-    onto the phases where the shift costs the least Hilbert-Schmidt norm.
-
-    Raises
-    ------
-    BranchAmbiguityError
-        if any eigenvalue of U lies within ``tol.branch_cut`` of -1.
-    """
-    phases, z = _principal_phases(u, tol)
-    total = float(np.sum(phases))
-    shifts = int(np.rint(total / (2.0 * np.pi)))
-    if shifts != 0:
-        order = np.argsort(phases)
-        phases = phases.copy()
-        if shifts > 0:
-            for idx in order[::-1][:shifts]:
-                phases[idx] -= 2.0 * np.pi
-        else:
-            for idx in order[:-shifts]:
-                phases[idx] += 2.0 * np.pi
+    phases = _remove_periods(-np.angle(eigvals))
     l = (z * phases) @ dagger(z)
     return 0.5 * (l + dagger(l))
+
+
+def log_norms(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """``hs_norm(log_op(U))`` for every matrix of a (K, N, N) stack.
+
+    The eigenphases of all K matrices come from one batched call.  An entry
+    is NaN where the logarithm is refused: an eigenvalue within
+    ``tol.branch_cut`` of -1, or U^dagger U off the identity by more than
+    1e-8, the bar :func:`log_op` puts on the Schur form.
+    """
+    eigvals = np.linalg.eigvals(u)
+    phases = _remove_periods(-np.angle(eigvals))
+    norms = np.sqrt(0.5 * np.sum(phases ** 2, axis=-1))
+    defect = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
+    return np.where((defect > 1e-8) | _branch_cut_hit(eigvals, tol), np.nan, norms)
 
 
 def random_traceless_hermitian(rng: np.random.Generator, n: int,

@@ -2,8 +2,8 @@
 
 Each test implements one acceptance criterion at its stated tolerance and
 prints one PASS/FAIL line (visible with `pytest -s` or in captured output).
-Criteria 3 and 4 stash their converged results for the conservation sweep
-of criterion 5.
+The solves of criteria 3 and 4 come from session fixtures, so the
+conservation sweep of criterion 5 reuses them and still runs on its own.
 """
 
 import json
@@ -41,8 +41,6 @@ from toqc.sun_algebra import (
     random_traceless_hermitian,
     reconstruct,
 )
-
-_CONVERGED_RESULTS: list = []
 
 
 def _report(num: int, label: str, passed: bool, detail: str = "") -> None:
@@ -119,57 +117,70 @@ def test_02_navigation_closed_form_reproduction():
             worst < 1e-8, f"worst fidelity residual {worst:.2e}")
 
 
-def test_03_drift_free_geodesic_by_shooting():
+@pytest.fixture(scope="session")
+def geodesic_runs():
+    """(target, shooting result) for 10 drift-free SU(2) targets."""
     rng = np.random.default_rng(3)
     c = ConstraintSet(2, np.zeros((2, 2), complex),
                       tuple(generalized_gellmann(2)), Typical(1.0))
     opts = br.ShootingOptions(grid_points=64, multistarts=16, seed=30,
                               stop_after_converged=3, refine_points=4096)
-    worst_var, worst_rel = 0.0, 0.0
-    ok = True
+    runs = []
     for _ in range(10):
         target = random_special_unitary(rng, 2)
-        res = br.solve_shooting(br.ShootingProblem(c, target, opts))
-        geo = br.drift_free_geodesic(target, 1.0)
-        ok &= res.converged
-        var = float(np.max(np.ptp(res.protocol.controls, axis=0)))
-        rel = abs(res.T - geo["T"]) / geo["T"]
-        worst_var = max(worst_var, var)
-        worst_rel = max(worst_rel, rel)
-        _CONVERGED_RESULTS.append(res)
-    ok &= worst_var < 1e-4 and worst_rel < 1e-3
-    _report(3, "drift-free shooting: constant control, T matches geodesic",
-            bool(ok), f"control variation {worst_var:.2e}, dT/T {worst_rel:.2e}")
+        runs.append((target, br.solve_shooting(br.ShootingProblem(c, target, opts))))
+    return runs
 
 
-def test_04_shooting_vs_navigation_oracle():
+@pytest.fixture(scope="session")
+def oracle_runs():
+    """(navigation, shooting) result pairs for 20 SU(2) targets under drift."""
     rng = np.random.default_rng(4)
     omega0, bound = 0.3, 1.0
     drift = omega0 * SIGMA_Z
     c = ConstraintSet(2, drift, tuple(generalized_gellmann(2)), Typical(bound))
     opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=40,
                               stop_after_converged=3, refine_points=16384)
-    worst_res, worst_rel = 0.0, 0.0
-    ok = True
+    runs = []
     for _ in range(20):
         target = random_special_unitary(rng, 2)
-        z = br.zermelo_solve(drift, bound, target)
-        s = br.solve_shooting(br.ShootingProblem(c, target, opts))
+        runs.append((br.zermelo_solve(drift, bound, target),
+                     br.solve_shooting(br.ShootingProblem(c, target, opts))))
+    return runs
+
+
+def test_03_drift_free_geodesic_by_shooting(geodesic_runs):
+    worst_var, worst_rel = 0.0, 0.0
+    ok = True
+    for target, res in geodesic_runs:
+        geo = br.drift_free_geodesic(target, 1.0)
+        ok &= res.converged
+        var = float(np.max(np.ptp(res.protocol.controls, axis=0)))
+        rel = abs(res.T - geo["T"]) / geo["T"]
+        worst_var = max(worst_var, var)
+        worst_rel = max(worst_rel, rel)
+    ok &= worst_var < 1e-4 and worst_rel < 1e-3
+    _report(3, "drift-free shooting: constant control, T matches geodesic",
+            bool(ok), f"control variation {worst_var:.2e}, dT/T {worst_rel:.2e}")
+
+
+def test_04_shooting_vs_navigation_oracle(oracle_runs):
+    worst_res, worst_rel = 0.0, 0.0
+    ok = True
+    for z, s in oracle_runs:
         ok &= z.converged and s.converged
         worst_res = max(worst_res, s.residual, z.residual)
         worst_rel = max(worst_rel, abs(z.T - s.T) / z.T)
-        _CONVERGED_RESULTS.append(z)
-        _CONVERGED_RESULTS.append(s)
     ok &= worst_res < 1e-6 and worst_rel < 1e-3
     _report(4, "shooting vs navigation oracle on 20 SU(2) instances",
             bool(ok), f"worst residual {worst_res:.2e}, worst dT/T {worst_rel:.2e}")
 
 
-def test_05_conservation_suite():
-    if not _CONVERGED_RESULTS:
-        pytest.skip("no converged results collected (run criteria 3-4 first)")
+def test_05_conservation_suite(geodesic_runs, oracle_runs):
+    results = [res for _, res in geodesic_runs]
+    results += [res for pair in oracle_runs for res in pair]
     worst_hf = worst_f2 = worst_u = 0.0
-    for res in _CONVERGED_RESULTS:
+    for res in results:
         rep = res.conservation
         worst_hf = max(worst_hf, rep.hf_drift)
         worst_f2 = max(worst_f2, rep.f2_drift)

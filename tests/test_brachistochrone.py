@@ -14,8 +14,10 @@ from toqc.sun_algebra import (
     exp_op,
     generalized_gellmann,
     hs_norm,
+    inner,
     log_op,
     random_special_unitary,
+    random_traceless_hermitian,
 )
 
 RNG = np.random.default_rng(61)
@@ -131,6 +133,28 @@ def test_zermelo_solve_manufactured_instance():
     t_mid = 0.5 * (res.protocol.grid[0] + res.protocol.grid[1])
     hc_expected = br.zermelo_solution(drift, bound * SIGMA_X, t_mid)["H_t"] - drift
     np.testing.assert_allclose(hc_rec, hc_expected, atol=1e-6)
+
+
+def test_zermelo_rebuild_matches_callback_path():
+    rng = np.random.default_rng(62)
+    drift = random_traceless_hermitian(rng, 3)
+    drift *= 0.3 / hs_norm(drift)
+    target = random_special_unitary(rng, 3)
+    res = br.zermelo_solve(drift, 1.0, target,
+                           br.ShootingOptions(refine_points=4096))
+    assert res.converged
+    hc0 = log_op(exp_op(drift, -res.T) @ target) / res.T
+    basis = res.protocol.constraint.control_basis
+
+    def controls_at(t):
+        frame = exp_op(drift, t)
+        hc = frame @ hc0 @ dagger(frame)
+        return np.array([inner(hc, b) for b in basis])
+
+    ref = dyn.protocol_from_function(res.protocol.constraint, res.protocol.grid,
+                                     controls_at, sampling="midpoint")
+    np.testing.assert_allclose(res.protocol.controls, ref.controls,
+                               rtol=0, atol=1e-12)
 
 
 def test_zermelo_solve_identity_target():

@@ -183,3 +183,16 @@ def test_box_bounds_must_be_ordered():
 def test_maximizer_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         cm.maximizer(np.zeros((3, 3), complex), lz_constraint())
+
+
+# --- bound violation ------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [lz_constraint, xy_constraint, ex3_constraint])
+def test_bound_violation_stack_equals_rows(make):
+    c = make()
+    u = RNG.normal(scale=2.0, size=(200, c.n_controls))
+    stacked = c.bound_violation(u)
+    assert stacked.shape == (200,)
+    assert np.any(stacked > 0) and np.any(stacked == 0)
+    np.testing.assert_allclose(stacked, [c.bound_violation(row) for row in u],
+                               rtol=0, atol=1e-14)

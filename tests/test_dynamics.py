@@ -36,6 +36,19 @@ def test_protocol_rejects_inadmissible_controls():
         dyn.Protocol(c, grid, np.full((4, 1), 1.5))
 
 
+@pytest.mark.parametrize("kind", [cm.Typical(1.0),
+                                  cm.Box(-np.ones(2), np.ones(2)),
+                                  cm.BallInCoords(1.0, np.diag([1.0, 2.0]))])
+def test_protocol_rejects_one_bad_cell_of_many(kind):
+    c = cm.ConstraintSet(2, 0.3 * SIGMA_Z, (SIGMA_X, SIGMA_Y), kind)
+    grid = np.linspace(0.0, 1.0, 16385)
+    controls = np.full((16384, 2), 0.5)
+    dyn.Protocol(c, grid, controls)
+    controls[9000, 1] = 1.1
+    with pytest.raises(ValidationError):
+        dyn.Protocol(c, grid, controls)
+
+
 # --- unitary flow -------------------------------------------------------------
 
 def test_constant_z_rotation():

@@ -220,6 +220,23 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 2
 
 
+def test_cli_zermelo_branch_cut_at_root_exits_numeric(tmp_path):
+    # U_f = -e^{-i H_d pi}: the first root T = pi has e^{i H_d T} U_f = -I,
+    # on the branch cut of the logarithm
+    drift = 0.3 * SIGMA_Z
+    c = ConstraintSet(2, drift, tuple(generalized_gellmann(2)), Typical(1.0))
+    cpath = tmp_path / "full.json"
+    cpath.write_text(iof.dump_json(iof.constraint_to_json(c)))
+    tpath = tmp_path / "t.json"
+    tpath.write_text(iof.dump_json(iof.matrix_to_json(-exp_op(drift, np.pi))))
+    rc, out, err = run_cli("zermelo", "--constraint", str(cpath),
+                           "--target", str(tpath))
+    assert rc == 3, err
+    data = json.loads(out)
+    assert not data["converged"]
+    assert "branch cut" in data["message"]
+
+
 def test_cli_dump_json_deterministic(tmp_path):
     payload = {"b": 1.0 / 3.0, "a": [1, 2, {"z": 0.1}]}
     t1 = iof.dump_json(payload)

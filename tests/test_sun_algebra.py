@@ -205,6 +205,38 @@ def test_log_op_traceless_after_branch_shift():
     np.testing.assert_allclose(sa.exp_op(l), u, atol=1e-10)
 
 
+def test_exp_op_time_stack_matches_per_time():
+    rng = np.random.default_rng(31)
+    ts = np.concatenate([[0.0, -1.7], rng.uniform(-4.0, 4.0, 40)])
+    for n in (2, 3, 4):
+        a = sa.random_traceless_hermitian(rng, n)
+        stack = sa.exp_op(a, ts)
+        assert stack.shape == (len(ts), n, n)
+        for t, u in zip(ts, stack):
+            np.testing.assert_allclose(u, sa.exp_op(a, float(t)), rtol=0, atol=1e-13)
+
+
+def test_log_norms_match_log_op_per_matrix():
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 4):
+        # large generators make the principal phases need period shifts
+        us = [sa.exp_op(sa.random_traceless_hermitian(rng, n, scale=s))
+              for s in (0.2, 1.0, 3.0) for _ in range(20)]
+        norms = sa.log_norms(np.stack(us))
+        want = [sa.hs_norm(sa.log_op(u)) for u in us]
+        np.testing.assert_allclose(norms, want, rtol=1e-12, atol=1e-13)
+
+
+def test_log_norms_nan_on_the_cut_or_off_the_group():
+    u = sa.random_special_unitary(np.random.default_rng(33), 3)
+    cut = np.diag([-1.0, -1.0, 1.0]).astype(complex)
+    norms = sa.log_norms(np.stack([u, cut, 1.01 * u]))
+    assert norms[0] == pytest.approx(sa.hs_norm(sa.log_op(u)), rel=1e-12)
+    assert np.isnan(norms[1]) and np.isnan(norms[2])
+    with pytest.raises(BranchAmbiguityError):
+        sa.log_op(cut)
+
+
 def test_log_op_branch_cut_error():
     with pytest.raises(BranchAmbiguityError):
         sa.log_op(np.diag([-1.0 + 0j, -1.0 + 0j]))
