@@ -21,15 +21,15 @@ Two complementary engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
 from .constraint_model import BallInCoords, ConstraintSet
 from .errors import ValidationError
 from .singular_glc import ControlChart, GLCReport, boundary_reduce, glc_test
-from .sun_algebra import commutator, expand, generalized_gellmann
+from .sun_algebra import commutator, expand, generalized_gellmann, reconstruct
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -496,25 +496,18 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         weights = null @ phi
         vec = weights @ null
         coeffs = vec / float(vec @ phi * 2.0)  # tr[H_d F] = 2 phi . f
-        from .sun_algebra import reconstruct
         f_star = reconstruct(coeffs, basis)
         h = c.hamiltonian(u)
         rep = glc_test(red, h, f_star, m_max=m_max, tol=tol,
                        costate_basis=basis)
         if rep.verdict != "excluded":
-            return GLCReport(
-                rep.matrices, rep.order, rep.parity_ok, rep.sign_ok,
-                rep.verdict, rep.derived_conditions, rep.eigenvalues_at_order,
-                rep.notes + (f"boundary piece '{case.name}' admits a "
-                             "normalizable singular costate",))
+            return replace(rep, notes=rep.notes + (
+                f"boundary piece '{case.name}' admits a "
+                "normalizable singular costate",))
         worst_report = rep
     if worst_report is not None:
-        return GLCReport(
-            worst_report.matrices, worst_report.order, worst_report.parity_ok,
-            worst_report.sign_ok, "excluded",
-            worst_report.derived_conditions,
-            worst_report.eigenvalues_at_order,
-            worst_report.notes + (
+        return replace(
+            worst_report, verdict="excluded", notes=worst_report.notes + (
                 f"boundary piece '{case.name}': surviving costates fail the "
                 "even-order semidefiniteness test",))
     return GLCReport(

@@ -29,7 +29,6 @@ the minimal-time one is reported and all converged times are listed.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,9 +83,7 @@ class ShootingOptions:
     trajectory is rebuilt on ``refine_points`` cells so conserved traces
     hold to the conservation tolerance.  ``multistarts`` seeds are tried
     (deterministically derived from ``seed``); the scan stops early once
-    ``stop_after_converged`` extremals have converged.  ``workers`` > 1
-    runs starts concurrently; results are reduced deterministically either
-    way.
+    ``stop_after_converged`` extremals have converged.
     """
 
     grid_points: int = 128
@@ -96,8 +93,6 @@ class ShootingOptions:
     stop_after_converged: int = 6
     refine_points: int = 16384
     max_time: Optional[float] = None
-    workers: int = 1
-    midpoint_corrector: bool = True
     max_nfev: int = 400
 
 
@@ -509,7 +504,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
     sol = least_squares(residual_on(k_coarse, False), x0, bounds=(lo, hi),
                         method="trf", xtol=1e-11, ftol=1e-11, gtol=1e-11,
                         max_nfev=opts.max_nfev // 2)
-    sol = least_squares(residual_on(k_cells, opts.midpoint_corrector), sol.x,
+    sol = least_squares(residual_on(k_cells, True), sol.x,
                         bounds=(lo, hi), method="trf", xtol=1e-14, ftol=1e-14,
                         gtol=1e-14, max_nfev=opts.max_nfev // 2)
     x = sol.x
@@ -517,8 +512,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
     if f_star is None:
         return None
     t_star = float(x[-1])
-    u_t, _, _, _, sing = _coupled_flow(c, f_star, t_star, k_cells,
-                                       corrector=opts.midpoint_corrector)
+    u_t, _, _, _, sing = _coupled_flow(c, f_star, t_star, k_cells)
     fid = 1.0 - abs(np.trace(target_dag @ u_t)) / n
     exact = float(np.linalg.norm(u_t - problem.target))
     converged = fid < max(10.0 * tol.residual, opts.residual_tol)
@@ -570,29 +564,15 @@ def solve_shooting(problem: ShootingProblem,
     attempts = []
     n_converged = 0
     n_run = 0
-    if opts.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(opts.workers) as pool:
-            batch = max(opts.workers, opts.stop_after_converged)
-            i = 0
-            while i < opts.multistarts and n_converged < opts.stop_after_converged:
-                idx = list(range(i, min(i + batch, opts.multistarts)))
-                for out in pool.map(run_start, idx):
-                    n_run += 1
-                    if out is not None:
-                        attempts.append(out)
-                        if out["converged"]:
-                            n_converged += 1
-                i = idx[-1] + 1
-    else:
-        for i in range(opts.multistarts):
-            out = run_start(i)
-            n_run += 1
-            if out is not None:
-                attempts.append(out)
-                if out["converged"]:
-                    n_converged += 1
-                    if n_converged >= opts.stop_after_converged:
-                        break
+    for i in range(opts.multistarts):
+        out = run_start(i)
+        n_run += 1
+        if out is not None:
+            attempts.append(out)
+            if out["converged"]:
+                n_converged += 1
+                if n_converged >= opts.stop_after_converged:
+                    break
 
     if not attempts:
         return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
@@ -616,8 +596,7 @@ def solve_shooting(problem: ShootingProblem,
     # dense rebuild of the winning extremal
     k_fine = opts.refine_points
     u_t, _, _, controls, singular_cells = _coupled_flow(
-        c, best["f0"], best["T"], k_fine, corrector=opts.midpoint_corrector,
-        record=True)
+        c, best["f0"], best["T"], k_fine, record=True)
     grid = np.linspace(0.0, best["T"], k_fine + 1)
     protocol = Protocol(c, grid, controls)
     traj = evolve_costate(best["f0"], evolve_unitary(protocol))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,12 +19,7 @@ from . import brachistochrone as brach
 from .arc_analysis import boundary_closure_study, derive_singular_structure
 from .constraint_model import ConstraintSet, Typical, classify
 from .dynamics import conservation_report, evolve_costate, evolve_unitary
-from .errors import (
-    DegenerateProblemError,
-    NotConvergedError,
-    ToqcError,
-    ValidationError,
-)
+from .errors import DegenerateProblemError, ToqcError, ValidationError
 from .io_formats import (
     constraint_from_json,
     dump_json,
@@ -35,7 +30,7 @@ from .io_formats import (
 )
 from .scenarios import get_scenario, SCENARIOS
 from .singular_glc import ControlChart, glc_test
-from .sun_algebra import exp_op, generalized_gellmann, hs_norm
+from .sun_algebra import exp_op, is_unitary
 from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -105,7 +100,11 @@ def _target_from_config(config: RunConfig, constraint: ConstraintSet,
         data = _load_json(config.target_path, "target")
         if isinstance(data, dict) and "target" in data:
             data = data["target"]
-        return matrix_from_json(data, "target")
+        target = matrix_from_json(data, "target")
+        if not is_unitary(target):
+            raise ValidationError(
+                f"target is not unitary to {DEFAULT_TOL.unitary:g}")
+        return target
     if config.alpha is not None:
         if omega0 is None or omega0 == 0:
             raise ValidationError("--alpha needs a scenario with a drift scale")
@@ -275,7 +274,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a validated configuration; returns the process exit code."""
     try:
         return _DISPATCH[config.command](config)
-    except (DegenerateProblemError, NotConvergedError) as exc:
+    except DegenerateProblemError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
     except ToqcError as exc:

@@ -151,12 +151,12 @@ def reunitarize(u: np.ndarray) -> np.ndarray:
     return w @ vt
 
 
-def evolve_unitary(protocol: Protocol, renorm_every: int = 64) -> Trajectory:
+def evolve_unitary(protocol: Protocol) -> Trajectory:
     """Integrate i dU/dt = H(t) U with U(0) = 1 by exact exponential steps.
 
-    Every ``renorm_every`` steps the accumulated product is polar-projected
-    back onto the unitary group, so rounding does not build up over long
-    grids (keeps tr[F^2] frozen to ~1e-14 even at 10^5 cells).
+    Every 64 steps the accumulated product is polar-projected back onto the
+    unitary group, so rounding does not build up over long grids (keeps
+    tr[F^2] frozen to ~1e-14 even at 10^5 cells).
     """
     n = protocol.constraint.dim
     steps = _cell_steps(protocol)
@@ -165,7 +165,7 @@ def evolve_unitary(protocol: Protocol, renorm_every: int = 64) -> Trajectory:
     acc = out[0]
     for k in range(protocol.n_cells):
         acc = steps[k] @ acc
-        if renorm_every and (k + 1) % renorm_every == 0:
+        if (k + 1) % 64 == 0:
             acc = reunitarize(acc)
         out[k + 1] = acc
     return Trajectory(protocol, out)

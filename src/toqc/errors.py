@@ -44,9 +44,5 @@ class DegenerateProblemError(ToqcError):
     problem needs a singular-arc analysis instead."""
 
 
-class NotConvergedError(ToqcError):
-    """A root-finding stage exhausted its budget without a solution."""
-
-
 class ValidationError(ToqcError):
     """An input artifact (JSON, config) failed schema validation."""

@@ -18,7 +18,7 @@ the singular-arc studies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,9 +26,8 @@ from scipy.integrate import simpson
 
 from .arc_analysis import ArcModel, BoundaryCase
 from .constraint_model import BallInCoords, Box, ConstraintSet, Typical
-from .dynamics import Protocol
 from .errors import InfeasibleReplacementError, ValidationError
-from .sun_algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, gellmann_basis
+from .sun_algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
     "Scenario",

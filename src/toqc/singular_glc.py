@@ -34,20 +34,20 @@ costate coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraint_model import BallInCoords, ConstraintSet
+from .constraint_model import BallInCoords, ConstraintSet, classify
 from .errors import (
     DimensionMismatchError,
     ImplicitFunctionError,
     MissingDerivativeError,
     ValidationError,
 )
-from .sun_algebra import expand, generalized_gellmann, hs_norm, inner
+from .sun_algebra import expand, generalized_gellmann, reconstruct
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -176,10 +176,6 @@ def _jet_commutator(a: list[np.ndarray], b: list[np.ndarray],
     return out
 
 
-def _jet_ddt(a: list[np.ndarray]) -> list[np.ndarray]:
-    return a[1:]
-
-
 def _h_jet(chart: ControlChart, h: np.ndarray, order: int) -> list[np.ndarray]:
     """[H, dH/dt, 0, ...] -- control velocity assumed constant over the arc."""
     rate = chart.hamiltonian_rate()
@@ -216,18 +212,21 @@ def _r_jets(chart: ControlChart, h: np.ndarray, m_max: int) -> list[list[list[np
     return levels
 
 
-def _q_from_r(chart: ControlChart, f: np.ndarray,
-              r_level: list[list[np.ndarray]]) -> np.ndarray:
-    """Q^(m)_{ij} = -i tr[[h_j, F] R^(m-1)_i] (real-valued by construction)."""
-    l = chart.n_controls
-    brackets = [hj @ f - f @ hj for hj in chart.partials]
-    q = np.empty((l, l))
-    for i in range(l):
-        r = r_level[i][0]
-        for j in range(l):
-            val = -1j * np.trace(brackets[j] @ r)
-            q[i, j] = val.real
-    return q
+def _q_kernels(chart: ControlChart, h: np.ndarray,
+               m_max: int) -> list[np.ndarray]:
+    """K^(m)_{ij} = [R^(m-1)_i, h_j] for m = 1..m_max, each (l, l, N, N).
+
+    Since Q^(m)_{ij}(F) = -i tr[[h_j, F] R^(m-1)_i] = Im tr[F K^(m)_{ij}],
+    contracting K with F gives Q at that costate, and contracting it with a
+    basis stack gives Q as a linear functional of F.
+    """
+    hs = np.stack(chart.partials)
+    out = []
+    for level in _r_jets(chart, h, m_max):
+        r = np.stack([jet[0] for jet in level])
+        out.append(np.einsum("iab,jbc->ijac", r, hs)
+                   - np.einsum("jab,ibc->ijac", hs, r))
+    return out
 
 
 def glc_matrices(chart: ControlChart, h: np.ndarray, f: np.ndarray,
@@ -246,26 +245,8 @@ def glc_matrices(chart: ControlChart, h: np.ndarray, f: np.ndarray,
         raise ValidationError("m_max must be >= 1")
     if h.shape != f.shape or h.shape != chart.partials[0].shape:
         raise DimensionMismatchError("chart, H and F dimensions disagree")
-    levels = _r_jets(chart, h, m_max)
-    return [_q_from_r(chart, f, levels[m - 1]) for m in range(1, m_max + 1)]
-
-
-def _q_coefficient_tensor(chart: ControlChart, h: np.ndarray, m_max: int,
-                          basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Q^(m) as linear functionals of F: tensor[m-1][i, j, a] over basis."""
-    levels = _r_jets(chart, h, m_max)
-    l = chart.n_controls
-    out = []
-    for m in range(1, m_max + 1):
-        t = np.empty((l, l, len(basis)))
-        for a, tau in enumerate(basis):
-            brackets = [hj @ tau - tau @ hj for hj in chart.partials]
-            for i in range(l):
-                r = levels[m - 1][i][0]
-                for j in range(l):
-                    t[i, j, a] = (-1j * np.trace(brackets[j] @ r)).real
-        out.append(t)
-    return out
+    return [np.einsum("ab,ijba->ij", f, k).imag
+            for k in _q_kernels(chart, h, m_max)]
 
 
 def _rref_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -319,20 +300,8 @@ def singular_chain(f: np.ndarray, c: ConstraintSet, h: np.ndarray, depth: int,
         raise ValidationError("depth must be >= 0")
     chart = ControlChart(tuple(c.control_basis), du_dt=du_dt,
                          time_varying=time_varying)
-    h_jet = _h_jet(chart, h, max(depth, 1))
-    residuals = []
-    jets = [[cj] + [np.zeros_like(cj)] * depth for cj in c.control_basis]
-    for n in range(depth + 1):
-        residuals.append(np.array(
-            [float(np.trace(j[0] @ f).real) for j in jets]))
-        if n == depth:
-            break
-        order = depth - n - 1
-        advanced = []
-        for jet in jets:
-            comm = _jet_commutator(jet, h_jet[: order + 2], order)
-            advanced.append([jet[k + 1] - 1j * comm[k] for k in range(order + 1)])
-        jets = advanced
+    residuals = [np.array([float(np.trace(jet[0] @ f).real) for jet in level])
+                 for level in _r_jets(chart, h, depth + 1)]
     normalization = float(np.trace(c.drift @ f).real) - 1.0
     return {"residuals": residuals, "normalization": normalization}
 
@@ -355,7 +324,9 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
     basis = costate_basis if costate_basis is not None else generalized_gellmann(n)
     names = list(costate_names) if costate_names is not None else [
         f"f{a+1}" for a in range(len(basis))]
-    tensors = _q_coefficient_tensor(chart, h, m_max, basis)
+    stack = np.stack(basis)
+    tensors = [np.einsum("xab,ijba->ijx", stack, k).imag
+               for k in _q_kernels(chart, h, m_max)]
     coeffs = expand(f, basis)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
 
@@ -482,22 +453,7 @@ def bracket_obstruction(c: ConstraintSet, tol: Tolerances = DEFAULT_TOL) -> bool
     tr[H_d F] = 0, contradicting the normalization of normal protocols, so
     time-optimal singular arcs are impossible.
     """
-    basis = generalized_gellmann(c.dim)
-    rows = []
-    for i in range(c.n_controls):
-        for j in range(i + 1, c.n_controls):
-            b = -1j * (c.control_basis[i] @ c.control_basis[j]
-                       - c.control_basis[j] @ c.control_basis[i])
-            if hs_norm(b) > 1e-14:
-                rows.append(expand(b, basis))
-    target = expand(c.drift, basis)
-    norm = max(1.0, float(np.linalg.norm(target)))
-    if not rows:
-        return bool(np.linalg.norm(target) < tol.span_membership)
-    a = np.stack(rows)
-    coeff, *_ = np.linalg.lstsq(a.T, target, rcond=None)
-    residual = float(np.linalg.norm(a.T @ coeff - target))
-    return residual < tol.span_membership * norm
+    return classify(c, tol).drift_in_bracket
 
 
 def normalized_singular_costate(c: ConstraintSet,
@@ -517,5 +473,4 @@ def normalized_singular_costate(c: ConstraintSet,
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     if np.linalg.norm(a @ coeffs - b) > 1e-8:
         return None
-    from .sun_algebra import reconstruct
     return reconstruct(coeffs, basis)

@@ -43,6 +43,7 @@ __all__ = [
     "dagger",
     "traceless",
     "is_traceless_hermitian",
+    "is_unitary",
     "require_traceless_hermitian",
     "require_same_dim",
     "random_traceless_hermitian",
@@ -75,6 +76,15 @@ def is_traceless_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool
         and np.max(np.abs(a - dagger(a))) < tol.hermitian
         and abs(np.trace(a)) < tol.trace * max(1.0, float(np.max(np.abs(a))))
     )
+
+
+def is_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
+    """U^dagger U within ``tol.unitary`` of the identity, entrywise.
+
+    A stack gives one verdict per matrix.
+    """
+    defect = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
+    return defect <= tol.unitary
 
 
 def require_traceless_hermitian(a: np.ndarray, name: str = "operator",
@@ -232,14 +242,13 @@ def log_op(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     ------
     BranchAmbiguityError
         if any eigenvalue of U lies within ``tol.branch_cut`` of -1, or U is
-        too far from unitary to diagonalize.
+        not unitary to ``tol.unitary`` (:func:`is_unitary`).
     """
+    if not is_unitary(u, tol):
+        raise BranchAmbiguityError(f"matrix is not unitary to {tol.unitary:g}")
     # Complex Schur form: for a (normal) unitary matrix T is diagonal and Z
     # unitary, which is what makes the reassembled logarithm exactly Hermitian.
     t, z = scipy.linalg.schur(u, output="complex")
-    offdiag = np.max(np.abs(t - np.diag(np.diag(t)))) if u.shape[0] > 1 else 0.0
-    if offdiag > 1e-8:
-        raise BranchAmbiguityError("matrix is not unitary enough to diagonalize")
     eigvals = np.diag(t)
     if _branch_cut_hit(eigvals, tol):
         raise BranchAmbiguityError(
@@ -254,15 +263,14 @@ def log_norms(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """``hs_norm(log_op(U))`` for every matrix of a (K, N, N) stack.
 
     The eigenphases of all K matrices come from one batched call.  An entry
-    is NaN where the logarithm is refused: an eigenvalue within
-    ``tol.branch_cut`` of -1, or U^dagger U off the identity by more than
-    1e-8, the bar :func:`log_op` puts on the Schur form.
+    is NaN where :func:`log_op` would refuse the logarithm: an eigenvalue
+    within ``tol.branch_cut`` of -1, or U not unitary to ``tol.unitary``.
     """
     eigvals = np.linalg.eigvals(u)
     phases = _remove_periods(-np.angle(eigvals))
     norms = np.sqrt(0.5 * np.sum(phases ** 2, axis=-1))
-    defect = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
-    return np.where((defect > 1e-8) | _branch_cut_hit(eigvals, tol), np.nan, norms)
+    refused = ~is_unitary(u, tol) | _branch_cut_hit(eigvals, tol)
+    return np.where(refused, np.nan, norms)
 
 
 def random_traceless_hermitian(rng: np.random.Generator, n: int,

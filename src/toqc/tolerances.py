@@ -39,7 +39,7 @@ class Tolerances:
     hermitian: float = 1e-12
     trace: float = 1e-12
     basis_gram: float = 1e-12
-    unitary: float = 1e-10
+    unitary: float = 1e-8
     subspace_gram: float = 1e-10
     branch_cut: float = 1e-10
     span_membership: float = 1e-10

@@ -218,6 +218,17 @@ def test_cli_exit_codes(tmp_path):
     rc, _, err = run_cli("solve", "--scenario", "one_qubit_xy",
                          "--alpha", "0.3", "--grid", "4")
     assert rc == 2
+    # a target off the unitary group is an input error, not a failed solve
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
+                      Typical(1.0))
+    cpath = tmp_path / "full.json"
+    cpath.write_text(iof.dump_json(iof.constraint_to_json(c)))
+    tpath = tmp_path / "scaled.json"
+    tpath.write_text(iof.dump_json(iof.matrix_to_json(1.5 * exp_op(SIGMA_X, 0.9))))
+    for command in ("zermelo", "solve"):
+        rc, _, err = run_cli(command, "--constraint", str(cpath),
+                             "--target", str(tpath))
+        assert rc == 2 and "not unitary" in err, (command, rc, err)
 
 
 def test_cli_zermelo_branch_cut_at_root_exits_numeric(tmp_path):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from toqc.sun_algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    expand,
     gellmann_basis,
+    generalized_gellmann,
     random_traceless_hermitian,
 )
 
@@ -114,6 +118,56 @@ def test_chain_ex3_second_derivative_relation():
     assert abs(out["residuals"][2][2]) < 1e-12
 
 
+def reference_chain_residuals(f, c, h, depth, du_dt):
+    """The chain residuals by their own jet loop (test oracle).
+
+    Each control direction starts as the jet [c_j, 0, ...]; one step applies
+    d/dt - i[., H] order by order with the Leibniz rule, H's jet being
+    [H, dH/dt, 0, ...] for constant du/dt.
+    """
+    rate = np.einsum("j,jab->ab", du_dt, np.stack(c.control_basis))
+    h_jet = [h, rate] + [np.zeros_like(h)] * max(0, depth - 1)
+    jets = [[cj] + [np.zeros_like(cj)] * depth for cj in c.control_basis]
+    residuals = []
+    for n in range(depth + 1):
+        residuals.append(np.array(
+            [float(np.trace(j[0] @ f).real) for j in jets]))
+        if n == depth:
+            break
+        order = depth - n - 1
+        advanced = []
+        for jet in jets:
+            comm = []
+            for m in range(order + 1):
+                acc = np.zeros_like(jet[0])
+                for k in range(m + 1):
+                    acc = acc + comb(m, k) * (jet[k] @ h_jet[m - k]
+                                              - h_jet[m - k] @ jet[k])
+                comm.append(acc)
+            advanced.append([jet[k + 1] - 1j * comm[k] for k in range(order + 1)])
+        jets = advanced
+    return residuals
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_matches_reference_loop_bitwise(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(10):
+        l = int(rng.integers(1, 4))
+        frame = tuple(random_traceless_hermitian(rng, n) for _ in range(l))
+        c = cm.ConstraintSet(n, random_traceless_hermitian(rng, n), frame,
+                             cm.Box(-np.ones(l), np.ones(l)))
+        f = random_traceless_hermitian(rng, n)
+        h = c.hamiltonian(rng.standard_normal(l))
+        du = rng.standard_normal(l)
+        for depth in range(4):
+            got = sg.singular_chain(f, c, h, depth, du_dt=du)["residuals"]
+            want = reference_chain_residuals(f, c, h, depth, du)
+            assert len(got) == depth + 1
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
 def test_chain_time_varying_needs_du_dt():
     c = cm.ConstraintSet(2, 0.8 * SIGMA_Z, (SIGMA_X,),
                          cm.Box(np.array([-2.0]), np.array([2.0])))
@@ -136,9 +190,14 @@ def test_recurrence_matches_closed_forms(n):
         h = drift + sum(ui * hi for ui, hi in zip(u, partials))
         h_dot = sum(di * hi for di, hi in zip(du, partials))
         chart = sg.ControlChart(partials, u=u, du_dt=du)
-        qs = sg.glc_matrices(chart, h, f, 3)
-        for got, want in zip(qs, closed_form_q(partials, h, h_dot, f)):
-            np.testing.assert_allclose(got, want, atol=1e-9)
+        want = closed_form_q(partials, h, h_dot, f)
+        # glc_test stops at the first nonzero order, so its matrices are a
+        # prefix of the three closed forms
+        for qs in (sg.glc_matrices(chart, h, f, 3),
+                   sg.glc_test(chart, h, f, m_max=3).matrices):
+            assert len(qs) >= 1
+            for got, w in zip(qs, want):
+                np.testing.assert_allclose(got, w, atol=1e-9)
 
 
 def test_q3_drops_rate_term_on_constant_arcs():
@@ -383,6 +442,28 @@ def test_bracket_obstruction_cases():
     ex3 = cm.ConstraintSet(3, ops["Sigma_x_tilde"], frame,
                            BallInCoords(2.0, np.eye(4)))
     assert sg.bracket_obstruction(ex3) is False
+
+
+@pytest.mark.parametrize("n, l", [(2, 2), (3, 2), (3, 3)])
+def test_bracket_predicates_on_random_frames(n, l):
+    # independent oracle: an orthonormal basis of the bracket span from a QR
+    # of the Gell-Mann coefficient rows of all -i[c_i, c_j]
+    rng = np.random.default_rng(60 + 10 * n + l)
+    basis = generalized_gellmann(n)
+    for _ in range(20):
+        frame = tuple(random_traceless_hermitian(rng, n) for _ in range(l))
+        brackets = [-1j * (a @ b - b @ a)
+                    for i, a in enumerate(frame) for b in frame[i + 1:]]
+        q, _ = np.linalg.qr(np.stack([expand(b, basis) for b in brackets]).T)
+        inside = sum(rng.standard_normal() * b for b in brackets)
+        x = rng.standard_normal(len(basis))
+        x -= q @ (q.T @ x)
+        outside = inside + sum(
+            xa * tau for xa, tau in zip(x / np.linalg.norm(x), basis))
+        for drift, want in ((inside, True), (outside, False)):
+            c = cm.ConstraintSet(n, drift, frame, cm.Box(-np.ones(l), np.ones(l)))
+            assert cm.classify(c).drift_in_bracket is want
+            assert sg.bracket_obstruction(c) is want
 
 
 def test_lollipop_singular_normalization_infeasible():

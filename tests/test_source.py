@@ -1,0 +1,36 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import toqc
+
+SRC = pathlib.Path(toqc.__file__).parent
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in read and name not in exported]
+
+
+def test_no_unused_imports():
+    # the package __init__ is the public facade: its imports are re-exports
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert len(modules) > 5
+    unused = [entry for p in modules for entry in unused_imports(p)]
+    assert not unused, "unused imports: " + ", ".join(unused)

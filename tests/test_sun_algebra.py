@@ -230,11 +230,13 @@ def test_log_norms_match_log_op_per_matrix():
 def test_log_norms_nan_on_the_cut_or_off_the_group():
     u = sa.random_special_unitary(np.random.default_rng(33), 3)
     cut = np.diag([-1.0, -1.0, 1.0]).astype(complex)
-    norms = sa.log_norms(np.stack([u, cut, 1.01 * u]))
+    norms = sa.log_norms(np.stack([u, cut, 1.01 * u, 1.5 * u]))
     assert norms[0] == pytest.approx(sa.hs_norm(sa.log_op(u)), rel=1e-12)
-    assert np.isnan(norms[1]) and np.isnan(norms[2])
-    with pytest.raises(BranchAmbiguityError):
-        sa.log_op(cut)
+    assert np.all(np.isnan(norms[1:]))
+    # 1.5 U is normal, so its Schur form is diagonal; only U^dagger U tells
+    for refused in (cut, 1.01 * u, 1.5 * u):
+        with pytest.raises(BranchAmbiguityError):
+            sa.log_op(refused)
 
 
 def test_log_op_branch_cut_error():
