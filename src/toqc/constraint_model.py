@@ -158,9 +158,10 @@ class ConstraintSet:
         return project(a, self._span, check=False)
 
     def hamiltonian(self, u: np.ndarray) -> np.ndarray:
-        """H_d + sum_j u_j c_j."""
+        """H_d + sum_j u_j c_j; a stack (..., l) of u gives (..., N, N)."""
         u = np.asarray(u, dtype=float)
-        return self.drift + np.einsum("j,jab->ab", u, np.stack(self.control_basis))
+        return self.drift + np.einsum("...j,jab->...ab", u,
+                                      np.stack(self.control_basis))
 
     def bound_violation(self, u: np.ndarray) -> float | np.ndarray:
         """How far the coefficients u stick out of the admissible region.
@@ -256,59 +257,65 @@ def classify(c: ConstraintSet, tol: Tolerances = DEFAULT_TOL) -> ClassificationR
     )
 
 
-def is_singular(f: np.ndarray, c: ConstraintSet, tol: float | None = None) -> bool:
-    """True iff F pairs to zero with every control frame element."""
-    if f.shape != (c.dim, c.dim):
-        raise DimensionMismatchError(
-            f"costate shape {f.shape} does not match constraint dim {c.dim}")
-    threshold = DEFAULT_TOL.singular if tol is None else tol
-    return max(abs(inner(f, cj)) for cj in c.control_basis) < threshold
+def _span_maximizer(f: np.ndarray, span: np.ndarray, drift: np.ndarray,
+                    omega: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Maximizer of tr[H F] over H = drift + sum_i u_i s_i, |u| <= omega.
+
+    ``span`` is an orthonormal stack {s_i}.  Returns (H, u), or None when F
+    is singular: the span coefficients (1/2) tr[F s_i] have norm below
+    ``DEFAULT_TOL.singular``.
+    """
+    coeffs = 0.5 * np.einsum("ab,iba->i", f, span).real
+    nrm = float(np.linalg.norm(coeffs))
+    if nrm < DEFAULT_TOL.singular:
+        return None
+    scaled = (omega / nrm) * coeffs
+    return drift + np.einsum("i,iab->ab", scaled, span), scaled
 
 
-def maximizer(f: np.ndarray, c: ConstraintSet,
-              singular_tol: float | None = None) -> MaximizerResult:
+def is_singular(f: np.ndarray, c: ConstraintSet) -> bool:
+    """True iff F is orthogonal to the control subspace: the projection of F
+    onto it has induced norm below ``DEFAULT_TOL.singular``.
+
+    The same test marks a :func:`maximizer` result singular.
+    """
+    return maximizer(f, c).singular
+
+
+def maximizer(f: np.ndarray, c: ConstraintSet) -> MaximizerResult:
     """Maximize tr[H F] over the constraint set at fixed costate F.
 
     Returns a singular result when the projection of F onto the control
-    subspace is below ``singular_tol`` in the induced norm.  Otherwise:
+    subspace is below ``DEFAULT_TOL.singular`` in the induced norm.
+    Otherwise, with g_j = (1/2) tr[F c_j]:
 
     * typical: H_c = omega * P(F) / ||P(F)|| (Cauchy-Schwarz direction,
       bound saturated);
-    * box: per-coordinate bang values by the sign of <F, c_j>;
-    * ball: u = r * G^{-1} g / sqrt(g^T G^{-1} g) with g_j = tr[c_j F], the
-      metric-gradient direction saturating the quadratic bound.
+    * box: per-coordinate bang values by the sign of g_j;
+    * ball: u = r * G^{-1} g / sqrt(g^T G^{-1} g), the metric-gradient
+      direction saturating the quadratic bound.
     """
     if f.shape != (c.dim, c.dim):
         raise DimensionMismatchError(
             f"costate shape {f.shape} does not match constraint dim {c.dim}")
-    tol = DEFAULT_TOL.singular if singular_tol is None else singular_tol
-    p = c.project_control(f)
-    if hs_norm(p) < tol:
+    typical = isinstance(c.kind, Typical)
+    best = _span_maximizer(f, c.control_span, c.drift,
+                           c.kind.omega if typical else 1.0)
+    if best is None:
         return MaximizerResult(singular=True)
+    if typical:
+        return MaximizerResult(False, *best)
 
-    if isinstance(c.kind, Typical):
-        hc = c.kind.omega * p / hs_norm(p)
-        u = np.array([inner(hc, cj) for cj in c.control_basis])
-        return MaximizerResult(False, c.drift + hc, u)
-
+    g = np.array([inner(f, cj) for cj in c.control_basis])
     if isinstance(c.kind, Box):
+        tol = DEFAULT_TOL.singular
         lo = np.asarray(c.kind.lo, float)
         hi = np.asarray(c.kind.hi, float)
-        u = np.empty(c.n_controls)
-        flagged = []
-        for j, cj in enumerate(c.control_basis):
-            g = inner(f, cj)
-            if g > tol:
-                u[j] = hi[j]
-            elif g < -tol:
-                u[j] = lo[j]
-            else:
-                u[j] = min(max(0.0, lo[j]), hi[j])
-                flagged.append(j)
-        return MaximizerResult(False, c.hamiltonian(u), u, tuple(flagged))
+        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
+        flagged = tuple(np.flatnonzero(np.abs(g) <= tol).tolist())
+        return MaximizerResult(False, c.hamiltonian(u), u, flagged)
 
     # BallInCoords: maximize g . u subject to u^T G u <= r^2.
-    g = np.array([float(np.trace(cj @ f).real) for cj in c.control_basis])
     ginv_g = np.linalg.solve(np.asarray(c.kind.metric, float), g)
     denom = float(np.sqrt(g @ ginv_g))
     u = c.kind.radius * ginv_g / denom

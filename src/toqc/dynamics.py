@@ -16,7 +16,12 @@ import numpy as np
 
 from .constraint_model import ConstraintSet
 from .errors import DimensionMismatchError, MissingCostateError, ValidationError
-from .sun_algebra import dagger, require_traceless_hermitian
+from .sun_algebra import (
+    dagger,
+    exp_op,
+    require_traceless_hermitian,
+    unitarity_defect,
+)
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -27,7 +32,9 @@ __all__ = [
     "protocol_from_function",
     "evolve_unitary",
     "evolve_costate",
+    "conserved_traces",
     "conservation_report",
+    "fidelity_residual",
     "boundary_residual",
 ]
 
@@ -75,9 +82,7 @@ class Protocol:
 
     def hamiltonians(self) -> np.ndarray:
         """Stacked cell Hamiltonians, shape (K, N, N)."""
-        basis = np.stack(self.constraint.control_basis)
-        return self.constraint.drift[None, :, :] + np.einsum(
-            "kj,jab->kab", self.controls, basis)
+        return self.constraint.hamiltonian(self.controls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +141,6 @@ def protocol_from_function(constraint: ConstraintSet, grid: np.ndarray,
     return Protocol(constraint, grid, controls)
 
 
-def _cell_steps(protocol: Protocol) -> np.ndarray:
-    """Exact exponential step for every cell, shape (K, N, N)."""
-    hs = protocol.hamiltonians()
-    dts = np.diff(protocol.grid)
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * dts[:, None] * w)
-    return np.einsum("kab,kb,kcb->kac", v, phases, v.conj())
-
-
 def reunitarize(u: np.ndarray) -> np.ndarray:
     """Project a near-unitary matrix back onto the unitary group (polar)."""
     w, s, vt = np.linalg.svd(u)
@@ -159,7 +155,7 @@ def evolve_unitary(protocol: Protocol) -> Trajectory:
     tr[F^2] frozen to ~1e-14 even at 10^5 cells).
     """
     n = protocol.constraint.dim
-    steps = _cell_steps(protocol)
+    steps = exp_op(protocol.hamiltonians(), np.diff(protocol.grid))
     out = np.empty((protocol.n_cells + 1, n, n), dtype=complex)
     out[0] = np.eye(n)
     acc = out[0]
@@ -187,6 +183,21 @@ def evolve_costate(f0: np.ndarray, traj: Trajectory) -> Trajectory:
     return replace(traj, costates=costates)
 
 
+def conserved_traces(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """tr[H F] at each cell start, shape (K,), and tr[F^2] at every grid
+    point, shape (K+1,).
+
+    tr[H F] pairs the costate at t_k with the Hamiltonian of the cell that
+    starts there; within a cell it is exactly constant.
+    """
+    if traj.costates is None:
+        raise MissingCostateError("trajectory has no costates attached")
+    fs = traj.costates
+    hf = np.einsum("kab,kba->k", traj.protocol.hamiltonians(), fs[:-1]).real
+    f2 = np.einsum("kab,kba->k", fs, fs).real
+    return hf, f2
+
+
 def conservation_report(traj: Trajectory) -> ConservationReport:
     """Maximum drift of tr[H F], tr[F^2] and unitarity along the grid.
 
@@ -194,22 +205,19 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
     the cell start (within a cell it is exactly constant, so cell starts see
     all of the drift).
     """
-    if traj.costates is None:
-        raise MissingCostateError("trajectory has no costates attached")
-    us = traj.unitaries
-    gram = dagger(us) @ us
-    gram -= np.eye(us.shape[-1])
-    unitarity = float(np.max(np.abs(gram)))
-    del gram   # freed before the Hamiltonian stack is built (peak memory)
-    hs = traj.protocol.hamiltonians()
-    fs = traj.costates
-    hf = np.einsum("kab,kba->k", hs, fs[:-1]).real
-    f2 = np.einsum("kab,kba->k", fs, fs).real
+    # U^dagger U is built before the traces exist (peak memory)
+    unitarity = float(np.max(unitarity_defect(traj.unitaries)))
+    hf, f2 = conserved_traces(traj)
     return ConservationReport(
         hf_drift=float(np.max(np.abs(hf - hf[0]))),
         f2_drift=float(np.max(np.abs(f2 - f2[0]))),
         unitarity_drift=unitarity,
     )
+
+
+def fidelity_residual(u: np.ndarray, target: np.ndarray) -> float:
+    """1 - |tr[target^dagger U]| / N, insensitive to center phases."""
+    return float(1.0 - abs(np.trace(dagger(target) @ u)) / u.shape[0])
 
 
 def boundary_residual(traj: Trajectory, target: np.ndarray) -> BoundaryResidual:
@@ -218,7 +226,6 @@ def boundary_residual(traj: Trajectory, target: np.ndarray) -> BoundaryResidual:
     if u_t.shape != target.shape:
         raise DimensionMismatchError(
             f"target shape {target.shape} vs unitary shape {u_t.shape}")
-    n = u_t.shape[0]
-    fid = 1.0 - abs(np.trace(dagger(target) @ u_t)) / n
+    fid = fidelity_residual(u_t, target)
     exact = float(np.linalg.norm(u_t - target))
-    return BoundaryResidual(fidelity=float(max(fid, 0.0)), exact=exact)
+    return BoundaryResidual(fidelity=max(fid, 0.0), exact=exact)

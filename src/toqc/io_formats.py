@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .constraint_model import BallInCoords, Box, ConstraintSet, Typical
-from .dynamics import Protocol, Trajectory
+from .dynamics import Protocol, Trajectory, conserved_traces
 from .errors import ValidationError
-from .sun_algebra import expand, generalized_gellmann
+from .sun_algebra import generalized_gellmann
 
 __all__ = [
     "matrix_to_json",
@@ -125,10 +125,6 @@ def dump_json(obj, path: Optional[str] = None) -> str:
     return text
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def export_plotdata(traj: Trajectory, path: str) -> None:
     """Write a trajectory CSV: t, controls, costate coefficients, tr[HF],
     tr[F^2].  Costate columns (and the trace columns that need them) are
@@ -138,27 +134,17 @@ def export_plotdata(traj: Trajectory, path: str) -> None:
     p = traj.protocol
     if p.n_cells < 1:
         raise ValidationError("trajectory is empty")
-    n = p.constraint.dim
     l = p.constraint.n_controls
     names = p.constraint.control_names or tuple(f"u{j+1}" for j in range(l))
     header = ["t"] + list(names)
-    has_costates = traj.costates is not None
-    if has_costates:
-        basis = generalized_gellmann(n)
+    # the final grid point repeats the last cell's controls and tr[H F]
+    columns = [p.grid[:, None], np.vstack([p.controls, p.controls[-1:]])]
+    if traj.costates is not None:
+        basis = np.stack(generalized_gellmann(p.constraint.dim))
         header += [f"f{a+1}" for a in range(len(basis))]
         header += ["tr_HF", "tr_F2"]
-        hs = p.hamiltonians()
-        coeff_rows = [expand(f, basis) for f in traj.costates]
-        hf = [float(np.trace(hs[min(k, p.n_cells - 1)] @ traj.costates[k]).real)
-              for k in range(p.n_cells + 1)]
-        f2 = [float(np.trace(f @ f).real) for f in traj.costates]
-    lines = [",".join(header)]
-    for k in range(p.n_cells + 1):
-        u_row = p.controls[min(k, p.n_cells - 1)]
-        row = [_fmt(p.grid[k])] + [_fmt(v) for v in u_row]
-        if has_costates:
-            row += [_fmt(v) for v in coeff_rows[k]]
-            row += [_fmt(hf[k]), _fmt(f2[k])]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        hf, f2 = conserved_traces(traj)
+        columns += [0.5 * np.einsum("kab,jba->kj", traj.costates, basis).real,
+                    np.append(hf, hf[-1])[:, None], f2[:, None]]
+    np.savetxt(path, np.hstack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")

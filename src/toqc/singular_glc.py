@@ -176,33 +176,30 @@ def _jet_commutator(a: list[np.ndarray], b: list[np.ndarray],
     return out
 
 
-def _h_jet(chart: ControlChart, h: np.ndarray, order: int) -> list[np.ndarray]:
-    """[H, dH/dt, 0, ...] -- control velocity assumed constant over the arc."""
-    rate = chart.hamiltonian_rate()
+def _jet(value: np.ndarray, rate: Optional[np.ndarray],
+         order: int) -> list[np.ndarray]:
+    """[X, dX/dt, 0, ...] up to ``order``: the rate is held constant over
+    the arc, and is needed only from order 1 on."""
+    if order < 1:
+        return [value]
     if rate is None:
         raise MissingDerivativeError(
             "chart is time-varying but du/dt was not supplied; the recurrence "
-            "needs dH/dt from this order on")
-    zero = np.zeros_like(h)
-    return [h, rate] + [zero] * max(0, order - 1)
-
-
-def _partial_jet(chart: ControlChart, j: int, order: int) -> list[np.ndarray]:
-    rates = chart.partial_rates()
-    if rates is None:
-        raise MissingDerivativeError(
-            "chart is time-varying but du/dt was not supplied")
-    zero = np.zeros_like(chart.partials[j])
-    return [chart.partials[j], rates[j]] + [zero] * max(0, order - 1)
+            "needs it from this order on")
+    return [value, rate] + [np.zeros_like(value)] * (order - 1)
 
 
 def _r_jets(chart: ControlChart, h: np.ndarray, m_max: int) -> list[list[list[np.ndarray]]]:
-    """R^(m)_j as jets: result[m][j] has derivative order m_max - m."""
-    h_jet = _h_jet(chart, h, m_max)
-    current = [_partial_jet(chart, j, m_max) for j in range(chart.n_controls)]
+    """R^(m)_j for m < m_max as jets: result[m][j] has derivative order
+    m_max - 1 - m.  So dh_j/dt is asked for from m_max = 2 on and dH/dt
+    from m_max = 3 on."""
+    top = m_max - 1
+    h_jet = _jet(h, chart.hamiltonian_rate(), top - 1)
+    rates = chart.partial_rates() or (None,) * chart.n_controls
+    current = [_jet(hj, rate, top) for hj, rate in zip(chart.partials, rates)]
     levels = [current]
     for m in range(1, m_max):
-        order = m_max - m
+        order = top - m
         nxt = []
         for jet in current:
             comm = _jet_commutator(jet, h_jet[: order + 2], order)

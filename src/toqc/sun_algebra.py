@@ -44,6 +44,7 @@ __all__ = [
     "traceless",
     "is_traceless_hermitian",
     "is_unitary",
+    "unitarity_defect",
     "require_traceless_hermitian",
     "require_same_dim",
     "random_traceless_hermitian",
@@ -78,13 +79,19 @@ def is_traceless_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool
     )
 
 
+def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
+    """max |U^dagger U - I| over the entries; one value per matrix of a stack."""
+    gram = dagger(u) @ u
+    gram -= np.eye(u.shape[-1])   # in place: no second stack-sized array
+    return np.max(np.abs(gram), axis=(-2, -1))
+
+
 def is_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
     """U^dagger U within ``tol.unitary`` of the identity, entrywise.
 
     A stack gives one verdict per matrix.
     """
-    defect = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
-    return defect <= tol.unitary
+    return unitarity_defect(u) <= tol.unitary
 
 
 def require_traceless_hermitian(a: np.ndarray, name: str = "operator",
@@ -207,10 +214,14 @@ def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
     The result is unitary to machine precision; for traceless A it lies in
     SU(N) exactly up to rounding.  An array of times ``s`` gives the stack
     of exp(-i s_k A), shape ``s.shape + (N, N)``, from one decomposition.
+    A generator stack A of shape (K, N, N) with times of shape (K,) gives
+    the stack of exp(-i s_k A_k), from one batched decomposition.
     """
     w, v = np.linalg.eigh(a)
     phases = np.exp((-1j * np.asarray(s, dtype=float))[..., None] * w)
-    return (v * phases[..., None, :]) @ dagger(v)
+    scaled = v * phases[..., None, :]
+    # conjugated in place: one stack-sized temporary fewer (peak memory)
+    return scaled @ np.swapaxes(np.conjugate(v, out=v), -1, -2)
 
 
 def _remove_periods(phases: np.ndarray) -> np.ndarray:

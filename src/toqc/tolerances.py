@@ -18,7 +18,6 @@ class Tolerances:
     ----------
     hermitian : entrywise deviation allowed between A and A^dagger
     trace : allowed |tr A| for traceless representatives
-    basis_gram : deviation of basis Gram matrices from 2*I
     unitary : max-entry deviation of U^dagger U from the identity
     subspace_gram : Gram tolerance for projection subspaces
     branch_cut : how close a unitary eigenvalue may sit to -1 before the
@@ -28,7 +27,6 @@ class Tolerances:
     singular : threshold on |tr[c_j F]|-type pairings below which the
         maximizer reports a singular point; looser than the matrix
         tolerances because it sits inside root-finding loops
-    conservation : allowed drift of conserved traces along a trajectory
     glc_symmetry : allowed violation of the (anti)symmetry law of the
         Legendre-Clebsch matrices
     semidefinite : eigenvalue slack in semidefiniteness verdicts
@@ -38,13 +36,11 @@ class Tolerances:
 
     hermitian: float = 1e-12
     trace: float = 1e-12
-    basis_gram: float = 1e-12
     unitary: float = 1e-8
     subspace_gram: float = 1e-10
     branch_cut: float = 1e-10
     span_membership: float = 1e-10
     singular: float = 1e-9
-    conservation: float = 1e-8
     glc_symmetry: float = 1e-9
     semidefinite: float = 1e-9
     congruence: float = 1e-8

@@ -4,7 +4,7 @@ import pytest
 from toqc import brachistochrone as br
 from toqc import dynamics as dyn
 from toqc.constraint_model import ConstraintSet, Typical, maximizer
-from toqc.errors import ValidationError
+from toqc.errors import DimensionMismatchError, ValidationError
 from toqc.scenarios import one_qubit_xy
 from toqc.sun_algebra import (
     SIGMA_X,
@@ -158,8 +158,19 @@ def test_zermelo_rebuild_matches_callback_path():
 
 
 def test_zermelo_solve_identity_target():
-    res = br.zermelo_solve(0.3 * SIGMA_Z, 1.0, np.eye(2, dtype=complex))
-    assert res.converged and res.T == 0.0
+    for target in (np.eye(2, dtype=complex), exp_op(SIGMA_Z, 1e-11)):
+        res = br.zermelo_solve(0.3 * SIGMA_Z, 1.0, target)
+        assert res.converged and res.T == 0.0
+
+
+def test_solvers_validate_the_target():
+    scaled = 1.5 * random_special_unitary(np.random.default_rng(0), 2)
+    for target, error in ((scaled, ValidationError),
+                          (np.eye(3, dtype=complex), DimensionMismatchError)):
+        with pytest.raises(error):
+            br.zermelo_solve(0.3 * SIGMA_Z, 1.0, target)
+        with pytest.raises(error):
+            br.solve_shooting(br.ShootingProblem(full_su2(0.3), target, FAST))
 
 
 def test_zermelo_monotonic_in_bound():
@@ -243,9 +254,9 @@ def test_shooting_drift_free_constant_control():
 
 
 def test_shooting_identity_target():
-    res = br.solve_shooting(br.ShootingProblem(full_su2(), np.eye(2, dtype=complex),
-                                               FAST))
-    assert res.converged and res.T == 0.0
+    for target in (np.eye(2, dtype=complex), exp_op(SIGMA_Z, 1e-11)):
+        res = br.solve_shooting(br.ShootingProblem(full_su2(), target, FAST))
+        assert res.converged and res.T == 0.0
 
 
 def test_shooting_matches_zermelo_oracle():

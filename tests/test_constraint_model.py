@@ -10,8 +10,10 @@ from toqc.sun_algebra import (
     SIGMA_Z,
     exp_op,
     gellmann_basis,
+    generalized_gellmann,
     hs_norm,
     inner,
+    random_traceless_hermitian,
 )
 
 RNG = np.random.default_rng(11)
@@ -152,6 +154,34 @@ def test_is_singular_examples():
     f = 0.2 * (gm[0] - gm[5]) + 0.3 * (gm[1] - gm[6]) + 0.7 * gm[3]
     assert cm.is_singular(f, ex3_constraint())
     assert not cm.is_singular(gm[0], ex3_constraint())
+
+
+def test_is_singular_agrees_with_maximizer():
+    # a short frame element: the projection of F is 1e-7, far above the
+    # singular threshold, although its raw pairing with 1e-3 sigma_x is 1e-10
+    c = cm.ConstraintSet(2, 0.3 * SIGMA_Z, (1e-3 * SIGMA_X,),
+                         cm.Box(np.array([-1.0]), np.array([1.0])))
+    f = 1e-7 * SIGMA_X + SIGMA_Y
+    assert not cm.is_singular(f, c)
+    assert not cm.maximizer(f, c).singular
+    # random scaled frames, costates with a projection around the threshold
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(2, 4))
+        l = int(rng.integers(1, 4))
+        frame = tuple(random_traceless_hermitian(rng, n) * 10 ** rng.uniform(-4, 1)
+                      for _ in range(l))
+        basis = np.stack(generalized_gellmann(n))
+        q = np.linalg.qr(rng.standard_normal((len(basis), l)))[0]
+        drift = random_traceless_hermitian(rng, n)
+        for c in (cm.ConstraintSet(n, drift, frame, cm.Box(-np.ones(l), np.ones(l))),
+                  cm.ConstraintSet(n, drift, frame, cm.BallInCoords(1.0, np.eye(l))),
+                  cm.ConstraintSet(n, drift, tuple(np.einsum("aj,abc->jbc", q, basis)),
+                                   cm.Typical(1.0))):
+            g = random_traceless_hermitian(rng, n)
+            p = c.project_control(g)
+            f = g - p + 10 ** rng.uniform(-11, -7) * p / hs_norm(p)
+            assert cm.is_singular(f, c) == cm.maximizer(f, c).singular
 
 
 def test_pontryagin_values():

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from toqc import constraint_model as cm
 from toqc import dynamics as dyn
 from toqc.errors import MissingCostateError, ValidationError
-from toqc.sun_algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, exp_op, dagger
+from toqc.sun_algebra import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    exp_op,
+    gellmann_basis,
+)
 
 RNG = np.random.default_rng(17)
 
@@ -79,6 +87,22 @@ def test_group_property_split_evolution():
     u_a = dyn.evolve_unitary(dyn.Protocol(c, grid[:k + 1], controls[:k])).final_unitary
     u_b = dyn.evolve_unitary(dyn.Protocol(c, grid[k:], controls[k:])).final_unitary
     np.testing.assert_allclose(u_b @ u_a, full, atol=1e-10)
+
+
+def test_evolve_unitary_matches_expm_product():
+    # random SU(3) protocol, long enough to pass several re-projections
+    c = cm.ConstraintSet(3, 0.4 * gellmann_basis()[2], tuple(gellmann_basis()),
+                         cm.Typical(1.0))
+    rng = np.random.default_rng(8)
+    grid = np.cumsum(np.concatenate([[0.0], rng.uniform(0.005, 0.02, 200)]))
+    w = rng.standard_normal((200, 8))
+    controls = w / np.linalg.norm(w, axis=1, keepdims=True)
+    p = dyn.Protocol(c, grid, controls)
+    traj = dyn.evolve_unitary(p)
+    acc = np.eye(3)
+    for k, h in enumerate(p.hamiltonians()):
+        acc = scipy.linalg.expm(-1j * (grid[k + 1] - grid[k]) * h) @ acc
+        np.testing.assert_allclose(traj.unitaries[k + 1], acc, rtol=0, atol=1e-13)
 
 
 def test_unitarity_preserved_on_long_grids():

@@ -15,6 +15,7 @@ from toqc.sun_algebra import (
     SIGMA_X,
     SIGMA_Z,
     exp_op,
+    expand,
     generalized_gellmann,
     random_traceless_hermitian,
 )
@@ -67,7 +68,8 @@ def test_export_plotdata_columns_and_determinism(tmp_path):
     c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
                       Typical(1.0))
     grid = np.linspace(0, 1, 33)
-    p = dyn.Protocol(c, grid, np.tile([0.5, 0.0, 0.0], (32, 1)))
+    w = np.random.default_rng(4).standard_normal((32, 3))
+    p = dyn.Protocol(c, grid, 0.9 * w / np.linalg.norm(w, axis=1, keepdims=True))
     traj = dyn.evolve_costate(0.4 * SIGMA_X, dyn.evolve_unitary(p))
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
@@ -75,9 +77,16 @@ def test_export_plotdata_columns_and_determinism(tmp_path):
     iof.export_plotdata(traj, str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0].split(",")
-    assert header[0] == "t"
-    assert "tr_HF" in header and "tr_F2" in header
-    assert sum(1 for h in header if h.startswith("f")) == 3
+    assert header == ["t", "u1", "u2", "u3", "f1", "f2", "f3", "tr_HF", "tr_F2"]
+    # every row against a per-row reference; the final point uses the last cell
+    table = np.loadtxt(path_a, delimiter=",", skiprows=1)
+    hs = p.hamiltonians()
+    basis = generalized_gellmann(2)
+    for k, f in enumerate(traj.costates):
+        cell = min(k, p.n_cells - 1)
+        ref = np.concatenate([[grid[k]], p.controls[cell], expand(f, basis),
+                              [np.trace(hs[cell] @ f).real, np.trace(f @ f).real]])
+        np.testing.assert_allclose(table[k], ref, rtol=0, atol=1e-14)
 
 
 def test_export_plotdata_omits_costate_columns(tmp_path):
@@ -168,6 +177,16 @@ def test_cli_evolve_writes_csv_and_report(tmp_path):
     report = json.loads(out)
     assert report["conservation"]["f2_drift"] < 1e-12
     assert out_csv.exists()
+    # without a costate only the unitarity drift is reported, as in the full report
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)), Typical(1.0))
+    w = np.random.default_rng(5).standard_normal((300, 3))
+    p = dyn.Protocol(c, np.linspace(0, 7, 301), w / np.linalg.norm(w, axis=1)[:, None])
+    ppath.write_text(iof.dump_json(iof.protocol_to_json(p)))
+    rc, out, _ = run_cli("evolve", "--protocol", str(ppath))
+    assert rc == 0
+    full = dyn.conservation_report(
+        dyn.evolve_costate(SIGMA_Z, dyn.evolve_unitary(p)))
+    assert json.loads(out)["conservation"] == {"unitarity_drift": full.unitarity_drift}
 
 
 def test_cli_solve_and_zermelo_agree(tmp_path):

@@ -174,6 +174,20 @@ def test_chain_time_varying_needs_du_dt():
     with pytest.raises(MissingDerivativeError):
         sg.singular_chain(SIGMA_Z, c, 0.8 * SIGMA_Z, depth=2,
                           time_varying=True)
+    with pytest.raises(MissingDerivativeError):
+        sg.singular_chain(SIGMA_Z, c, 0.8 * SIGMA_Z, depth=1,
+                          time_varying=True)
+    # tr[c_j F] and Q^(1) need no rate, so they are returned
+    f, h = 0.3 * SIGMA_X + SIGMA_Z, 0.8 * SIGMA_Z + 0.5 * SIGMA_X
+    got = sg.singular_chain(f, c, h, depth=0, time_varying=True)
+    assert np.array_equal(got["residuals"][0], [0.6])
+    chart = sg.ControlChart((SIGMA_X, SIGMA_Y), time_varying=True)
+    q1 = sg.glc_matrices(chart, h, f, 1)
+    np.testing.assert_array_equal(
+        q1[0], sg.glc_matrices(sg.ControlChart((SIGMA_X, SIGMA_Y)), h, f, 1)[0])
+    assert q1[0][0, 1] != 0.0
+    with pytest.raises(MissingDerivativeError):
+        sg.glc_matrices(chart, h, f, 2)
 
 
 # --- recurrence vs closed forms -------------------------------------------------

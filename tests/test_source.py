@@ -34,3 +34,32 @@ def test_no_unused_imports():
     assert len(modules) > 5
     unused = [entry for p in modules for entry in unused_imports(p)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_no_function_local_package_imports():
+    # package modules import each other at the module head, so the import
+    # graph is visible there; third-party imports may still be deferred
+    local = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not local, "function-local package imports: " + ", ".join(local)
+
+
+def test_every_tolerance_is_read():
+    tree = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "Tolerances")
+    fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    read = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in {"tol", "DEFAULT_TOL"}):
+                read.add(node.attr)
+    assert len(fields) > 5
+    assert fields <= read, "Tolerances fields never read: " + ", ".join(
+        sorted(fields - read))

@@ -214,6 +214,12 @@ def test_exp_op_time_stack_matches_per_time():
         assert stack.shape == (len(ts), n, n)
         for t, u in zip(ts, stack):
             np.testing.assert_allclose(u, sa.exp_op(a, float(t)), rtol=0, atol=1e-13)
+        # a generator stack with one time per generator
+        gens = np.stack([sa.random_traceless_hermitian(rng, n) for _ in ts])
+        stack = sa.exp_op(gens, ts)
+        assert stack.shape == (len(ts), n, n)
+        for g, t, u in zip(gens, ts, stack):
+            np.testing.assert_allclose(u, sa.exp_op(g, float(t)), rtol=0, atol=1e-13)
 
 
 def test_log_norms_match_log_op_per_matrix():
