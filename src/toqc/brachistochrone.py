@@ -235,6 +235,26 @@ def zermelo_solution(drift: np.ndarray, hc0: np.ndarray, t: float) -> dict:
     return {"H_t": h_t, "U_t": u_t}
 
 
+def _navigation_controls(drift: np.ndarray, hc0: np.ndarray,
+                         basis: tuple[np.ndarray, ...],
+                         ts: np.ndarray) -> np.ndarray:
+    """Frame coefficients u_j(t) = (1/2) tr[H_c(t) c_j] of the navigation
+    control H_c(t) = e^{-i H_d t} H_c(0) e^{i H_d t}, shape (len(ts), l).
+
+    In the drift eigenbasis H_d = V diag(w) V^dagger, with G = V^dagger
+    H_c(0) V and C_j = V^dagger c_j V,
+    u_j(t) = (1/2) sum_ab G_ab (C_j)_ba e^{-i (w_a - w_b) t}: one phase
+    array over the N^2 eigenvalue gaps and one matrix product.
+    """
+    w, v = np.linalg.eigh(drift)
+    g = dagger(v) @ hc0 @ v
+    c = dagger(v) @ np.stack(basis) @ v
+    kernel = 0.5 * (g * np.swapaxes(c, -1, -2)).reshape(len(c), -1)
+    phases = np.exp(-1j * np.multiply.outer(ts, (w[:, None] - w).ravel()))
+    # a real copy: a .real view would keep the complex product alive
+    return np.ascontiguousarray((phases @ kernel.T).real)
+
+
 def _full_subspace_constraint(drift: np.ndarray, omega: float) -> ConstraintSet:
     n = drift.shape[0]
     return ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(omega))
@@ -265,9 +285,11 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     change with Brent's method, recovers H_c(0) from the principal log at
     the root, and reproduces the motion on a dense midpoint-sampled grid
     with the exact costate F = lambda_0 H_c.  Each stage is one stacked
-    operation over its sample times.  Scan samples on the logarithm branch
-    cut are skipped; a cut met inside the bracket or at the root returns an
-    unconverged result that says so.  A target off the unitary group raises
+    operation over its sample times.  The dense controls are rebuilt in the
+    eigenbasis of H_d, from one phase array over its eigenvalue gaps and
+    one matrix product (:func:`_navigation_controls`).  Scan samples on the
+    logarithm branch cut are skipped; a cut met inside the bracket or at the
+    root returns an unconverged result that says so.  A target off the unitary group raises
     ValidationError, one of the wrong shape DimensionMismatchError.
     """
     if omega <= 0:
@@ -327,12 +349,9 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
                            None, None, None, None, (), options.seed, 0, (),
                            "root found but closed form misses the target")
 
-    # H_c(t) = e^{-i H_d t} H_c(0) e^{i H_d t} at every cell midpoint
     grid = np.linspace(0.0, t_star, options.refine_points + 1)
-    frames = exp_op(drift, 0.5 * (grid[:-1] + grid[1:]))
-    controls = 0.5 * np.einsum("kab,jba->kj", frames @ hc0 @ dagger(frames),
-                               np.stack(constraint.control_basis)).real
-    del frames   # not held while the trajectory is propagated (peak memory)
+    controls = _navigation_controls(drift, hc0, constraint.control_basis,
+                                    0.5 * (grid[:-1] + grid[1:]))
     protocol = Protocol(constraint, grid, controls)
     traj = evolve_unitary(protocol)
     denom = float(np.trace(drift @ hc0).real) + 2.0 * omega ** 2

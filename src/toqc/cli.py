@@ -220,10 +220,10 @@ def _cmd_glc(config: RunConfig) -> int:
                 "(optionally 'controls')")
         constraint = constraint_from_json(data["constraint"], "glc.constraint")
         f = matrix_from_json(data["costate"], "glc.costate")
-        u = np.asarray(data.get("controls", np.zeros(constraint.n_controls)), float)
-        chart = ControlChart(tuple(constraint.control_basis), u=u,
+        chart = ControlChart(tuple(constraint.control_basis),
+                             u=data.get("controls", np.zeros(constraint.n_controls)),
                              names=constraint.control_names)
-        h = constraint.hamiltonian(u)
+        h = constraint.hamiltonian(chart.u)
         report = glc_test(chart, h, f, m_max=config.m_max)
     else:
         raise ValidationError("glc needs --scenario or --constraint")

@@ -158,10 +158,16 @@ class ConstraintSet:
         return project(a, self._span, check=False)
 
     def hamiltonian(self, u: np.ndarray) -> np.ndarray:
-        """H_d + sum_j u_j c_j; a stack (..., l) of u gives (..., N, N)."""
+        """H_d + sum_j u_j c_j; a stack (..., l) of u gives (..., N, N).
+
+        The sum is one matrix product of u with the frame flattened to
+        (l, N*N).
+        """
         u = np.asarray(u, dtype=float)
-        return self.drift + np.einsum("...j,jab->...ab", u,
-                                      np.stack(self.control_basis))
+        frame = np.stack(self.control_basis).reshape(self.n_controls, -1)
+        h = (u @ frame).reshape(u.shape[:-1] + self.drift.shape)
+        h += self.drift
+        return h
 
     def bound_violation(self, u: np.ndarray) -> float | np.ndarray:
         """How far the coefficients u stick out of the admissible region.

@@ -43,6 +43,8 @@ def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(
             f"{where}: expected an N x N array of [re, im] pairs, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{where}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -73,7 +73,8 @@ class ControlChart:
     omitted the arc is treated as constant-control unless ``time_varying`` is
     set, in which case orders that need dH/dt raise MissingDerivativeError.
     ``partials_dt`` holds d h_j/dt for charts whose partials move along the
-    arc (zero for planar charts).
+    arc (zero for planar charts).  ``u`` and ``du_dt`` are stored as float
+    arrays; anything but a finite vector of length l raises ValidationError.
     """
 
     partials: tuple[np.ndarray, ...]
@@ -92,9 +93,21 @@ class ControlChart:
                 raise DimensionMismatchError(f"partials[{k}] has shape {h.shape}")
             if np.max(np.abs(h - h.conj().T)) > 1e-10:
                 raise ValidationError(f"partials[{k}] is not Hermitian")
-        for arr, label in ((self.u, "u"), (self.du_dt, "du_dt")):
-            if arr is not None and len(arr) != len(self.partials):
-                raise ValidationError(f"{label} length must match the partials")
+        for label in ("u", "du_dt"):
+            arr = getattr(self, label)
+            if arr is None:
+                continue
+            try:
+                arr = np.asarray(arr, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{label} must be a numeric array") from exc
+            if arr.shape != (len(self.partials),):
+                raise ValidationError(
+                    f"{label} must be a 1-D array of length {len(self.partials)}, "
+                    f"got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{label} must be finite")
+            object.__setattr__(self, label, arr)
 
     @property
     def n_controls(self) -> int:
@@ -107,10 +120,10 @@ class ControlChart:
     def hamiltonian_rate(self) -> Optional[np.ndarray]:
         """dH/dt along the arc, or None when it is needed but unknown."""
         if self.du_dt is not None:
-            rate = np.einsum("j,jab->ab", np.asarray(self.du_dt, float),
+            rate = np.einsum("j,jab->ab", self.du_dt,
                              np.stack(self.partials))
             if self.partials_dt is not None and self.u is not None:
-                rate = rate + np.einsum("j,jab->ab", np.asarray(self.u, float),
+                rate = rate + np.einsum("j,jab->ab", self.u,
                                         np.stack(self.partials_dt))
             return rate
         if self.time_varying:
@@ -388,7 +401,7 @@ def boundary_reduce(chart: ControlChart, active: BallInCoords,
     l = chart.n_controls
     if not 0 <= eliminate < l:
         raise ValidationError(f"eliminate index {eliminate} out of range")
-    g = np.asarray(active.metric, float) @ np.asarray(chart.u, float)
+    g = np.asarray(active.metric, float) @ chart.u
     if abs(g[eliminate]) < 1e-10:
         raise ImplicitFunctionError(
             "eliminated coordinate's constraint gradient is within 1e-10 of "
@@ -396,8 +409,8 @@ def boundary_reduce(chart: ControlChart, active: BallInCoords,
     he = chart.partials[eliminate]
     keep = [i for i in range(l) if i != eliminate]
     partials = tuple(chart.partials[i] - (g[i] / g[eliminate]) * he for i in keep)
-    u = np.asarray(chart.u, float)[keep]
-    du = None if chart.du_dt is None else np.asarray(chart.du_dt, float)[keep]
+    u = chart.u[keep]
+    du = None if chart.du_dt is None else chart.du_dt[keep]
     names = None if chart.names is None else tuple(chart.names[i] for i in keep)
     return ControlChart(partials, u=u, du_dt=du, names=names,
                         time_varying=chart.time_varying)

@@ -136,25 +136,29 @@ def test_zermelo_solve_manufactured_instance():
 
 
 def test_zermelo_rebuild_matches_callback_path():
+    # a random drift, a degenerate one (eigenvectors not unique) and none
     rng = np.random.default_rng(62)
-    drift = random_traceless_hermitian(rng, 3)
-    drift *= 0.3 / hs_norm(drift)
+    random_drift = random_traceless_hermitian(rng, 3)
+    random_drift *= 0.3 / hs_norm(random_drift)
     target = random_special_unitary(rng, 3)
-    res = br.zermelo_solve(drift, 1.0, target,
-                           br.ShootingOptions(refine_points=4096))
-    assert res.converged
-    hc0 = log_op(exp_op(drift, -res.T) @ target) / res.T
-    basis = res.protocol.constraint.control_basis
+    for drift in (random_drift, 0.1 * np.diag([1.0, 1.0, -2.0]).astype(complex),
+                  np.zeros((3, 3), complex)):
+        res = br.zermelo_solve(drift, 1.0, target,
+                               br.ShootingOptions(refine_points=4096))
+        assert res.converged
+        hc0 = log_op(exp_op(drift, -res.T) @ target) / res.T
+        basis = res.protocol.constraint.control_basis
 
-    def controls_at(t):
-        frame = exp_op(drift, t)
-        hc = frame @ hc0 @ dagger(frame)
-        return np.array([inner(hc, b) for b in basis])
+        def controls_at(t):
+            frame = exp_op(drift, t)
+            hc = frame @ hc0 @ dagger(frame)
+            return np.array([inner(hc, b) for b in basis])
 
-    ref = dyn.protocol_from_function(res.protocol.constraint, res.protocol.grid,
-                                     controls_at, sampling="midpoint")
-    np.testing.assert_allclose(res.protocol.controls, ref.controls,
-                               rtol=0, atol=1e-12)
+        ref = dyn.protocol_from_function(res.protocol.constraint,
+                                         res.protocol.grid, controls_at,
+                                         sampling="midpoint")
+        np.testing.assert_allclose(res.protocol.controls, ref.controls,
+                                   rtol=0, atol=1e-12)
 
 
 def test_zermelo_solve_identity_target():

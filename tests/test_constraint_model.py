@@ -226,3 +226,18 @@ def test_bound_violation_stack_equals_rows(make):
     assert np.any(stacked > 0) and np.any(stacked == 0)
     np.testing.assert_allclose(stacked, [c.bound_violation(row) for row in u],
                                rtol=0, atol=1e-14)
+
+
+# --- Hamiltonian stacks ------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [lz_constraint, xy_constraint, ex3_constraint])
+def test_hamiltonian_matches_einsum_reference(make):
+    c = make()
+    frame = np.stack(c.control_basis)
+    for shape in [(c.n_controls,), (300, c.n_controls), (4, 7, c.n_controls)]:
+        u = RNG.normal(scale=0.5, size=shape)
+        h = c.hamiltonian(u)
+        assert h.shape == shape[:-1] + (c.dim, c.dim)
+        np.testing.assert_allclose(
+            h, c.drift + np.einsum("...j,jab->...ab", u, frame),
+            rtol=0, atol=1e-15)

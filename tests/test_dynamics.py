@@ -12,6 +12,9 @@ from toqc.sun_algebra import (
     dagger,
     exp_op,
     gellmann_basis,
+    generalized_gellmann,
+    random_traceless_hermitian,
+    unitarity_defect,
 )
 
 RNG = np.random.default_rng(17)
@@ -42,6 +45,20 @@ def test_protocol_rejects_inadmissible_controls():
     grid = np.linspace(0, 1, 5)
     with pytest.raises(ValidationError):
         dyn.Protocol(c, grid, np.full((4, 1), 1.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_protocol_rejects_non_finite_grid_and_controls(bad):
+    c = z_drive(bound=1.0)
+    grid = np.linspace(0, 1, 5)
+    controls = np.zeros((4, 1))
+    bad_grid = grid.copy()
+    bad_grid[2] = bad
+    bad_controls = controls.copy()
+    bad_controls[1, 0] = bad
+    for g, u in ((bad_grid, controls), (grid, bad_controls)):
+        with pytest.raises(ValidationError, match="finite"):
+            dyn.Protocol(c, g, u)
 
 
 @pytest.mark.parametrize("kind", [cm.Typical(1.0),
@@ -103,6 +120,38 @@ def test_evolve_unitary_matches_expm_product():
     for k, h in enumerate(p.hamiltonians()):
         acc = scipy.linalg.expm(-1j * (grid[k + 1] - grid[k]) * h) @ acc
         np.testing.assert_allclose(traj.unitaries[k + 1], acc, rtol=0, atol=1e-13)
+
+
+def _per_cell_product(p):
+    """The running product one cell at a time, re-projected every 64 cells:
+    the oracle for the blocked product in evolve_unitary."""
+    n = p.constraint.dim
+    steps = exp_op(p.hamiltonians(), np.diff(p.grid))
+    out = np.empty((p.n_cells + 1, n, n), dtype=complex)
+    out[0] = np.eye(n)
+    acc = out[0]
+    for k in range(p.n_cells):
+        acc = steps[k] @ acc
+        if (k + 1) % 64 == 0:
+            w, _, vt = np.linalg.svd(acc)
+            acc = w @ vt
+        out[k + 1] = acc
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("cells", [1, 63, 64, 65, 130, 4113])
+def test_blocked_product_matches_per_cell_loop(n, cells):
+    basis = tuple(generalized_gellmann(n))
+    rng = np.random.default_rng(100 * n + cells)
+    c = cm.ConstraintSet(n, random_traceless_hermitian(rng, n, 0.3), basis,
+                         cm.Typical(1.0))
+    grid = np.cumsum(np.concatenate([[0.0], rng.uniform(0.005, 0.02, cells)]))
+    w = rng.standard_normal((cells, len(basis)))
+    p = dyn.Protocol(c, grid, w / np.linalg.norm(w, axis=1, keepdims=True))
+    us = dyn.evolve_unitary(p).unitaries
+    np.testing.assert_allclose(us, _per_cell_product(p), rtol=0, atol=1e-13)
+    assert np.max(unitarity_defect(us)) < 1e-13
 
 
 def test_unitarity_preserved_on_long_grids():

@@ -41,6 +41,11 @@ def test_matrix_from_json_rejects_garbage():
         iof.matrix_from_json([[1, 2], [3, 4]])
     with pytest.raises(ValidationError):
         iof.matrix_from_json("nope")
+    for bad in (np.nan, np.inf):
+        data = iof.matrix_to_json(SIGMA_X)
+        data[0][1][1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            iof.matrix_from_json(data)
 
 
 def test_constraint_roundtrip_all_kinds():
@@ -162,6 +167,37 @@ def test_cli_glc_from_file(tmp_path):
     data = json.loads(out)
     assert rc == 0
     assert data["verdict"] == "excluded" and data["M"] == 1
+
+
+def test_cli_glc_refuses_malformed_inputs(tmp_path):
+    c = get_scenario("one_qubit_xy").constraint
+    good = {
+        "constraint": iof.constraint_to_json(c),
+        "costate": iof.matrix_to_json(SIGMA_Z / 2),
+        "controls": [0.0, 0.0],
+    }
+    nan_costate = iof.matrix_to_json(SIGMA_Z / 2)
+    nan_costate[0][0][0] = float("nan")
+    path = tmp_path / "glc.json"
+    for change in ({"controls": [float("nan"), 0.0]}, {"controls": 0.3},
+                   {"costate": nan_costate}):
+        path.write_text(iof.dump_json({**good, **change}))
+        rc, out, err = run_cli("glc", "--constraint", str(path))
+        assert rc == 2 and out == "" and "Traceback" not in err, (change, rc, err)
+
+
+def test_cli_evolve_refuses_non_finite_protocol(tmp_path):
+    c = get_scenario("landau_zener").constraint
+    p = dyn.Protocol(c, np.linspace(0, 1, 17), np.zeros((16, 1)))
+    nan_control = iof.protocol_to_json(p)
+    nan_control["controls"][5][0] = float("nan")
+    nan_grid = iof.protocol_to_json(p)
+    nan_grid["grid"][7] = float("nan")
+    path = tmp_path / "p.json"
+    for bad in (nan_control, nan_grid):
+        path.write_text(iof.dump_json(bad))
+        rc, out, err = run_cli("evolve", "--protocol", str(path))
+        assert rc == 2 and "finite" in err, (rc, out, err)
 
 
 def test_cli_evolve_writes_csv_and_report(tmp_path):

@@ -190,6 +190,15 @@ def test_chain_time_varying_needs_du_dt():
         sg.glc_matrices(chart, h, f, 2)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("u", [np.nan, 0.0]), ("u", 0.3), ("u", [0.1, 0.2, 0.3]), ("u", "abc"),
+    ("du_dt", [0.0, np.inf]), ("du_dt", [[0.0, 1.0]]),
+])
+def test_chart_rejects_malformed_control_values(field, value):
+    with pytest.raises(ValidationError):
+        sg.ControlChart((SIGMA_X, SIGMA_Y), **{field: value})
+
+
 # --- recurrence vs closed forms -------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])
