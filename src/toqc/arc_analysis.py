@@ -30,7 +30,6 @@ from .constraint_model import BallInCoords, ConstraintSet
 from .errors import ValidationError
 from .singular_glc import ControlChart, GLCReport, boundary_reduce, glc_test
 from .sun_algebra import commutator, expand, generalized_gellmann, reconstruct
-from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
     "ArcModel",
@@ -223,8 +222,7 @@ def _reduce_inequalities(sympy, entries, free_syms, facts: _SignFacts,
     return "ok"
 
 
-def derive_singular_structure(model: ArcModel, m_max: int = 4,
-                              tol: Tolerances = DEFAULT_TOL) -> GLCReport:
+def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     """Derive the algebraic structure of a singular-arc family.
 
     Runs the stepwise test at the coefficient level: singularity conditions
@@ -450,12 +448,10 @@ def _flow_closure_rows(c: ConstraintSet, u: np.ndarray,
 
 
 def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
-                           n_samples: int = 8,
-                           m_max: int = 4,
-                           tol: Tolerances = DEFAULT_TOL) -> GLCReport:
+                           m_max: int = 4) -> GLCReport:
     """Audit singular arcs pinned to a quadratic boundary piece.
 
-    Samples points of the piece (zero-pattern respected, eliminated
+    Samples 8 points of the piece (zero-pattern respected, eliminated
     coordinate set from the constraint), reduces the chart there, closes the
     condition operators under the costate flow, and checks whether any
     costate in the surviving null space can carry tr[H_d F] = 1.  When no
@@ -474,7 +470,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
 
     free_idx = [j for j in range(l) if j not in case.zero and j != case.eliminate]
     worst_report: Optional[GLCReport] = None
-    for _ in range(max(1, n_samples)):
+    for _ in range(8):
         u = np.zeros(l)
         if free_idx:
             v = rng.standard_normal(len(free_idx))
@@ -498,8 +494,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         coeffs = vec / float(vec @ phi * 2.0)  # tr[H_d F] = 2 phi . f
         f_star = reconstruct(coeffs, basis)
         h = c.hamiltonian(u)
-        rep = glc_test(red, h, f_star, m_max=m_max, tol=tol,
-                       costate_basis=basis)
+        rep = glc_test(red, h, f_star, m_max=m_max, costate_basis=basis)
         if rep.verdict != "excluded":
             return replace(rep, notes=rep.notes + (
                 f"boundary piece '{case.name}' admits a "

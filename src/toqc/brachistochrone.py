@@ -55,7 +55,7 @@ from .dynamics import (
     reunitarize,
 )
 from .errors import DegenerateProblemError, ValidationError
-from .io_formats import constraint_to_json, matrix_to_json
+from .io_formats import protocol_to_json
 from .sun_algebra import (
     BranchAmbiguityError,
     commutator,
@@ -71,7 +71,7 @@ from .sun_algebra import (
     require_same_dim,
     traceless,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "ShootingOptions",
@@ -89,12 +89,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShootingOptions:
-    """Knobs of the shooting solver.
+    """Settings of the shooting and navigation solvers.
 
     ``grid_points`` is the cell count of the solve grid; the returned
     trajectory is rebuilt on ``refine_points`` cells.  ``multistarts``
     seeds are tried (deterministically derived from ``seed``); the scan
     stops early once ``stop_after_converged`` extremals have converged.
+    ``residual_tol`` is the one fidelity-residual bar: a result is
+    ``converged`` below it, for shooting and for navigation alike, and a
+    shooting start is accepted below max(1e-6, residual_tol).  The time
+    horizon (from the target's log norm and the speed bound) and the 200
+    residual evaluations per least-squares stage are fixed by the solvers.
     """
 
     grid_points: int = 128
@@ -103,8 +108,6 @@ class ShootingOptions:
     residual_tol: float = 1e-7
     stop_after_converged: int = 6
     refine_points: int = 16384
-    max_time: Optional[float] = None
-    max_nfev: int = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +154,8 @@ class SolveResult:
             "message": self.message,
         }
         if self.protocol is not None:
-            out["protocol"] = {
-                "grid": self.protocol.grid.tolist(),
-                "controls": self.protocol.controls.tolist(),
-                # embedded so the protocol block is directly re-usable as an
-                # evolve input artifact
-                "constraint": constraint_to_json(self.protocol.constraint),
-            }
-            if self.costate0 is not None:
-                out["protocol"]["costate0"] = matrix_to_json(self.costate0)
+            # the evolve input artifact, so the block is directly re-usable
+            out["protocol"] = protocol_to_json(self.protocol, self.costate0)
         if self.conservation is not None:
             out["conservation"] = self.conservation.as_dict()
         if self.costate0 is not None:
@@ -188,24 +184,23 @@ def _expm_step(h: np.ndarray, dt: float) -> np.ndarray:
     return exp_op(h, dt)
 
 
-def _check_target(target: np.ndarray, drift: np.ndarray, seed: int,
-                  tol: Tolerances) -> Optional[SolveResult]:
+def _check_target(target: np.ndarray, drift: np.ndarray,
+                  seed: int) -> Optional[SolveResult]:
     """Refuse a target that is not a unitary of the drift's shape.
 
     Returns the T = 0 result when the target is the identity, to 1e-10 in
     every entry, and None otherwise.
     """
     require_same_dim(target, drift)
-    if not is_unitary(target, tol):
-        raise ValidationError(f"target is not unitary to {tol.unitary:g}")
+    if not is_unitary(target):
+        raise ValidationError(f"target is not unitary to {DEFAULT_TOL.unitary:g}")
     if np.max(np.abs(target - np.eye(len(drift)))) >= 1e-10:
         return None
     return SolveResult(True, 0.0, 0.0, 0.0, None, None, None, None, (),
                        seed, 0, (0.0,), "target is the identity")
 
 
-def drift_free_geodesic(target: np.ndarray, omega: float,
-                        tol: Tolerances = DEFAULT_TOL) -> dict:
+def drift_free_geodesic(target: np.ndarray, omega: float) -> dict:
     """Constant-Hamiltonian geodesic reaching the target at full speed.
 
     Returns the Hamiltonian (norm omega under the induced norm) and the
@@ -215,7 +210,7 @@ def drift_free_geodesic(target: np.ndarray, omega: float,
     if omega <= 0:
         raise ValidationError("omega must be positive")
     n = target.shape[0]
-    l = log_op(target, tol)
+    l = log_op(target)
     nrm = hs_norm(l)
     if nrm < 1e-14:
         return {"H": np.zeros((n, n), dtype=complex), "T": 0.0}
@@ -255,6 +250,14 @@ def _navigation_controls(drift: np.ndarray, hc0: np.ndarray,
     return np.ascontiguousarray((phases @ kernel.T).real)
 
 
+def _target_log_norm(target: np.ndarray) -> float:
+    """||log U_f||, or pi sqrt(N) when the principal logarithm is refused."""
+    try:
+        return hs_norm(log_op(target))
+    except BranchAmbiguityError:
+        return np.pi * np.sqrt(len(target))
+
+
 def _full_subspace_constraint(drift: np.ndarray, omega: float) -> ConstraintSet:
     n = drift.shape[0]
     return ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(omega))
@@ -276,8 +279,7 @@ def _merge_intervals(grid: np.ndarray, cells: list[int]) -> tuple[tuple[float, f
 
 
 def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
-                  options: ShootingOptions = ShootingOptions(),
-                  tol: Tolerances = DEFAULT_TOL) -> SolveResult:
+                  options: ShootingOptions = ShootingOptions()) -> SolveResult:
     """Solve the navigation problem (full control subspace, norm <= omega).
 
     Scans T on 4096 points for the smallest positive root of
@@ -289,20 +291,21 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     eigenbasis of H_d, from one phase array over its eigenvalue gaps and
     one matrix product (:func:`_navigation_controls`).  Scan samples on the
     logarithm branch cut are skipped; a cut met inside the bracket or at the
-    root returns an unconverged result that says so.  A target off the unitary group raises
+    root returns an unconverged result that says so.  The result is
+    ``converged`` when the rebuilt endpoint's fidelity residual is below
+    ``options.residual_tol``.  A target off the unitary group raises
     ValidationError, one of the wrong shape DimensionMismatchError.
     """
     if omega <= 0:
         raise ValidationError("omega must be positive")
-    n = drift.shape[0]
     constraint = _full_subspace_constraint(drift, omega)
-    identity = _check_target(target, drift, options.seed, tol)
+    identity = _check_target(target, drift, options.seed)
     if identity is not None:
         return identity
 
     def g(ts: np.ndarray) -> np.ndarray:
         # e^{i H_d t} U_f for every t; NaN where the logarithm is refused
-        return log_norms(exp_op(drift, -ts) @ target, tol) - omega * ts
+        return log_norms(exp_op(drift, -ts) @ target) - omega * ts
 
     def g_scalar(t_val: float) -> float:
         val = float(g(np.array([t_val]))[0])
@@ -312,13 +315,9 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
                 f"branch cut, or off the unitary group")
         return val
 
-    try:
-        l0 = hs_norm(log_op(target, tol))
-    except BranchAmbiguityError:
-        l0 = np.pi * np.sqrt(n)
+    l0 = _target_log_norm(target)
     speed_slack = max(omega - hs_norm(drift), omega / 8.0)
-    t_max = options.max_time if options.max_time is not None else \
-        (l0 + 2.0 * np.pi) / speed_slack
+    t_max = (l0 + 2.0 * np.pi) / speed_slack
 
     n_scan = 4096
     ts = np.linspace(t_max / n_scan, t_max, n_scan)
@@ -334,7 +333,7 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
     try:
         t_star = float(brentq(g_scalar, lo, hi, xtol=1e-15))
-        hc0 = log_op(exp_op(drift, -t_star) @ target, tol) / t_star
+        hc0 = log_op(exp_op(drift, -t_star) @ target) / t_star
     except BranchAmbiguityError as exc:
         return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
                            None, None, (), options.seed, 0, (),
@@ -342,9 +341,9 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
                            f"[{lo:.6g}, {hi:.6g}]: {exc}")
 
     # verify the closed form hits the target
-    endpoint = exp_op(drift, t_star) @ exp_op(hc0, t_star)
+    endpoint = zermelo_solution(drift, hc0, t_star)["U_t"]
     fid = fidelity_residual(endpoint, target)
-    if fid > 1e3 * tol.residual:
+    if fid > 1e3 * options.residual_tol:
         return SolveResult(False, t_star, fid, float(np.linalg.norm(endpoint - target)),
                            None, None, None, None, (), options.seed, 0, (),
                            "root found but closed form misses the target")
@@ -366,7 +365,7 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     report = conservation_report(traj)
     br = boundary_residual(traj, target)
     return SolveResult(
-        converged=bool(br.fidelity < tol.residual),
+        converged=bool(br.fidelity < options.residual_tol),
         T=t_star, residual=br.fidelity, exact_residual=br.exact,
         protocol=protocol, trajectory=traj, costate0=f0,
         conservation=report, singular_intervals=(), seed=options.seed,
@@ -470,7 +469,7 @@ def _normalize_seed(constraint: ConstraintSet, f0: np.ndarray) -> Optional[np.nd
     return f0 / c0
 
 
-def _time_scale_estimate(problem: ShootingProblem, tol: Tolerances) -> float:
+def _time_scale_estimate(problem: ShootingProblem) -> float:
     c = problem.constraint
     if isinstance(c.kind, Typical):
         speed = c.kind.omega
@@ -479,16 +478,12 @@ def _time_scale_estimate(problem: ShootingProblem, tol: Tolerances) -> float:
     else:
         speed = c.kind.radius
     speed = max(speed + hs_norm(c.drift), 1e-9)
-    try:
-        l0 = hs_norm(log_op(problem.target, tol))
-    except BranchAmbiguityError:
-        l0 = np.pi * np.sqrt(c.dim)
-    return max(l0 / speed, 1e-3)
+    return max(_target_log_norm(problem.target) / speed, 1e-3)
 
 
 def _single_start(problem: ShootingProblem, start_index: int,
                   t_init: float, t_hi: float,
-                  rng: np.random.Generator, tol: Tolerances):
+                  rng: np.random.Generator):
     c = problem.constraint
     n = c.dim
     basis = generalized_gellmann(n)
@@ -537,10 +532,10 @@ def _single_start(problem: ShootingProblem, start_index: int,
     k_coarse = max(32, k_cells // 3)
     sol = least_squares(residual_on(k_coarse, False), x0, bounds=(lo, hi),
                         method="trf", xtol=1e-11, ftol=1e-11, gtol=1e-11,
-                        max_nfev=opts.max_nfev // 2)
+                        max_nfev=200)
     sol = least_squares(residual_on(k_cells, True), sol.x,
                         bounds=(lo, hi), method="trf", xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14, max_nfev=opts.max_nfev // 2)
+                        gtol=1e-14, max_nfev=200)
     x = sol.x
     f_star = _normalize_seed(c, reconstruct(x[:-1], basis))
     if f_star is None:
@@ -549,7 +544,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
     u_t, _, _, _, sing = _coupled_flow(c, f_star, t_star, k_cells)
     fid = fidelity_residual(u_t, problem.target)
     exact = float(np.linalg.norm(u_t - problem.target))
-    converged = fid < max(10.0 * tol.residual, opts.residual_tol)
+    converged = fid < max(1e-6, opts.residual_tol)
     return {
         "start": start_index, "f0": f_star, "T": t_star, "fidelity": fid,
         "exact": exact, "converged": bool(converged),
@@ -557,8 +552,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
     }
 
 
-def solve_shooting(problem: ShootingProblem,
-                   tol: Tolerances = DEFAULT_TOL) -> SolveResult:
+def solve_shooting(problem: ShootingProblem) -> SolveResult:
     """Multistart single shooting for the boundary-value problem.
 
     Each start draws costate coefficients from a unit normal, rescales so
@@ -578,22 +572,19 @@ def solve_shooting(problem: ShootingProblem,
     """
     opts = problem.options
     c = problem.constraint
-    identity = _check_target(problem.target, c.drift, opts.seed, tol)
+    identity = _check_target(problem.target, c.drift, opts.seed)
     if identity is not None:
         return identity
 
-    t0 = _time_scale_estimate(problem, tol)
-    t_hi = opts.max_time if opts.max_time is not None else \
-        max(6.0 * t0, t0 + 4.0 * np.pi / max(hs_norm(c.drift) + 1e-9, 1.0))
+    t0 = _time_scale_estimate(problem)
+    t_hi = max(6.0 * t0, t0 + 4.0 * np.pi / max(hs_norm(c.drift) + 1e-9, 1.0))
 
     seeds = np.random.SeedSequence(opts.seed).spawn(opts.multistarts)
-    jitters = [1.0] + [None] * (opts.multistarts - 1)
 
     def run_start(i: int):
         rng = np.random.default_rng(seeds[i])
         jitter = 1.0 if i == 0 else float(rng.uniform(0.7, 1.8))
-        return _single_start(problem, i, min(jitter * t0, 0.9 * t_hi), t_hi,
-                             rng, tol)
+        return _single_start(problem, i, min(jitter * t0, 0.9 * t_hi), t_hi, rng)
 
     attempts = []
     n_converged = 0
@@ -629,7 +620,7 @@ def solve_shooting(problem: ShootingProblem,
 
     # dense rebuild of the winning extremal
     k_fine = opts.refine_points
-    u_t, _, _, controls, singular_cells = _coupled_flow(
+    _, _, _, controls, singular_cells = _coupled_flow(
         c, best["f0"], best["T"], k_fine, record=True)
     grid = np.linspace(0.0, best["T"], k_fine + 1)
     protocol = Protocol(c, grid, controls)

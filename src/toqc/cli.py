@@ -31,7 +31,6 @@ from .io_formats import (
 from .scenarios import get_scenario, SCENARIOS
 from .singular_glc import ControlChart, glc_test
 from .sun_algebra import exp_op, unitarity_defect
-from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,6 +93,14 @@ def _scenario_from_config(config: RunConfig):
                         Omega=config.Omega)
 
 
+def _drift_axis_target(drift: np.ndarray, omega0: Optional[float],
+                       alpha: float) -> np.ndarray:
+    """The ``--alpha`` target exp(-i alpha H_d / omega0)."""
+    if omega0 is None or omega0 == 0:
+        raise ValidationError("--alpha needs a scenario with a drift scale")
+    return exp_op(drift / omega0, alpha)
+
+
 def _target_from_config(config: RunConfig, constraint: ConstraintSet,
                         omega0: Optional[float]) -> np.ndarray:
     if config.target_path is not None:
@@ -102,10 +109,7 @@ def _target_from_config(config: RunConfig, constraint: ConstraintSet,
             data = data["target"]
         return matrix_from_json(data, "target")
     if config.alpha is not None:
-        if omega0 is None or omega0 == 0:
-            raise ValidationError("--alpha needs a scenario with a drift scale")
-        axis = constraint.drift / omega0
-        return exp_op(axis, config.alpha)
+        return _drift_axis_target(constraint.drift, omega0, config.alpha)
     raise ValidationError("provide --target FILE or --alpha")
 
 
@@ -189,10 +193,8 @@ def _cmd_zermelo(config: RunConfig) -> int:
     if constraint.n_controls != constraint.dim ** 2 - 1:
         raise ValidationError("zermelo needs the full control subspace")
     target = _target_from_config(config, constraint, None)
-    options = _solve_options(config)
-    tol = DEFAULT_TOL if config.tol is None else DEFAULT_TOL.with_(residual=config.tol)
     result = brach.zermelo_solve(constraint.drift, constraint.kind.omega,
-                                 target, options, tol)
+                                 target, _solve_options(config))
     _emit(result.as_dict(), config)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
@@ -243,8 +245,8 @@ def _cmd_scenario(config: RunConfig) -> int:
         payload["classification"] = classify(sc.constraint).as_dict()
         if config.alpha is not None:
             omega0 = sc.parameters["omega0"]
-            axis = sc.constraint.drift / omega0
-            payload["canonical_target"] = matrix_to_json(exp_op(axis, config.alpha))
+            payload["canonical_target"] = matrix_to_json(
+                _drift_axis_target(sc.constraint.drift, omega0, config.alpha))
             payload["singular_time_cost"] = config.alpha / omega0
         _emit(payload, config)
         return EXIT_OK
@@ -286,7 +288,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=128, help="solver grid cells (>= 16)")
     p.add_argument("--multistarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, help="residual tolerance")
+    p.add_argument("--tol", type=float,
+                   help="fidelity-residual bar of a converged solve or "
+                        "zermelo result (ShootingOptions.residual_tol)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--arc", default="interior",

@@ -31,7 +31,7 @@ from .sun_algebra import (
     project,
     require_traceless_hermitian,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "Typical",
@@ -70,15 +70,16 @@ class BallInCoords:
 Kind = Union[Typical, Box, BallInCoords]
 
 
-def _orthonormalize(frame: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Gram-Schmidt under the (1/2) tr[AB] inner product; drops null vectors."""
+def _orthonormalize(frame: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt under the (1/2) tr[AB] inner product; drops vectors
+    whose remainder is below 1e-12 of max(1, their norm)."""
     out: list[np.ndarray] = []
     for a in frame:
         v = a.astype(complex)
         for b in out:
             v = v - inner(v, b) * b
         nrm = hs_norm(v)
-        if nrm > tol * max(1.0, hs_norm(a)):
+        if nrm > 1e-12 * max(1.0, hs_norm(a)):
             out.append(v / nrm)
     return np.stack(out)
 
@@ -90,6 +91,8 @@ class ConstraintSet:
     ``control_basis`` is the ordered control frame (c_1..c_l); for the
     ``Typical`` kind it must be orthonormal under (1/2) tr[AB].
     ``control_names`` optionally names the coordinates for reports.
+    Every bound (omega, lo, hi, radius, metric) must be finite; a NaN or
+    infinite one raises ValidationError.
     """
 
     dim: int
@@ -100,15 +103,14 @@ class ConstraintSet:
     _span: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        tol = DEFAULT_TOL
-        require_traceless_hermitian(self.drift, "drift", tol)
+        require_traceless_hermitian(self.drift, "drift")
         if self.drift.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"drift shape {self.drift.shape} does not match dim {self.dim}")
         if not self.control_basis:
             raise ValidationError("control_basis must contain at least one element")
         for k, c in enumerate(self.control_basis):
-            require_traceless_hermitian(c, f"control_basis[{k}]", tol)
+            require_traceless_hermitian(c, f"control_basis[{k}]")
             if c.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"control_basis[{k}] has shape {c.shape}, expected {(self.dim,)*2}")
@@ -116,9 +118,9 @@ class ConstraintSet:
         stack = np.stack(self.control_basis)
         gram = 0.5 * np.einsum("iab,jba->ij", stack, stack).real
         if isinstance(self.kind, Typical):
-            if self.kind.omega <= 0:
-                raise ValidationError("typical bound omega must be positive")
-            if np.max(np.abs(gram - np.eye(l))) >= tol.subspace_gram:
+            if not 0 < self.kind.omega < np.inf:   # NaN fails too
+                raise ValidationError("typical bound omega must be positive and finite")
+            if np.max(np.abs(gram - np.eye(l))) >= DEFAULT_TOL.subspace_gram:
                 raise ValidationError(
                     "typical kind needs an orthonormal control frame "
                     "(Gram matrix 2*I under the full trace)")
@@ -126,18 +128,22 @@ class ConstraintSet:
             lo, hi = np.asarray(self.kind.lo, float), np.asarray(self.kind.hi, float)
             if lo.shape != (l,) or hi.shape != (l,):
                 raise ValidationError("box bounds must match the number of controls")
+            if not np.all(np.isfinite([lo, hi])):
+                raise ValidationError("box bounds must be finite")
             if np.any(lo > hi):
                 raise ValidationError("box bounds need lo_j <= hi_j")
         elif isinstance(self.kind, BallInCoords):
             g = np.asarray(self.kind.metric, float)
             if g.shape != (l, l):
                 raise ValidationError("ball metric must be l x l")
+            if not np.all(np.isfinite(g)):
+                raise ValidationError("ball metric must be finite")
             if np.max(np.abs(g - g.T)) > 1e-12:
                 raise ValidationError("ball metric must be symmetric")
             if np.min(np.linalg.eigvalsh(g)) <= 0:
                 raise ValidationError("ball metric must be positive definite")
-            if self.kind.radius <= 0:
-                raise ValidationError("ball radius must be positive")
+            if not 0 < self.kind.radius < np.inf:
+                raise ValidationError("ball radius must be positive and finite")
         else:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
         if self.control_names is not None and len(self.control_names) != l:
@@ -228,18 +234,20 @@ class MaximizerResult:
     partially_singular: tuple[int, ...] = ()
 
 
-def classify(c: ConstraintSet, tol: Tolerances = DEFAULT_TOL) -> ClassificationReport:
+def classify(c: ConstraintSet) -> ClassificationReport:
     """Classify a constraint set.
 
     The drift is in the subspace iff its projection residual vanishes; it is
     in the bracket iff it lies in the span of all pairwise -i[c_i, c_j].
     All three bound kinds describe full-dimensional closed regions of the
     control hyperplane, so ``planar`` is always true; ``typical`` is reserved
-    for the Hilbert-Schmidt ball kind.
+    for the Hilbert-Schmidt ball kind.  Both span tests use the residual
+    threshold ``DEFAULT_TOL.span_membership``, relative to max(1, ||H_d||).
     """
+    tol = DEFAULT_TOL.span_membership
     drift_norm = max(1.0, hs_norm(c.drift))
     res = hs_norm(c.drift - c.project_control(c.drift))
-    drift_in_subspace = res < tol.span_membership * drift_norm
+    drift_in_subspace = res < tol * drift_norm
 
     brackets = [
         commutator(c.control_basis[i], c.control_basis[j])
@@ -250,9 +258,9 @@ def classify(c: ConstraintSet, tol: Tolerances = DEFAULT_TOL) -> ClassificationR
     if nonzero:
         span = _orthonormalize(np.stack(nonzero))
         bres = hs_norm(c.drift - project(c.drift, span, check=False))
-        drift_in_bracket = bres < tol.span_membership * drift_norm
+        drift_in_bracket = bres < tol * drift_norm
     else:
-        drift_in_bracket = hs_norm(c.drift) < tol.span_membership
+        drift_in_bracket = hs_norm(c.drift) < tol
 
     return ClassificationReport(
         drift_in_subspace=drift_in_subspace,

@@ -22,7 +22,6 @@ from .sun_algebra import (
     require_traceless_hermitian,
     unitarity_defect,
 )
-from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "Protocol",
@@ -146,7 +145,7 @@ def protocol_from_function(constraint: ConstraintSet, grid: np.ndarray,
 
 def reunitarize(u: np.ndarray) -> np.ndarray:
     """Project a near-unitary matrix back onto the unitary group (polar)."""
-    w, s, vt = np.linalg.svd(u)
+    w, _, vt = np.linalg.svd(u)
     return w @ vt
 
 
@@ -195,7 +194,7 @@ def evolve_costate(f0: np.ndarray, traj: Trajectory) -> Trajectory:
     Hamiltonian that generated ``traj``; the flow is isospectral, so the
     spectrum of every F(t_k) equals that of F(0).
     """
-    require_traceless_hermitian(f0, "costate", DEFAULT_TOL)
+    require_traceless_hermitian(f0, "costate")
     if f0.shape != traj.unitaries[0].shape:
         raise DimensionMismatchError(
             f"costate shape {f0.shape} vs unitary shape {traj.unitaries[0].shape}")

@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .sun_algebra import expand, generalized_gellmann, reconstruct
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "ControlChart",
@@ -72,15 +72,14 @@ class ControlChart:
     boundary reductions).  ``du_dt`` carries the arc's control velocity; when
     omitted the arc is treated as constant-control unless ``time_varying`` is
     set, in which case orders that need dH/dt raise MissingDerivativeError.
-    ``partials_dt`` holds d h_j/dt for charts whose partials move along the
-    arc (zero for planar charts).  ``u`` and ``du_dt`` are stored as float
-    arrays; anything but a finite vector of length l raises ValidationError.
+    The partials are constant along the arc (d h_j/dt = 0, as for planar
+    charts).  ``u`` and ``du_dt`` are stored as float arrays; anything but a
+    finite vector of length l raises ValidationError.
     """
 
     partials: tuple[np.ndarray, ...]
     u: Optional[np.ndarray] = None
     du_dt: Optional[np.ndarray] = None
-    partials_dt: Optional[tuple[np.ndarray, ...]] = None
     time_varying: bool = False
     names: Optional[tuple[str, ...]] = None
 
@@ -120,19 +119,13 @@ class ControlChart:
     def hamiltonian_rate(self) -> Optional[np.ndarray]:
         """dH/dt along the arc, or None when it is needed but unknown."""
         if self.du_dt is not None:
-            rate = np.einsum("j,jab->ab", self.du_dt,
-                             np.stack(self.partials))
-            if self.partials_dt is not None and self.u is not None:
-                rate = rate + np.einsum("j,jab->ab", self.u,
-                                        np.stack(self.partials_dt))
-            return rate
+            return np.einsum("j,jab->ab", self.du_dt, np.stack(self.partials))
         if self.time_varying:
             return None
         return np.zeros_like(self.partials[0])
 
     def partial_rates(self) -> Optional[tuple[np.ndarray, ...]]:
-        if self.partials_dt is not None:
-            return self.partials_dt
+        """d h_j/dt (zero), or None on a time-varying chart without du/dt."""
         if self.time_varying and self.du_dt is None:
             return None
         return tuple(np.zeros_like(h) for h in self.partials)
@@ -259,8 +252,9 @@ def glc_matrices(chart: ControlChart, h: np.ndarray, f: np.ndarray,
             for k in _q_kernels(chart, h, m_max)]
 
 
-def _rref_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Reduced row echelon form with a numeric pivot threshold."""
+def _rref_rows(rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form; entries below 1e-9 count as zero."""
+    tol = 1e-9
     a = np.array(rows, dtype=float)
     m, n = a.shape
     pivot_row = 0
@@ -317,23 +311,24 @@ def singular_chain(f: np.ndarray, c: ConstraintSet, h: np.ndarray, depth: int,
 
 
 def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
-             m_max: int = 4, tol: Tolerances = DEFAULT_TOL,
-             costate_basis: Optional[list[np.ndarray]] = None,
-             costate_names: Optional[Sequence[str]] = None) -> GLCReport:
+             m_max: int = 4,
+             costate_basis: Optional[list[np.ndarray]] = None) -> GLCReport:
     """Run the stepwise GLC test at a singular point (H, F).
 
     Orders are scanned from m = 1.  An order whose matrix vanishes as a
     functional of F is skipped; an order that vanishes at this F but not
     identically records, when odd, the linear relations Q^(m)(F) = 0 among
-    the costate coefficients as derived conditions and continues.  At the
-    first order M with a nonzero value the parity and semidefiniteness
-    verdicts are issued: M must be even and (-1)^(M/2) Q^(M) negative
-    semidefinite (eigenvalues <= tol.semidefinite).
+    the costate coefficients as derived conditions and continues; the
+    coefficients are named f1, f2, ... in the order of ``costate_basis``.
+    An order vanishes at F below ``DEFAULT_TOL.singular`` relative to
+    max(1, max |f_a|).  At the first order M with a nonzero value the
+    parity and semidefiniteness verdicts are issued: M must be even and
+    (-1)^(M/2) Q^(M) negative semidefinite (eigenvalues <=
+    ``DEFAULT_TOL.semidefinite``, relatively).
     """
     n = chart.dim
     basis = costate_basis if costate_basis is not None else generalized_gellmann(n)
-    names = list(costate_names) if costate_names is not None else [
-        f"f{a+1}" for a in range(len(basis))]
+    names = [f"f{a+1}" for a in range(len(basis))]
     stack = np.stack(basis)
     tensors = [np.einsum("xab,ijba->ijx", stack, k).imag
                for k in _q_kernels(chart, h, m_max)]
@@ -354,7 +349,7 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
         symmetry_viol = max(symmetry_viol, float(np.max(np.abs(sym))))
         if np.max(np.abs(t)) < 1e-12:
             continue  # identically zero order
-        if np.max(np.abs(q)) < tol.singular * scale:
+        if np.max(np.abs(q)) < DEFAULT_TOL.singular * scale:
             if m % 2 == 1:
                 rows = t.reshape(-1, len(basis))
                 rows = rows[np.max(np.abs(rows), axis=1) > 1e-12]
@@ -369,9 +364,9 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
         k = m // 2
         signed = ((-1) ** k) * q
         eigs = np.linalg.eigvalsh(0.5 * (signed + signed.T))
-        sign_ok = bool(np.max(eigs) <= tol.semidefinite * scale)
+        sign_ok = bool(np.max(eigs) <= DEFAULT_TOL.semidefinite * scale)
         verdict = "consistent" if sign_ok else "excluded"
-        if symmetry_viol > tol.glc_symmetry:
+        if symmetry_viol > DEFAULT_TOL.glc_symmetry:
             notes.append(f"symmetry law violated by {symmetry_viol:.3e}")
         return GLCReport(tuple(matrices), m, True, sign_ok, verdict,
                          tuple(derived), tuple(float(e) for e in eigs),
@@ -416,7 +411,10 @@ def boundary_reduce(chart: ControlChart, active: BallInCoords,
                         time_varying=chart.time_varying)
 
 
-def _sign_flags(q: np.ndarray, tol: float) -> tuple[bool, bool, bool]:
+def _sign_flags(q: np.ndarray) -> tuple[bool, bool, bool]:
+    """(zero, positive semidefinite, negative semidefinite) verdicts of Q,
+    to ``DEFAULT_TOL.semidefinite`` relative to max(1, max |Q|)."""
+    tol = DEFAULT_TOL.semidefinite
     scale = max(1.0, float(np.max(np.abs(q))))
     is_zero = np.max(np.abs(q)) < tol * scale
     eigs = np.linalg.eigvalsh(0.5 * (q + q.T))
@@ -425,21 +423,21 @@ def _sign_flags(q: np.ndarray, tol: float) -> tuple[bool, bool, bool]:
 
 
 def reparametrization_check(chart_a: ControlChart, chart_b: ControlChart,
-                            jacobian: np.ndarray, h: np.ndarray, f: np.ndarray,
-                            m_max: int = 4,
-                            tol: Tolerances = DEFAULT_TOL) -> bool:
+                            jacobian: np.ndarray, h: np.ndarray,
+                            f: np.ndarray) -> bool:
     """Verify GLC congruence between two charts of the same Hamiltonian.
 
     With jacobian J[k, i] = dv_k/du_i relating chart_a coordinates u to
-    chart_b coordinates v, the first nonzero order must satisfy
-    Q^(M)(u) = J^T Q^(M)(v) J, and the three sign verdicts (zero, positive
-    semidefinite, negative semidefinite) must agree.
+    chart_b coordinates v, the first nonzero order M <= 4 must satisfy
+    Q^(M)(u) = J^T Q^(M)(v) J to ``DEFAULT_TOL.congruence``, and the three
+    sign verdicts (zero, positive semidefinite, negative semidefinite) must
+    agree.
     """
     jac = np.asarray(jacobian, float)
     if abs(np.linalg.det(jac)) < 1e-10:
         raise ValidationError("jacobian is not invertible")
-    qa = glc_matrices(chart_a, h, f, m_max)
-    qb = glc_matrices(chart_b, h, f, m_max)
+    qa = glc_matrices(chart_a, h, f, 4)
+    qb = glc_matrices(chart_b, h, f, 4)
     scale_a = [np.max(np.abs(q)) for q in qa]
     scale_b = [np.max(np.abs(q)) for q in qb]
     thresh = 1e-10 * max(1.0, max(scale_a), max(scale_b))
@@ -450,24 +448,22 @@ def reparametrization_check(chart_a: ControlChart, chart_b: ControlChart,
     if order_a is None:
         return True
     qa_m, qb_m = qa[order_a - 1], qb[order_a - 1]
-    congruent = np.max(np.abs(qa_m - jac.T @ qb_m @ jac)) <= tol.congruence * max(
-        1.0, float(np.max(np.abs(qa_m))))
-    return bool(congruent and _sign_flags(qa_m, tol.semidefinite)
-                == _sign_flags(qb_m, tol.semidefinite))
+    congruent = np.max(np.abs(qa_m - jac.T @ qb_m @ jac)) <= \
+        DEFAULT_TOL.congruence * max(1.0, float(np.max(np.abs(qa_m))))
+    return bool(congruent and _sign_flags(qa_m) == _sign_flags(qb_m))
 
 
-def bracket_obstruction(c: ConstraintSet, tol: Tolerances = DEFAULT_TOL) -> bool:
+def bracket_obstruction(c: ConstraintSet) -> bool:
     """True iff the drift lies in the span of the control-subspace brackets.
 
     In that case a singular arc's first-order GLC conditions force
     tr[H_d F] = 0, contradicting the normalization of normal protocols, so
     time-optimal singular arcs are impossible.
     """
-    return classify(c, tol).drift_in_bracket
+    return classify(c).drift_in_bracket
 
 
-def normalized_singular_costate(c: ConstraintSet,
-                                tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
+def normalized_singular_costate(c: ConstraintSet) -> Optional[np.ndarray]:
     """A costate with tr[c_j F] = 0 for all j and tr[H_d F] = 1, if any.
 
     Returns None when the linear system is infeasible -- which is always the

@@ -25,7 +25,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidSubspaceError,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "pauli_basis",
@@ -70,12 +70,12 @@ def traceless(a: np.ndarray) -> np.ndarray:
     return a - (np.trace(a) / n) * np.eye(n)
 
 
-def is_traceless_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_traceless_hermitian(a: np.ndarray) -> bool:
     return (
         a.ndim == 2
         and a.shape[0] == a.shape[1]
-        and np.max(np.abs(a - dagger(a))) < tol.hermitian
-        and abs(np.trace(a)) < tol.trace * max(1.0, float(np.max(np.abs(a))))
+        and np.max(np.abs(a - dagger(a))) < DEFAULT_TOL.hermitian
+        and abs(np.trace(a)) < DEFAULT_TOL.trace * max(1.0, float(np.max(np.abs(a))))
     )
 
 
@@ -86,22 +86,21 @@ def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
     return np.max(np.abs(gram), axis=(-2, -1))
 
 
-def is_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
-    """U^dagger U within ``tol.unitary`` of the identity, entrywise.
+def is_unitary(u: np.ndarray) -> bool | np.ndarray:
+    """U^dagger U within ``DEFAULT_TOL.unitary`` of the identity, entrywise.
 
     A stack gives one verdict per matrix.
     """
-    return unitarity_defect(u) <= tol.unitary
+    return unitarity_defect(u) <= DEFAULT_TOL.unitary
 
 
-def require_traceless_hermitian(a: np.ndarray, name: str = "operator",
-                                tol: Tolerances = DEFAULT_TOL) -> None:
+def require_traceless_hermitian(a: np.ndarray, name: str = "operator") -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - dagger(a))) >= tol.hermitian:
-        raise DimensionMismatchError(f"{name} is not Hermitian to {tol.hermitian}")
-    if abs(np.trace(a)) >= tol.trace * max(1.0, float(np.max(np.abs(a)))):
-        raise DimensionMismatchError(f"{name} is not traceless to {tol.trace}")
+    if np.max(np.abs(a - dagger(a))) >= DEFAULT_TOL.hermitian:
+        raise DimensionMismatchError(f"{name} is not Hermitian to {DEFAULT_TOL.hermitian}")
+    if abs(np.trace(a)) >= DEFAULT_TOL.trace * max(1.0, float(np.max(np.abs(a)))):
+        raise DimensionMismatchError(f"{name} is not traceless to {DEFAULT_TOL.trace}")
 
 
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -189,11 +188,12 @@ def reconstruct(coeffs: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
 
 
 def project(a: np.ndarray, subspace: list[np.ndarray] | np.ndarray,
-            tol: Tolerances = DEFAULT_TOL, check: bool = True) -> np.ndarray:
+            check: bool = True) -> np.ndarray:
     """Orthogonal projection of A onto span(subspace) under :func:`inner`.
 
     The subspace elements must be mutually orthonormal; with ``check`` the
-    Gram matrix is verified against the identity to ``tol.subspace_gram``.
+    Gram matrix is verified against the identity to
+    ``DEFAULT_TOL.subspace_gram``.
     """
     stack = np.stack(subspace)
     if a.shape != stack.shape[1:]:
@@ -201,7 +201,7 @@ def project(a: np.ndarray, subspace: list[np.ndarray] | np.ndarray,
             f"operator dim {a.shape} does not match subspace dim {stack.shape[1:]}")
     if check:
         gram = 0.5 * np.einsum("iab,jba->ij", stack, stack).real
-        if np.max(np.abs(gram - np.eye(len(stack)))) >= tol.subspace_gram:
+        if np.max(np.abs(gram - np.eye(len(stack)))) >= DEFAULT_TOL.subspace_gram:
             raise InvalidSubspaceError(
                 "subspace is not orthonormal under (1/2) tr[AB]")
     coeffs = 0.5 * np.einsum("ab,jba->j", a, stack).real
@@ -239,11 +239,11 @@ def _remove_periods(phases: np.ndarray) -> np.ndarray:
         + 2.0 * np.pi * ((k < 0) & (rank < -k))
 
 
-def _branch_cut_hit(eigvals: np.ndarray, tol: Tolerances) -> np.ndarray:
-    return np.min(np.abs(eigvals + 1.0), axis=-1) < tol.branch_cut
+def _branch_cut_hit(eigvals: np.ndarray) -> np.ndarray:
+    return np.min(np.abs(eigvals + 1.0), axis=-1) < DEFAULT_TOL.branch_cut
 
 
-def log_op(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def log_op(u: np.ndarray) -> np.ndarray:
     """Principal traceless Hermitian L with exp(-i L) = U.
 
     Eigenphases are taken in (-pi, pi], and the whole periods their sum
@@ -252,16 +252,16 @@ def log_op(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Raises
     ------
     BranchAmbiguityError
-        if any eigenvalue of U lies within ``tol.branch_cut`` of -1, or U is
-        not unitary to ``tol.unitary`` (:func:`is_unitary`).
+        if any eigenvalue of U lies within ``DEFAULT_TOL.branch_cut`` of -1,
+        or U is not unitary to ``DEFAULT_TOL.unitary`` (:func:`is_unitary`).
     """
-    if not is_unitary(u, tol):
-        raise BranchAmbiguityError(f"matrix is not unitary to {tol.unitary:g}")
+    if not is_unitary(u):
+        raise BranchAmbiguityError(f"matrix is not unitary to {DEFAULT_TOL.unitary:g}")
     # Complex Schur form: for a (normal) unitary matrix T is diagonal and Z
     # unitary, which is what makes the reassembled logarithm exactly Hermitian.
     t, z = scipy.linalg.schur(u, output="complex")
     eigvals = np.diag(t)
-    if _branch_cut_hit(eigvals, tol):
+    if _branch_cut_hit(eigvals):
         raise BranchAmbiguityError(
             "eigenvalue within tolerance of -1: principal logarithm branch is "
             "ambiguous; perturb the operator or choose a branch explicitly")
@@ -270,17 +270,18 @@ def log_op(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (l + dagger(l))
 
 
-def log_norms(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def log_norms(u: np.ndarray) -> np.ndarray:
     """``hs_norm(log_op(U))`` for every matrix of a (K, N, N) stack.
 
     The eigenphases of all K matrices come from one batched call.  An entry
     is NaN where :func:`log_op` would refuse the logarithm: an eigenvalue
-    within ``tol.branch_cut`` of -1, or U not unitary to ``tol.unitary``.
+    within ``DEFAULT_TOL.branch_cut`` of -1, or U not unitary to
+    ``DEFAULT_TOL.unitary``.
     """
     eigvals = np.linalg.eigvals(u)
     phases = _remove_periods(-np.angle(eigvals))
     norms = np.sqrt(0.5 * np.sum(phases ** 2, axis=-1))
-    refused = ~is_unitary(u, tol) | _branch_cut_hit(eigvals, tol)
+    refused = ~is_unitary(u) | _branch_cut_hit(eigvals)
     return np.where(refused, np.nan, norms)
 
 

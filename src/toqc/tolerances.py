@@ -1,13 +1,15 @@
 """Central numeric tolerance record.
 
-Every module reads its thresholds from a single :class:`Tolerances` value so
-property tests have one knob to turn.  The defaults reflect what exact
-eigendecomposition-based propagation can hold at desk scale (N <= 16).
+Every module reads its thresholds from the one :class:`Tolerances` value
+:data:`DEFAULT_TOL`; no function takes a tolerance parameter.  The values
+reflect what exact eigendecomposition-based propagation can hold at desk
+scale (N <= 16).  The shooting and navigation residual bar is not a
+threshold of this table: it is ``ShootingOptions.residual_tol``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class Tolerances:
         Legendre-Clebsch matrices
     semidefinite : eigenvalue slack in semidefiniteness verdicts
     congruence : allowed mismatch in reparametrization congruence checks
-    residual : default shooting convergence tolerance (fidelity residual)
     """
 
     hermitian: float = 1e-12
@@ -44,11 +45,6 @@ class Tolerances:
     glc_symmetry: float = 1e-9
     semidefinite: float = 1e-9
     congruence: float = 1e-8
-    residual: float = 1e-7
-
-    def with_(self, **kwargs) -> "Tolerances":
-        """Return a copy with selected thresholds replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOL = Tolerances()

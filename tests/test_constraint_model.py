@@ -210,6 +210,26 @@ def test_box_bounds_must_be_ordered():
                          cm.Box(np.array([1.0]), np.array([-1.0])))
 
 
+@pytest.mark.parametrize("kind", [
+    cm.Typical(np.nan),
+    cm.Typical(np.inf),
+    cm.Box(np.array([np.nan]), np.array([np.nan])),
+    cm.Box(np.array([-np.inf]), np.array([1.0])),
+    cm.Box(np.array([-1.0]), np.array([np.inf])),
+    cm.BallInCoords(np.nan, np.eye(1)),
+    cm.BallInCoords(np.inf, np.eye(1)),
+    cm.BallInCoords(1.0, np.array([[np.nan]])),
+    cm.BallInCoords(1.0, np.array([[np.inf]])),
+], ids=["typical-nan", "typical-inf", "box-nan", "box-lo-inf", "box-hi-inf",
+        "ball-radius-nan", "ball-radius-inf", "ball-metric-nan",
+        "ball-metric-inf"])
+def test_constraint_rejects_non_finite_bounds(kind):
+    # NaN fails every ordering check silently: a NaN box gave a NaN
+    # bound_violation (so any control passed) and a NaN omega NaN controls
+    with pytest.raises(ValidationError, match="finite"):
+        cm.ConstraintSet(2, 0.3 * SIGMA_Z, (SIGMA_X,), kind)
+
+
 def test_maximizer_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         cm.maximizer(np.zeros((3, 3), complex), lz_constraint())

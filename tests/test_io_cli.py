@@ -303,6 +303,36 @@ def test_cli_zermelo_branch_cut_at_root_exits_numeric(tmp_path):
     assert "branch cut" in data["message"]
 
 
+def test_cli_zermelo_tol_sets_the_residual_bar(tmp_path):
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
+                      Typical(1.0))
+    cpath = tmp_path / "full.json"
+    cpath.write_text(iof.dump_json(iof.constraint_to_json(c)))
+    tpath = tmp_path / "t.json"
+    tpath.write_text(iof.dump_json(iof.matrix_to_json(exp_op(SIGMA_X, 0.9))))
+    args = ("zermelo", "--constraint", str(cpath), "--target", str(tpath))
+    rc, out, _ = run_cli(*args)
+    assert rc == 0
+    residual = json.loads(out)["residual"]
+    assert residual > 0
+    rc, out, _ = run_cli(*args, "--tol", repr(residual / 2))
+    assert rc == 3 and not json.loads(out)["converged"]
+    rc, out, _ = run_cli(*args, "--tol", repr(2 * residual))
+    assert rc == 0 and json.loads(out)["converged"]
+
+
+def test_cli_classify_refuses_non_finite_bound(tmp_path):
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
+                      Typical(1.0))
+    data = iof.constraint_to_json(c)
+    data["kind"]["typical"]["omega"] = float("nan")
+    cpath = tmp_path / "nan.json"
+    cpath.write_text(iof.dump_json(data))
+    assert "NaN" in cpath.read_text()
+    rc, _, err = run_cli("classify", "--constraint", str(cpath))
+    assert rc == 2 and "finite" in err, (rc, err)
+
+
 def test_cli_dump_json_deterministic(tmp_path):
     payload = {"b": 1.0 / 3.0, "a": [1, 2, {"z": 0.1}]}
     t1 = iof.dump_json(payload)

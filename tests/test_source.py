@@ -63,3 +63,28 @@ def test_every_tolerance_is_read():
     assert len(fields) > 5
     assert fields <= read, "Tolerances fields never read: " + ", ".join(
         sorted(fields - read))
+
+
+def unread_parameters(path: pathlib.Path) -> list[str]:
+    """Parameters of a module's functions that their bodies never read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{fn.lineno} {fn.name}.{p}"
+                   for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a knob that changes nothing
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    unread = [entry for p in modules for entry in unread_parameters(p)]
+    assert not unread, "parameters never read: " + ", ".join(unread)
