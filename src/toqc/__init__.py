@@ -8,6 +8,7 @@ Legendre-Clebsch audits of singular arcs.
 from .arc_analysis import (
     ArcModel,
     BoundaryCase,
+    arc_model,
     boundary_closure_study,
     derive_singular_structure,
 )

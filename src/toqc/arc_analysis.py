@@ -3,7 +3,8 @@
 Two complementary engines:
 
 * :func:`derive_singular_structure` works symbolically (sympy) on a planar
-  chart.  It stacks the singularity conditions, the odd-order GLC
+  chart, the :class:`ArcModel` that :func:`arc_model` derives from a
+  constraint set.  It stacks the singularity conditions, the odd-order GLC
   equalities, and the flow-invariance derivatives of everything already
   established, solving the linear layers at the coefficient level; the
   closing even order is then reduced to sign conditions on the remaining
@@ -21,7 +22,7 @@ Two complementary engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .sun_algebra import commutator, expand, generalized_gellmann, reconstruct
 __all__ = [
     "ArcModel",
     "BoundaryCase",
+    "arc_model",
     "derive_singular_structure",
     "boundary_closure_study",
 ]
@@ -43,13 +45,12 @@ __all__ = [
 class ArcModel:
     """Symbolic description of a singular-arc family on a planar chart.
 
-    All matrices are sympy Matrices with exact entries; parameters such as
-    level splittings appear as symbols listed in ``positive_params`` (known
-    strictly positive) or related through ``positive_exprs`` (expressions
-    known strictly positive, e.g. a bound exceeding a splitting).
-    ``pinned_controls`` fixes control symbols (boundary studies); the
-    ``singularity_frame``, defaulting to the chart partials, carries the
-    directions whose pairing with F must vanish.
+    All matrices are sympy Matrices with exact entries: the drift, the chart
+    partials dH/du_j (which also span the singularity conditions
+    tr[(dH/du_j) F] = 0) and the costate basis tau_a, with F = sum f_a tau_a.
+    Parameters such as level splittings appear as symbols listed in
+    ``positive_params`` (known strictly positive).  :func:`arc_model`
+    builds the model of a :class:`ConstraintSet`.
     """
 
     drift: object                      # sympy Matrix
@@ -58,22 +59,49 @@ class ArcModel:
     costate_basis: tuple               # sympy basis matrices tau_a
     costate_syms: tuple                # sympy symbols f_a
     positive_params: tuple = ()
-    positive_exprs: tuple = ()
-    pinned_controls: dict = field(default_factory=dict)
-    singularity_frame: Optional[tuple] = None
-
-    def frame(self):
-        return self.singularity_frame if self.singularity_frame is not None \
-            else self.partials
 
 
-def _sym_modules():
+def arc_model(c: ConstraintSet, omega0: float) -> ArcModel:
+    """The symbolic interior-arc model of ``c``, with the drift scale as a symbol.
+
+    The drift becomes omega0 * exact(H_d / omega0) with ``omega0`` a
+    positive symbol, the partials exact(c_j) and the costate basis
+    exact(generalized_gellmann(N)).  Control symbols are named after
+    ``c.control_names`` (default u1, u2, ...) and costate symbols f1, f2,
+    ....  exact() recognises rationals and multiples of sqrt 2 and sqrt 3
+    (``sympy.nsimplify``); a matrix whose exact form differs from its float
+    by more than 1e-12 raises ValidationError.
+    """
     import sympy
-    return sympy
+    if not omega0 > 0:
+        raise ValidationError("arc_model needs a drift scale omega0 > 0")
+    constants = [sympy.sqrt(2), sympy.sqrt(3)]
+
+    def exact(m: np.ndarray, what: str):
+        out = sympy.Matrix(*m.shape, lambda i, j: sympy.nsimplify(
+            complex(m[i, j]), constants))
+        if np.max(np.abs(np.array(out.evalf(), dtype=complex) - m)) > 1e-12:
+            raise ValidationError(
+                f"{what} has no exact form over sqrt 2 and sqrt 3")
+        return out
+
+    w0 = sympy.Symbol("omega0", positive=True)
+    names = c.control_names or tuple(f"u{j+1}" for j in range(c.n_controls))
+    return ArcModel(
+        drift=w0 * exact(c.drift / omega0, "drift / omega0"),
+        partials=tuple(exact(h, f"control {name}")
+                       for h, name in zip(c.control_basis, names)),
+        control_syms=tuple(sympy.symbols(names, real=True)),
+        costate_basis=tuple(exact(t, "costate basis")
+                            for t in generalized_gellmann(c.dim)),
+        costate_syms=tuple(sympy.symbols(f"f1:{c.dim ** 2}", real=True)),
+        positive_params=(w0,),
+    )
 
 
-def _sym_q_matrix(sympy, partials, h, f, m):
+def _sym_q_matrix(partials, h, f, m):
     """Planar-chart GLC matrix of order m, constant control, symbolic."""
+    import sympy
     rs = list(partials)
     for _ in range(m - 1):
         rs = [sympy.expand(-sympy.I * (r * h - h * r)) for r in rs]
@@ -86,12 +114,8 @@ def _sym_q_matrix(sympy, partials, h, f, m):
     return q
 
 
-def _fmt_coeff(sympy, c) -> str:
-    c = sympy.nsimplify(c)
-    return str(c)
-
-
-def _fmt_equality(sympy, row, names) -> str:
+def _fmt_equality(row, names) -> str:
+    import sympy
     terms = []
     for c, name in zip(row, names):
         c = sympy.nsimplify(c)
@@ -102,8 +126,8 @@ def _fmt_equality(sympy, row, names) -> str:
         elif c == -1:
             terms.append(f"- {name}")
         else:
-            terms.append(f"+ {_fmt_coeff(sympy, c)}*{name}" if not str(c).startswith("-")
-                         else f"- {_fmt_coeff(sympy, -c)}*{name}")
+            terms.append(f"+ {sympy.nsimplify(c)}*{name}" if not str(c).startswith("-")
+                         else f"- {sympy.nsimplify(-c)}*{name}")
     expr = " ".join(terms)
     if expr.startswith("+ "):
         expr = expr[2:]
@@ -113,16 +137,14 @@ def _fmt_equality(sympy, row, names) -> str:
 class _SignFacts:
     """Tracks sign knowledge about symbols during inequality reduction."""
 
-    def __init__(self, sympy, positive_params, positive_exprs):
-        self.sympy = sympy
+    def __init__(self, positive_params):
         self.positive = set(positive_params)
-        self.positive_exprs = list(positive_exprs)
         self.nonneg = set()
         self.nonzero = set()
 
     def sign_of(self, expr):
         """Return '+', '-', '0' or None for a factor."""
-        sympy = self.sympy
+        import sympy
         expr = sympy.expand(expr)
         if expr.is_number:
             if expr == 0:
@@ -132,15 +154,10 @@ class _SignFacts:
             return "+"
         if expr in self.nonneg and expr in self.nonzero:
             return "+"
-        for pe in self.positive_exprs:
-            if sympy.simplify(expr - pe) == 0:
-                return "+"
-            if sympy.simplify(expr + pe) == 0:
-                return "-"
         return None
 
 
-def _reduce_inequalities(sympy, entries, free_syms, facts: _SignFacts,
+def _reduce_inequalities(entries, free_syms, facts: _SignFacts,
                          conditions: list[str]) -> str:
     """Impose entry >= 0 for each entry; returns 'ok' or 'contradiction'.
 
@@ -151,6 +168,7 @@ def _reduce_inequalities(sympy, entries, free_syms, facts: _SignFacts,
     by simple entries (e.g. positivity of a normalization coefficient)
     unlock the composite ones.
     """
+    import sympy
     pending = [sympy.factor(sympy.expand(e)) for e in entries]
     pending = [e for e in pending if e != 0]
     for _ in range(len(pending) + 2):
@@ -234,18 +252,18 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     the closing order fails parity/semidefiniteness, and "consistent"
     otherwise, with the full derived condition set attached.
     """
-    sympy = _sym_modules()
+    import sympy
     f_syms = list(model.costate_syms)
     u_syms = list(model.control_syms)
     basis = list(model.costate_basis)
     names_f = [str(s) for s in f_syms]
 
-    facts = _SignFacts(sympy, model.positive_params, model.positive_exprs)
+    facts = _SignFacts(model.positive_params)
 
     F = sympy.zeros(*basis[0].shape)
     for s, tau in zip(f_syms, basis):
         F = F + s * tau
-    u_subs = dict(model.pinned_controls)
+    u_subs = {}
     H_full = model.drift
     for s, h in zip(u_syms, model.partials):
         H_full = H_full + s * h
@@ -264,13 +282,11 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
             added = True
         return added
 
-    frame = model.frame()
-    add_f_conditions([(hj * F).trace() for hj in frame])
+    add_f_conditions([(hj * F).trace() for hj in model.partials])
 
     derived_eqs: list[str] = []
     u_conditions: list[str] = []
     notes: list[str] = []
-    matrices: list[np.ndarray] = []
 
     def solve_f_layer():
         a = sympy.Matrix(f_rows)
@@ -289,7 +305,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     f_subs, frees, rref_rows = solve_f_layer()
 
     # odd-order GLC at m = 1 (entries are u-independent on planar charts)
-    q1 = _sym_q_matrix(sympy, list(model.partials), H_full, F, 1)
+    q1 = _sym_q_matrix(list(model.partials), H_full, F, 1)
     q1_entries = [sympy.expand(q1[i, j].subs(f_subs))
                   for i in range(q1.rows) for j in range(q1.cols)]
     if any(e != 0 for e in q1_entries):
@@ -300,7 +316,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     norm_expr = sympy.expand((model.drift * F).trace().subs(f_subs))
     if norm_expr == 0:
         for row in rref_rows:
-            derived_eqs.append(_fmt_equality(sympy, row, names_f))
+            derived_eqs.append(_fmt_equality(row, names_f))
         return GLCReport(
             matrices=(), order=1, parity_ok=False, sign_ok=False,
             verdict="excluded", derived_conditions=tuple(derived_eqs),
@@ -318,7 +334,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
 
     # --- layer 2: flow-invariance closure -> conditions on the controls -----
     def condition_operators():
-        ops = [sympy.Matrix(h) for h in frame]
+        ops = [sympy.Matrix(h) for h in model.partials]
         for row in rref_rows:
             op = sympy.zeros(*basis[0].shape)
             for c, tau in zip(row, basis):
@@ -367,9 +383,9 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
         break
 
     for row in rref_rows:
-        derived_eqs.append(_fmt_equality(sympy, row, names_f))
+        derived_eqs.append(_fmt_equality(row, names_f))
     for s in model.control_syms:
-        if s in u_subs and s not in model.pinned_controls:
+        if s in u_subs:
             u_conditions.append(f"{s} = {sympy.nsimplify(u_subs[s])}")
 
     # --- layer 3: closing even order ----------------------------------------
@@ -379,10 +395,9 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     order = None
     parity_ok = True
     sign_ok = True
-    eigs: tuple = ()
     inequalities: list[str] = []
     for m in range(2, m_max + 1):
-        q = _sym_q_matrix(sympy, list(model.partials), H_cur, F_cur, m)
+        q = _sym_q_matrix(list(model.partials), H_cur, F_cur, m)
         q = q.applyfunc(lambda e: sympy.expand(e))
         if all(e == 0 for e in q):
             continue
@@ -398,7 +413,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
         if all(sympy.expand(e) == 0 for e in offdiag):
             entries = [signed[i, i] for i in range(q.rows)]
             outcome = _reduce_inequalities(
-                sympy, entries, set(frees) | set(u_syms), facts, inequalities)
+                entries, set(frees) | set(u_syms), facts, inequalities)
             sign_ok = outcome != "contradiction"
         else:
             notes.append("closing even order is not diagonal; "
@@ -409,9 +424,9 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
 
     conditions = tuple(derived_eqs + u_conditions + inequalities)
     return GLCReport(
-        matrices=tuple(matrices), order=order, parity_ok=parity_ok,
+        matrices=(), order=order, parity_ok=parity_ok,
         sign_ok=sign_ok, verdict=verdict, derived_conditions=conditions,
-        eigenvalues_at_order=eigs, notes=tuple(notes))
+        eigenvalues_at_order=(), notes=tuple(notes))
 
 
 @dataclass(frozen=True)

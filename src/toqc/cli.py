@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: classify, evolve, solve, glc, zermelo, scenario.  Structured
-results are printed as JSON (or written with --out); time series go to CSV.
+Subcommands: classify, evolve, solve, glc, zermelo, scenario; each takes
+only the flags its command reads (``_COMMANDS``), so any other flag exits 2.
+Structured results are printed as JSON (or written with --out); time series
+go to CSV.
 Exit codes: 0 success, 2 validation error, 3 numeric non-convergence.
 """
 
@@ -184,8 +186,8 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_zermelo(config: RunConfig) -> int:
-    if config.constraint_path is None:
-        raise ValidationError("zermelo needs --constraint FILE")
+    if config.constraint_path is None or config.target_path is None:
+        raise ValidationError("zermelo needs --constraint FILE and --target FILE")
     constraint = constraint_from_json(
         _load_json(config.constraint_path, "constraint"))
     if not isinstance(constraint.kind, Typical):
@@ -275,27 +277,48 @@ def run(config: RunConfig) -> int:
         return EXIT_VALIDATION
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="built-in scenario name")
-    p.add_argument("--constraint", dest="constraint_path",
-                   help="constraint (or glc input) JSON file")
-    p.add_argument("--target", dest="target_path", help="target unitary JSON file")
-    p.add_argument("--protocol", dest="protocol_path", help="protocol JSON file")
-    p.add_argument("--omega0", type=float, help="drift scale override")
-    p.add_argument("--Omega", type=float, help="control bound override")
-    p.add_argument("--alpha", type=float,
-                   help="build the drift-axis target exp(-i alpha D)")
-    p.add_argument("--grid", type=int, default=128, help="solver grid cells (>= 16)")
-    p.add_argument("--multistarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float,
-                   help="fidelity-residual bar of a converged solve or "
-                        "zermelo result (ShootingOptions.residual_tol)")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--arc", default="interior",
-                   help="glc arc: interior | boundary-<name>")
-    p.add_argument("--m-max", dest="m_max", type=int, default=4)
+# every flag, keyed by its spelling; each dest is a RunConfig field, whose
+# default applies when the flag is not given
+_FLAGS = {
+    "--scenario": dict(help="built-in scenario name"),
+    "--constraint": dict(dest="constraint_path",
+                         help="constraint (or glc input) JSON file"),
+    "--target": dict(dest="target_path", help="target unitary JSON file"),
+    "--protocol": dict(dest="protocol_path", help="protocol JSON file"),
+    "--omega0": dict(type=float, help="drift scale override"),
+    "--Omega": dict(type=float, help="control bound override"),
+    "--alpha": dict(type=float,
+                    help="build the drift-axis target exp(-i alpha D)"),
+    "--grid": dict(type=int, help="solver grid cells (>= 16)"),
+    "--multistarts": dict(type=int),
+    "--seed": dict(type=int),
+    "--tol": dict(type=float,
+                  help="fidelity-residual bar of a converged solve or "
+                       "zermelo result (ShootingOptions.residual_tol)"),
+    "--out": dict(help="output file (default: stdout)"),
+    "--format": dict(dest="fmt", choices=("json", "csv")),
+    "--arc": dict(help="glc arc: interior | boundary-<name>"),
+    "--m-max": dict(dest="m_max", type=int),
+}
+
+# where classify, solve and glc take their system from
+_SOURCE = ("--scenario", "--constraint", "--omega0", "--Omega")
+
+# each subcommand: its help line and the flags its command reads
+_COMMANDS = {
+    "classify": ("classify a constraint set", _SOURCE + ("--out",)),
+    "evolve": ("propagate a protocol and report conserved quantities",
+               ("--protocol", "--out", "--format")),
+    "solve": ("multistart shooting for a target unitary",
+              _SOURCE + ("--target", "--alpha", "--grid", "--multistarts",
+                         "--seed", "--tol", "--out")),
+    "glc": ("Legendre-Clebsch audit of a singular arc",
+            _SOURCE + ("--arc", "--m-max", "--seed", "--out")),
+    "zermelo": ("navigation solve (full control subspace)",
+                ("--constraint", "--target", "--seed", "--tol", "--out")),
+    "scenario": ("list or show built-in scenarios",
+                 ("--omega0", "--Omega", "--alpha", "--out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,27 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-optimal unitary control: classification, "
                     "propagation, shooting, navigation and singular-arc audits.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("classify", "classify a constraint set"),
-        ("evolve", "propagate a protocol and report conserved quantities"),
-        ("solve", "multistart shooting for a target unitary"),
-        ("glc", "Legendre-Clebsch audit of a singular arc"),
-        ("zermelo", "navigation solve (full control subspace)"),
-    ):
-        _add_common(sub.add_parser(name, help=blurb))
-    sp = sub.add_parser("scenario", help="list or show built-in scenarios")
-    sp.add_argument("action", choices=("list", "show"))
-    sp.add_argument("name", nargs="?")
-    _add_common(sp)
+    for name, (blurb, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
+        if name == "scenario":
+            p.add_argument("action", choices=("list", "show"))
+            p.add_argument("name", nargs="?")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
-              if hasattr(args, f)}
     try:
-        config = RunConfig(**fields)
+        config = RunConfig(**vars(args))
     except ToqcError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

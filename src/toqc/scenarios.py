@@ -2,8 +2,9 @@
 
 Three concrete systems where singular arcs matter, each packaged as a
 constructible :class:`Scenario` carrying its constraint set, parameters,
-machine-checkable reference facts, and the symbolic/boundary models used by
-the singular-arc studies:
+machine-checkable reference facts, and the boundary pieces used by the
+singular-arc studies.  The symbolic interior-arc model is derived from the
+constraint set, so each system is described once:
 
 * ``landau_zener`` -- fixed sigma_z splitting, one bounded sigma_x control;
   the u = 0 arc is singular and survives the GLC test (bang-off-bang).
@@ -19,12 +20,12 @@ the singular-arc studies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .arc_analysis import ArcModel, BoundaryCase
+from .arc_analysis import ArcModel, BoundaryCase, arc_model
 from .constraint_model import BallInCoords, Box, ConstraintSet, Typical
 from .errors import InfeasibleReplacementError, ValidationError
 from .sun_algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -47,22 +48,21 @@ class Scenario:
 
     ``reference_facts`` holds expected outcomes (classification labels, GLC
     verdicts, singular-arc structure) as plain values the test suite asserts
-    against.  ``arc_model`` builds the symbolic interior-arc model on
-    demand; ``boundary_cases`` lists the quadratic-boundary pieces studied
-    separately.
+    against.  ``arc_model()`` derives the symbolic interior-arc model from
+    ``constraint`` and ``parameters["omega0"]`` on demand
+    (:func:`toqc.arc_analysis.arc_model`); ``boundary_cases`` lists the
+    quadratic-boundary pieces studied separately.
     """
 
     name: str
     constraint: ConstraintSet
     parameters: dict
     reference_facts: dict
-    arc_model_builder: Optional[Callable[[], ArcModel]] = None
     boundary_cases: tuple[BoundaryCase, ...] = ()
 
     def arc_model(self) -> ArcModel:
-        if self.arc_model_builder is None:
-            raise ValidationError(f"scenario {self.name} has no interior arc model")
-        return self.arc_model_builder()
+        """The symbolic interior-arc model, derived from ``constraint``."""
+        return arc_model(self.constraint, self.parameters["omega0"])
 
     def as_dict(self) -> dict:
         return {
@@ -100,31 +100,6 @@ def triplet_operators() -> dict[str, np.ndarray]:
     }
 
 
-def _sympy_gellmann():
-    import sympy
-    s3 = sympy.sqrt(3)
-    l = [
-        sympy.Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-        sympy.Matrix([[0, -sympy.I, 0], [sympy.I, 0, 0], [0, 0, 0]]),
-        sympy.Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-        sympy.Matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-        sympy.Matrix([[0, 0, -sympy.I], [0, 0, 0], [sympy.I, 0, 0]]),
-        sympy.Matrix([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        sympy.Matrix([[0, 0, 0], [0, 0, -sympy.I], [0, sympy.I, 0]]),
-        sympy.Matrix([[1, 0, 0], [0, 1, 0], [0, 0, -2]]) / s3,
-    ]
-    return l
-
-
-def _sympy_pauli():
-    import sympy
-    return [
-        sympy.Matrix([[0, 1], [1, 0]]),
-        sympy.Matrix([[0, -sympy.I], [sympy.I, 0]]),
-        sympy.Matrix([[1, 0], [0, -1]]),
-    ]
-
-
 def landau_zener(omega0: float, Omega: float) -> Scenario:
     """Fixed z splitting, one bounded x control: |u| <= Omega."""
     if omega0 <= 0 or Omega <= 0:
@@ -133,21 +108,6 @@ def landau_zener(omega0: float, Omega: float) -> Scenario:
         2, omega0 * SIGMA_Z, (SIGMA_X,),
         Box(np.array([-Omega]), np.array([Omega])),
         control_names=("u",))
-
-    def build_model() -> ArcModel:
-        import sympy
-        pauli = _sympy_pauli()
-        w0 = sympy.Symbol("omega0", positive=True)
-        u = sympy.Symbol("u", real=True)
-        fs = sympy.symbols("f1:4", real=True)
-        return ArcModel(
-            drift=w0 * pauli[2],
-            partials=(pauli[0],),
-            control_syms=(u,),
-            costate_basis=tuple(pauli),
-            costate_syms=tuple(fs),
-            positive_params=(w0,),
-        )
 
     return Scenario(
         name="landau_zener",
@@ -167,7 +127,6 @@ def landau_zener(omega0: float, Omega: float) -> Scenario:
             "singular_control": [0.0],
             "structure": "bang-off-bang",
         },
-        arc_model_builder=build_model,
     )
 
 
@@ -178,21 +137,6 @@ def one_qubit_xy(omega0: float, Omega: float) -> Scenario:
     constraint = ConstraintSet(
         2, omega0 * SIGMA_Z, (SIGMA_X, SIGMA_Y), Typical(Omega),
         control_names=("ux", "uy"))
-
-    def build_model() -> ArcModel:
-        import sympy
-        pauli = _sympy_pauli()
-        w0 = sympy.Symbol("omega0", positive=True)
-        ux, uy = sympy.symbols("ux uy", real=True)
-        fs = sympy.symbols("f1:4", real=True)
-        return ArcModel(
-            drift=w0 * pauli[2],
-            partials=(pauli[0], pauli[1]),
-            control_syms=(ux, uy),
-            costate_basis=tuple(pauli),
-            costate_syms=tuple(fs),
-            positive_params=(w0,),
-        )
 
     return Scenario(
         name="one_qubit_xy",
@@ -210,7 +154,6 @@ def one_qubit_xy(omega0: float, Omega: float) -> Scenario:
             # = 1); the exclusion verdict is insensitive to that scale
             "normalization_scale_note": True,
         },
-        arc_model_builder=build_model,
     )
 
 
@@ -234,29 +177,6 @@ def symmetric_two_qubit(omega0: float, Omega: float,
         BallInCoords(Omega, metric),
         control_names=("b1", "b2", "b3", "J"))
 
-    def build_model() -> ArcModel:
-        import sympy
-        gm = _sympy_gellmann()
-        s2 = sympy.sqrt(2)
-        s3 = sympy.sqrt(3)
-        sx = gm[3] - gm[2] / 2 + gm[7] / (2 * s3)
-        sz = gm[2] - gm[7] / s3
-        s_ops = [(gm[0] + gm[5]) / s2, (gm[1] + gm[6]) / s2,
-                 (gm[2] + s3 * gm[7]) / 2]
-        w0 = sympy.Symbol("omega0", positive=True)
-        om = sympy.Symbol("Omega", positive=True)
-        b1, b2, b3, j = sympy.symbols("b1 b2 b3 J", real=True)
-        fs = sympy.symbols("f1:9", real=True)
-        return ArcModel(
-            drift=w0 * sx,
-            partials=(s_ops[0], s_ops[1], s_ops[2], sz),
-            control_syms=(b1, b2, b3, j),
-            costate_syms=tuple(fs),
-            costate_basis=tuple(gm),
-            positive_params=(w0, om),
-            positive_exprs=(om - w0,),
-        )
-
     return Scenario(
         name="symmetric_two_qubit",
         constraint=constraint,
@@ -277,7 +197,6 @@ def symmetric_two_qubit(omega0: float, Omega: float,
                                   "b2": "excluded", "J": "excluded"},
             "canonical_singular_target_cost": "alpha / omega0",
         },
-        arc_model_builder=build_model,
         boundary_cases=(
             BoundaryCase("b3", zero=(), eliminate=2),
             BoundaryCase("b1", zero=(2,), eliminate=0),

@@ -286,6 +286,17 @@ def test_cli_exit_codes(tmp_path):
         assert rc == 2 and "not unitary" in err, (command, rc, err)
 
 
+def test_cli_refuses_flags_its_command_does_not_read():
+    # zermelo reads no scenario and builds no --alpha target
+    for flag, value in (("--alpha", "0.5"), ("--scenario", "landau_zener")):
+        rc, _, err = run_cli("zermelo", "--constraint", "c.json",
+                             "--target", "t.json", flag, value)
+        assert rc == 2 and flag in err, (flag, rc, err)
+    rc, _, err = run_cli("classify", "--scenario", "landau_zener",
+                         "--grid", "4")
+    assert rc == 2 and "--grid" in err
+
+
 def test_cli_zermelo_branch_cut_at_root_exits_numeric(tmp_path):
     # U_f = -e^{-i H_d pi}: the first root T = pi has e^{i H_d T} U_f = -I,
     # on the branch cut of the logarithm

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import toqc
 
@@ -88,3 +90,12 @@ def test_every_parameter_is_read():
     assert len(modules) > 5
     unread = [entry for p in modules for entry in unread_parameters(p)]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # every toqc process pays for the import; sympy is loaded only by the
+    # symbolic arc analysis that needs it
+    code = "import sys, toqc.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
