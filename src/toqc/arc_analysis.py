@@ -67,26 +67,30 @@ def arc_model(c: ConstraintSet, omega0: float) -> ArcModel:
     The drift becomes omega0 * exact(H_d / omega0) with ``omega0`` a
     positive symbol, the partials exact(c_j) and the costate basis
     exact(generalized_gellmann(N)).  Control symbols are named after
-    ``c.control_names`` (default u1, u2, ...) and costate symbols f1, f2,
-    ....  exact() recognises rationals and multiples of sqrt 2 and sqrt 3
-    (``sympy.nsimplify``); a matrix whose exact form differs from its float
-    by more than 1e-12 raises ValidationError.
+    ``c.control_labels`` and costate symbols f1, f2, ....  exact()
+    recognises rationals and multiples of sqrt 2 and sqrt 3 in the real and
+    imaginary parts (``sympy.nsimplify`` with no rational fallback; parts
+    below 1e-14 are 0); an entry it cannot recognise, or a matrix more than
+    1e-12 from its float, raises ValidationError.
     """
     import sympy
     if not omega0 > 0:
         raise ValidationError("arc_model needs a drift scale omega0 > 0")
     constants = [sympy.sqrt(2), sympy.sqrt(3)]
 
+    def part(x: float):
+        return sympy.nsimplify(x if abs(x) >= 1e-14 else 0.0, constants, rational=False)
+
     def exact(m: np.ndarray, what: str):
-        out = sympy.Matrix(*m.shape, lambda i, j: sympy.nsimplify(
-            complex(m[i, j]), constants))
-        if np.max(np.abs(np.array(out.evalf(), dtype=complex) - m)) > 1e-12:
+        out = sympy.Matrix(*m.shape, lambda i, j: part(float(m[i, j].real))
+                           + sympy.I * part(float(m[i, j].imag)))
+        if out.has(sympy.Float) or np.max(np.abs(
+                np.array(out.evalf(), dtype=complex) - m)) > 1e-12:
             raise ValidationError(
                 f"{what} has no exact form over sqrt 2 and sqrt 3")
         return out
 
-    w0 = sympy.Symbol("omega0", positive=True)
-    names = c.control_names or tuple(f"u{j+1}" for j in range(c.n_controls))
+    w0, names = sympy.Symbol("omega0", positive=True), c.control_labels
     return ArcModel(
         drift=w0 * exact(c.drift / omega0, "drift / omega0"),
         partials=tuple(exact(h, f"control {name}")
@@ -481,7 +485,6 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
     l = c.n_controls
     basis = generalized_gellmann(c.dim)
     phi = expand(c.drift, basis)
-    names = c.control_names or tuple(f"u{j+1}" for j in range(l))
 
     free_idx = [j for j in range(l) if j not in case.zero and j != case.eliminate]
     worst_report: Optional[GLCReport] = None
@@ -495,7 +498,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         quad = float(u @ metric @ u)
         gee = metric[case.eliminate, case.eliminate]
         u[case.eliminate] = np.sqrt(max(r * r - quad, 0.0) / gee)
-        full_chart = ControlChart(tuple(c.control_basis), u=u, names=names)
+        full_chart = ControlChart(tuple(c.control_basis), u=u, names=c.control_labels)
         red = boundary_reduce(full_chart, c.kind, case.eliminate)
         rows = _flow_closure_rows(c, u, red)
         _, s, vt = np.linalg.svd(rows)

@@ -94,7 +94,8 @@ class ShootingOptions:
     ``grid_points`` is the cell count of the solve grid; the returned
     trajectory is rebuilt on ``refine_points`` cells.  ``multistarts``
     seeds are tried (deterministically derived from ``seed``); the scan
-    stops early once ``stop_after_converged`` extremals have converged.
+    stops early once ``stop_after_converged`` starts have converged (a start
+    that reuses an earlier start's polish counts, see :func:`solve_shooting`).
     ``residual_tol`` is the one fidelity-residual bar: a result is
     ``converged`` below it, for shooting and for navigation alike, and a
     shooting start is accepted below max(1e-6, residual_tol).  The time
@@ -184,17 +185,24 @@ def _expm_step(h: np.ndarray, dt: float) -> np.ndarray:
     return exp_op(h, dt)
 
 
+def _failure(seed: int, n_starts: int, message: str, T: float = float("nan"),
+             residual: float = 1.0, exact: float = float("nan")) -> SolveResult:
+    """An unconverged result that carries no protocol."""
+    return SolveResult(False, T, residual, exact, None, None, None, None, (),
+                       seed, n_starts, (), message)
+
+
 def _check_target(target: np.ndarray, drift: np.ndarray,
                   seed: int) -> Optional[SolveResult]:
     """Refuse a target that is not a unitary of the drift's shape.
 
-    Returns the T = 0 result when the target is the identity, to 1e-10 in
-    every entry, and None otherwise.
+    Returns the T = 0 result when the target is the identity, to
+    ``DEFAULT_TOL.identity_target`` in every entry, and None otherwise.
     """
     require_same_dim(target, drift)
     if not is_unitary(target):
         raise ValidationError(f"target is not unitary to {DEFAULT_TOL.unitary:g}")
-    if np.max(np.abs(target - np.eye(len(drift)))) >= 1e-10:
+    if np.max(np.abs(target - np.eye(len(drift)))) >= DEFAULT_TOL.identity_target:
         return None
     return SolveResult(True, 0.0, 0.0, 0.0, None, None, None, None, (),
                        seed, 0, (0.0,), "target is the identity")
@@ -258,24 +266,13 @@ def _target_log_norm(target: np.ndarray) -> float:
         return np.pi * np.sqrt(len(target))
 
 
-def _full_subspace_constraint(drift: np.ndarray, omega: float) -> ConstraintSet:
-    n = drift.shape[0]
-    return ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(omega))
-
-
 def _merge_intervals(grid: np.ndarray, cells: list[int]) -> tuple[tuple[float, float], ...]:
-    if not cells:
-        return ()
-    spans = []
-    start = prev = cells[0]
-    for c in cells[1:]:
-        if c == prev + 1:
-            prev = c
-            continue
-        spans.append((float(grid[start]), float(grid[prev + 1])))
-        start = prev = c
-    spans.append((float(grid[start]), float(grid[prev + 1])))
-    return tuple(spans)
+    """The time spans of the runs of consecutive cells in ``cells``."""
+    cells = np.asarray(cells, dtype=int)
+    gaps = np.flatnonzero(np.diff(cells) > 1)
+    starts = np.append(cells[:1], cells[gaps + 1])
+    ends = np.append(cells[gaps], cells[-1:]) + 1
+    return tuple((float(grid[a]), float(grid[b])) for a, b in zip(starts, ends))
 
 
 def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
@@ -298,7 +295,8 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     """
     if omega <= 0:
         raise ValidationError("omega must be positive")
-    constraint = _full_subspace_constraint(drift, omega)
+    n = len(drift)
+    constraint = ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(omega))
     identity = _check_target(target, drift, options.seed)
     if identity is not None:
         return identity
@@ -326,42 +324,32 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     # NaN samples compare false on both sides, so no bracket touches them
     hits = np.flatnonzero((prev > 0.0) & (gs <= 0.0))
     if hits.size == 0:
-        return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
-                           None, None, (), options.seed, 0, (),
-                           f"no root of the log-norm equation below T = {t_max:.4g}")
+        return _failure(options.seed, 0,
+                        f"no root of the log-norm equation below T = {t_max:.4g}")
     i = int(hits[0])
     lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
     try:
         t_star = float(brentq(g_scalar, lo, hi, xtol=1e-15))
         hc0 = log_op(exp_op(drift, -t_star) @ target) / t_star
     except BranchAmbiguityError as exc:
-        return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
-                           None, None, (), options.seed, 0, (),
-                           f"logarithm branch cut met in the root bracket "
-                           f"[{lo:.6g}, {hi:.6g}]: {exc}")
+        return _failure(options.seed, 0,
+                        f"logarithm branch cut met in the root bracket "
+                        f"[{lo:.6g}, {hi:.6g}]: {exc}")
 
     # verify the closed form hits the target
     endpoint = zermelo_solution(drift, hc0, t_star)["U_t"]
     fid = fidelity_residual(endpoint, target)
     if fid > 1e3 * options.residual_tol:
-        return SolveResult(False, t_star, fid, float(np.linalg.norm(endpoint - target)),
-                           None, None, None, None, (), options.seed, 0, (),
-                           "root found but closed form misses the target")
+        return _failure(options.seed, 0, "root found but closed form misses the target",
+                        t_star, fid, float(np.linalg.norm(endpoint - target)))
 
     grid = np.linspace(0.0, t_star, options.refine_points + 1)
     controls = _navigation_controls(drift, hc0, constraint.control_basis,
                                     0.5 * (grid[:-1] + grid[1:]))
     protocol = Protocol(constraint, grid, controls)
-    traj = evolve_unitary(protocol)
     denom = float(np.trace(drift @ hc0).real) + 2.0 * omega ** 2
-    message = ""
-    if denom <= 0:
-        message = "normalization weight non-positive; costate left unscaled"
-        lam0 = 1.0
-    else:
-        lam0 = 1.0 / denom
-    f0 = lam0 * hc0
-    traj = evolve_costate(f0, traj)
+    f0 = (1.0 / denom) * hc0 if denom > 0 else hc0
+    traj = evolve_costate(f0, evolve_unitary(protocol))
     report = conservation_report(traj)
     br = boundary_residual(traj, target)
     return SolveResult(
@@ -369,7 +357,9 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
         T=t_star, residual=br.fidelity, exact_residual=br.exact,
         protocol=protocol, trajectory=traj, costate0=f0,
         conservation=report, singular_intervals=(), seed=options.seed,
-        n_starts=1, extremal_times=(t_star,), message=message)
+        n_starts=1, extremal_times=(t_star,),
+        message="" if denom > 0 else
+        "normalization weight non-positive; costate left unscaled")
 
 
 def interaction_picture_reduce(c: ConstraintSet) -> dict:
@@ -379,9 +369,9 @@ def interaction_picture_reduce(c: ConstraintSet) -> dict:
     kind is) and the control subspace must be mapped into itself by
     e^{i H_d s} for every s.  That holds exactly when -i[H_d, c_j] lies in
     the subspace for every frame element c_j, checked as a projection
-    residual below 1e-9 relative to ||H_d||.  When reducible, the same
-    constraint with zero drift governs the problem in the interaction
-    picture.
+    residual below ``DEFAULT_TOL.drift_frame`` relative to ||H_d||.  When
+    reducible, the same constraint with zero drift governs the problem in
+    the interaction picture.
     """
     if not isinstance(c.kind, Typical):
         return {"reducible": False, "reduced": None,
@@ -393,7 +383,7 @@ def interaction_picture_reduce(c: ConstraintSet) -> dict:
         for j, b in enumerate(c.control_basis):
             comm = commutator(c.drift, b)
             res = hs_norm(comm - c.project_control(comm))
-            if res > 1e-9 * drift_scale:
+            if res > DEFAULT_TOL.drift_frame * drift_scale:
                 return {"reducible": False, "reduced": None,
                         "reason": f"-i[H_d, c_{j}] leaves the subspace "
                                   f"(residual {res:.2e})"}
@@ -461,12 +451,8 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
 
 def _normalize_seed(constraint: ConstraintSet, f0: np.ndarray) -> Optional[np.ndarray]:
     mr = maximizer(f0, constraint)
-    if mr.singular:
-        return None
-    c0 = float(np.trace(mr.hamiltonian @ f0).real)
-    if c0 <= 1e-9:
-        return None
-    return f0 / c0
+    c0 = 0.0 if mr.singular else float(np.trace(mr.hamiltonian @ f0).real)
+    return None if c0 <= 1e-9 else f0 / c0
 
 
 def _time_scale_estimate(problem: ShootingProblem) -> float:
@@ -483,7 +469,7 @@ def _time_scale_estimate(problem: ShootingProblem) -> float:
 
 def _single_start(problem: ShootingProblem, start_index: int,
                   t_init: float, t_hi: float,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator, earlier: list[dict]):
     c = problem.constraint
     n = c.dim
     basis = generalized_gellmann(n)
@@ -491,21 +477,16 @@ def _single_start(problem: ShootingProblem, start_index: int,
     k_cells = opts.grid_points
     target_dag = dagger(problem.target)
 
-    f0 = None
     for _ in range(64):
-        cand = reconstruct(rng.standard_normal(n * n - 1), basis)
-        cand = _normalize_seed(c, cand)
-        if cand is not None:
-            f0 = cand
+        f0 = _normalize_seed(c, reconstruct(rng.standard_normal(n * n - 1), basis))
+        if f0 is not None:
             break
-    if f0 is None:
+    else:
         return None
 
     x0 = np.concatenate([expand(f0, basis), [t_init]])
-    lo = np.full(n * n, -np.inf)
-    hi = np.full(n * n, np.inf)
-    lo[-1] = 1e-6 * t_init
-    hi[-1] = t_hi
+    lo = np.append(np.full(n * n - 1, -np.inf), 1e-6 * t_init)
+    hi = np.append(np.full(n * n - 1, np.inf), t_hi)
 
     def residual_on(cells: int, corrector: bool):
         def residual(x):
@@ -533,22 +514,28 @@ def _single_start(problem: ShootingProblem, start_index: int,
     sol = least_squares(residual_on(k_coarse, False), x0, bounds=(lo, hi),
                         method="trf", xtol=1e-11, ftol=1e-11, gtol=1e-11,
                         max_nfev=200)
+    # a coarse solution on a converged earlier start's extremal reuses its
+    # polish; the scale is a gauge (_normalize_seed), so compare directions
+    direction, t_coarse = sol.x[:-1] / np.linalg.norm(sol.x[:-1]), sol.x[-1]
+    for known in earlier:
+        gap = max(np.max(np.abs(direction - known["direction"])),
+                  abs(t_coarse - known["t_coarse"]) / max(1.0, t_coarse))
+        if known["converged"] and gap < DEFAULT_TOL.duplicate_start:
+            return {**known, "start": start_index}
     sol = least_squares(residual_on(k_cells, True), sol.x,
                         bounds=(lo, hi), method="trf", xtol=1e-14, ftol=1e-14,
                         gtol=1e-14, max_nfev=200)
-    x = sol.x
-    f_star = _normalize_seed(c, reconstruct(x[:-1], basis))
+    f_star = _normalize_seed(c, reconstruct(sol.x[:-1], basis))
     if f_star is None:
         return None
-    t_star = float(x[-1])
+    t_star = float(sol.x[-1])
     u_t, _, _, _, sing = _coupled_flow(c, f_star, t_star, k_cells)
     fid = fidelity_residual(u_t, problem.target)
-    exact = float(np.linalg.norm(u_t - problem.target))
-    converged = fid < max(1e-6, opts.residual_tol)
     return {
         "start": start_index, "f0": f_star, "T": t_star, "fidelity": fid,
-        "exact": exact, "converged": bool(converged),
-        "singular_cells": len(sing),
+        "exact": float(np.linalg.norm(u_t - problem.target)),
+        "converged": bool(fid < max(1e-6, opts.residual_tol)),
+        "singular_cells": len(sing), "direction": direction, "t_coarse": t_coarse,
     }
 
 
@@ -558,8 +545,12 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     Each start draws costate coefficients from a unit normal, rescales so
     tr[H(0) F(0)] = 1, and solves for (F(0), T) by trust-region least
     squares on the smooth boundary chart plus the final-time normalization
-    residual.  Among converged starts the minimal-T extremal is refined on
-    a dense grid and returned; all converged times are reported.
+    residual: a coarse sweep, then a polish on the solve grid.  A start
+    whose coarse solution matches a converged earlier start's (unit costate
+    direction and T, to ``DEFAULT_TOL.duplicate_start``) reuses that
+    polished extremal under its own index instead of polishing again.
+    Among converged starts the minimal-T extremal is refined on a dense
+    grid and returned; all converged times are reported.
 
     Raises
     ------
@@ -581,28 +572,22 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
 
     seeds = np.random.SeedSequence(opts.seed).spawn(opts.multistarts)
 
-    def run_start(i: int):
-        rng = np.random.default_rng(seeds[i])
-        jitter = 1.0 if i == 0 else float(rng.uniform(0.7, 1.8))
-        return _single_start(problem, i, min(jitter * t0, 0.9 * t_hi), t_hi, rng)
-
     attempts = []
-    n_converged = 0
     n_run = 0
     for i in range(opts.multistarts):
-        out = run_start(i)
+        rng = np.random.default_rng(seeds[i])
+        jitter = 1.0 if i == 0 else float(rng.uniform(0.7, 1.8))
+        out = _single_start(problem, i, min(jitter * t0, 0.9 * t_hi), t_hi, rng,
+                            attempts)
         n_run += 1
         if out is not None:
             attempts.append(out)
-            if out["converged"]:
-                n_converged += 1
-                if n_converged >= opts.stop_after_converged:
-                    break
+            if out["converged"] and sum(
+                    a["converged"] for a in attempts) >= opts.stop_after_converged:
+                break
 
     if not attempts:
-        return SolveResult(False, float("nan"), 1.0, float("nan"), None, None,
-                           None, None, (), opts.seed, n_run, (),
-                           "all starts failed to draw a regular seed")
+        return _failure(opts.seed, n_run, "all starts failed to draw a regular seed")
 
     converged = [a for a in attempts if a["converged"]]
     if not converged:
@@ -611,9 +596,8 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
             raise DegenerateProblemError(
                 "maximizer singular on most cells of the best attempt; run "
                 "the singular-arc analysis instead of shooting")
-        return SolveResult(False, best["T"], best["fidelity"], best["exact"],
-                           None, None, None, None, (), opts.seed, n_run, (),
-                           "no start converged; best residual reported")
+        return _failure(opts.seed, n_run, "no start converged; best residual reported",
+                        best["T"], best["fidelity"], best["exact"])
 
     best = min(converged, key=lambda a: (round(a["T"], 9), a["fidelity"]))
     times = tuple(sorted({round(a["T"], 6) for a in converged}))

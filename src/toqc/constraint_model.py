@@ -155,6 +155,11 @@ class ConstraintSet:
         return len(self.control_basis)
 
     @property
+    def control_labels(self) -> tuple[str, ...]:
+        """``control_names``, or u1, u2, ... when they are unset."""
+        return self.control_names or tuple(f"u{j+1}" for j in range(self.n_controls))
+
+    @property
     def control_span(self) -> np.ndarray:
         """Orthonormalized spanning set of the control subspace."""
         return self._span

@@ -22,6 +22,7 @@ from .sun_algebra import (
     require_traceless_hermitian,
     unitarity_defect,
 )
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "Protocol",
@@ -70,9 +71,9 @@ class Protocol:
                 f"controls shape {controls.shape} does not match grid/continuum "
                 f"({len(grid)-1} cells x {self.constraint.n_controls} controls)")
         worst = float(np.max(self.constraint.bound_violation(controls)))
-        if worst > 1e-10:
-            raise ValidationError(
-                f"controls leave the admissible set by {worst:.3e} (> 1e-10)")
+        if worst > DEFAULT_TOL.admissible:
+            raise ValidationError(f"controls leave the admissible set by "
+                                  f"{worst:.3e} (> {DEFAULT_TOL.admissible:g})")
 
     @property
     def total_time(self) -> float:

@@ -136,9 +136,7 @@ def export_plotdata(traj: Trajectory, path: str) -> None:
     p = traj.protocol
     if p.n_cells < 1:
         raise ValidationError("trajectory is empty")
-    l = p.constraint.n_controls
-    names = p.constraint.control_names or tuple(f"u{j+1}" for j in range(l))
-    header = ["t"] + list(names)
+    header = ["t"] + list(p.constraint.control_labels)
     # the final grid point repeats the last cell's controls and tr[H F]
     columns = [p.grid[:, None], np.vstack([p.controls, p.controls[-1:]])]
     if traj.costates is not None:

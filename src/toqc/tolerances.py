@@ -33,6 +33,11 @@ class Tolerances:
         Legendre-Clebsch matrices
     semidefinite : eigenvalue slack in semidefiniteness verdicts
     congruence : allowed mismatch in reparametrization congruence checks
+    admissible : how far a ``Protocol``'s controls may leave the bound
+    drift_frame : relative residual of -i[H_d, c_j] off the control subspace
+    identity_target : max-entry distance at which a target is the identity
+    duplicate_start : coarse-solution gap (unit costate direction, T relative
+        to max(1, T)) below which two shooting starts found one extremal
     """
 
     hermitian: float = 1e-12
@@ -45,6 +50,10 @@ class Tolerances:
     glc_symmetry: float = 1e-9
     semidefinite: float = 1e-9
     congruence: float = 1e-8
+    admissible: float = 1e-10
+    drift_frame: float = 1e-9
+    identity_target: float = 1e-10
+    duplicate_start: float = 1e-6
 
 
 DEFAULT_TOL = Tolerances()

@@ -372,3 +372,48 @@ def test_audit_geodesic_with_proportional_costate():
     assert audit.max_condition_violation < 1e-8
     assert audit.normalization_drift < 1e-10
     assert audit.costate_flow_violation < 1e-12
+
+
+# --- multistart: each extremal is polished once ------------------------------
+
+def _test_04_target(draw: int) -> np.ndarray:
+    """The ``draw``-th SU(2) target of the navigation-oracle acceptance test."""
+    rng = np.random.default_rng(4)
+    for _ in range(draw):
+        random_special_unitary(rng, 2)
+    return random_special_unitary(rng, 2)
+
+
+def test_shooting_polishes_a_repeated_extremal_once(monkeypatch):
+    # all three converged starts of this target land on one extremal: each
+    # runs its coarse sweep, and only the first runs the fine polish
+    calls = []
+    original = br.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["xtol"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(br, "least_squares", counting)
+    opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=40,
+                              stop_after_converged=3, refine_points=512)
+    res = br.solve_shooting(br.ShootingProblem(
+        full_su2(0.3, 1.0), _test_04_target(0), opts))
+    assert res.converged and res.n_starts == 3
+    assert len(res.extremal_times) == 1
+    coarse = max(calls)
+    assert len(calls) == 4
+    assert calls.count(coarse) == 3
+
+
+def test_shooting_keeps_distinct_extremals():
+    # two of the three converged starts find the shorter extremal, one the
+    # longer; the repeated one reuses the polish, the other is polished
+    opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=862785227,
+                              stop_after_converged=3, residual_tol=1e-6,
+                              refine_points=512)
+    res = br.solve_shooting(br.ShootingProblem(
+        full_su2(0.3, 1.0), _test_04_target(9), opts))
+    assert res.converged
+    assert res.extremal_times == (1.953157, 3.98413)
+    assert res.n_starts == 3

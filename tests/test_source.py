@@ -5,9 +5,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import toqc
+from toqc import brachistochrone as br
+from toqc.constraint_model import ConstraintSet, Typical
+from toqc.sun_algebra import SIGMA_Z, generalized_gellmann, random_special_unitary
 
 SRC = pathlib.Path(toqc.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:
@@ -99,3 +105,23 @@ def test_cli_import_leaves_sympy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_bench_tracer_reaches_every_shooting_layer(monkeypatch):
+    # the benchmark's per-layer numbers bind the shooting helpers by name and
+    # read their results; a refactor that renames a helper or reshapes what
+    # it returns would leave those numbers absent or broken
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)), Typical(1.0))
+    target = random_special_unitary(np.random.default_rng(4), 2)
+    opts = br.ShootingOptions(grid_points=32, multistarts=8, seed=40,
+                              stop_after_converged=2, refine_points=512)
+    with tracer.Tracer() as t:
+        res = br.solve_shooting(br.ShootingProblem(c, target, opts))
+    assert res.converged
+    layers = {tg.layer for tg in t.targets if tg.layer.startswith("brachistochrone.")}
+    shooting = layers - {"brachistochrone.zermelo_solve"}
+    assert not layers & (t.absent | t.broken)
+    assert all(t.stats[layer]["calls"] > 0 for layer in shooting)
+    assert t.stats["brachistochrone._coupled_flow.dense"]["calls"] == 1
