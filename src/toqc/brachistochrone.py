@@ -22,7 +22,8 @@ control eliminated pointwise through the maximizer of -1 + tr[H F].  The
 boundary mismatch is charted smoothly through the anti-Hermitian part of
 U(T) U_f^dagger plus a trace-deficit entry (no logarithm branch cuts inside
 the iteration); a trust-region least-squares iteration with a
-finite-difference Jacobian closes the system.  Results are extremals of the
+finite-difference Jacobian, whose columns are marched in lockstep with its
+base point, closes the system.  Results are extremals of the
 necessary conditions, not certified global optima; among converged starts
 the minimal-time one is reported and all converged times are listed.
 """
@@ -69,7 +70,6 @@ from .sun_algebra import (
     log_op,
     reconstruct,
     require_same_dim,
-    traceless,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -166,23 +166,25 @@ class SolveResult:
         return out
 
 
-def _expm_step(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) for one Hermitian H (closed form for 2x2)."""
-    if h.shape[0] == 2:
-        a = 0.5 * (h[0, 0] + h[1, 1]).real
-        bx = h[0, 1].real
-        by = -h[0, 1].imag
-        bz = 0.5 * (h[0, 0] - h[1, 1]).real
-        r = np.sqrt(bx * bx + by * by + bz * bz)
-        phase = np.exp(-1j * dt * a)
-        if r < 1e-300:
-            return phase * np.eye(2)
-        c, s = np.cos(dt * r), np.sin(dt * r) / r
-        return phase * np.array([
-            [c - 1j * s * bz, -1j * s * (bx - 1j * by)],
-            [-1j * s * (bx + 1j * by), c + 1j * s * bz],
-        ])
-    return exp_op(h, dt)
+_TINY = np.finfo(float).tiny
+
+
+def _expm_step(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """exp(-i dt_b H_b) for a stack of traceless Hermitian H (B, N, N).
+
+    For N = 2, Cayley-Hamilton gives cos(dt r) I - i (sin(dt r) / r) H with
+    r^2 = (1/2) tr H^2 (a zero H gives exactly I); larger N use the batched
+    eigendecomposition of :func:`exp_op`.
+    """
+    n = h.shape[-1]
+    if n != 2:
+        return exp_op(h, dt)
+    flat = h.reshape(len(h), -1)
+    r = np.sqrt(0.5 * np.einsum("bi,bi->b", flat.view(float), flat.view(float)))
+    x = dt * r
+    out = h * (-1j * np.sin(x) / np.maximum(r, _TINY))[:, None, None]
+    out.reshape(len(h), -1)[:, ::n + 1] += np.cos(x)[:, None]
+    return out
 
 
 def _failure(seed: int, n_starts: int, message: str, T: float = float("nan"),
@@ -392,67 +394,186 @@ def interaction_picture_reduce(c: ConstraintSet) -> dict:
     return {"reducible": True, "reduced": reduced, "reason": reason}
 
 
-def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
-                  n_cells: int, corrector: bool = True,
-                  record: bool = False):
-    """March the maximizer-consistent flow: H from F pointwise, F by
-    conjugation.  Singular cells hold the previous control (drift alone on a
-    leading singular stretch)."""
+def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
+                  t_final: float | np.ndarray, n_cells: int,
+                  corrector: bool = True, record: bool = False,
+                  u0: Optional[np.ndarray] = None,
+                  hold: Optional[tuple[np.ndarray, np.ndarray]] = None):
+    """March the maximizer-consistent flow of B costates in lockstep.
+
+    Each cell takes H from F pointwise (with ``corrector``, again at the
+    half-step costate: the exponential midpoint rule), steps U and F by
+    exp(-i dt H), and every 64 cells polar-projects U and resets
+    F = U F0 U^dagger.  ``f0`` is one costate (N, N) or a stack (B, N, N);
+    ``t_final`` is a scalar or one time per member, so each member has its
+    own dt.  ``u0`` starts the members at given unitaries (F = U0 F0
+    U0^dagger) instead of the identity.  A singular cell holds the
+    previous cell's (H, u); ``hold`` is that state at the start, a pair of
+    stacks, and defaults to the drift with u = 0.  Each stage of a cell is
+    one :func:`_span_maximizer` call and one :func:`_expm_step` call on the
+    whole stack, so B members cost about as much as one.
+
+    Returns (U, F, hold, controls, singular) at the end of the march:
+    controls is (B, n_cells, l) with ``record`` (None without), singular
+    a (B, n_cells) mask.  A single costate gives unstacked U, F, hold and
+    controls, and the indices of its singular cells.
+    """
     n = constraint.dim
-    u_mat = np.eye(n, dtype=complex)
-    f = f0
-    dt = t_final / n_cells
-    l = constraint.n_controls
-    controls = np.zeros((n_cells, l)) if record else None
-    singular_cells: list[int] = []
-    prev_h = None
-    prev_u = np.zeros(l)
-
-    # the Hilbert-Schmidt ball kind (the hot path) skips maximizer's checks
-    if isinstance(constraint.kind, Typical):
-        span = constraint.control_span
-        omega = constraint.kind.omega
-        drift = constraint.drift
-
-        def maximize(fmat):
-            return _span_maximizer(fmat, span, drift, omega)
+    single = f0.ndim == 2
+    f0 = f0.reshape(-1, n, n)
+    b = len(f0)
+    dt = np.broadcast_to(np.asarray(t_final, dtype=float) / n_cells, (b,))
+    half_dt = 0.5 * dt
+    if u0 is None:
+        u_mat, f = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)), f0
     else:
-        def maximize(fmat):
-            mr = maximizer(fmat, constraint)
-            if mr.singular:
-                return None
-            return mr.hamiltonian, mr.controls
-
+        u_mat = u0.reshape(b, n, n)
+        f = u_mat @ f0 @ dagger(u_mat)
+    if hold is None:
+        hold = (constraint.drift, np.zeros(constraint.n_controls))
+    hold_h = np.broadcast_to(hold[0], (b, n, n))
+    hold_u = np.broadcast_to(hold[1], (b, constraint.n_controls))
+    singular = np.zeros((b, n_cells), dtype=bool)
+    controls = np.zeros((b, n_cells, constraint.n_controls)) if record else None
     for k in range(n_cells):
-        out = maximize(f)
-        if out is None:
-            h = prev_h if prev_h is not None else constraint.drift
-            uk = prev_u
-            singular_cells.append(k)
-        else:
-            h, uk = out
-            if corrector:
-                half = _expm_step(h, 0.5 * dt)
-                out2 = maximize(half @ f @ half.conj().T)
-                if out2 is not None:
-                    h, uk = out2
+        h, uk, sing, _ = _span_maximizer(f, constraint)
+        if sing.any():
+            h = np.where(sing[:, None, None], hold_h, h)
+            uk = np.where(sing[:, None], hold_u, uk)
+        if corrector:
+            half = _expm_step(h, half_dt)
+            h2, u2, sing2, _ = _span_maximizer(half @ f @ dagger(half), constraint)
+            keep = sing | sing2
+            if keep.any():
+                h2 = np.where(keep[:, None, None], h, h2)
+                u2 = np.where(keep[:, None], uk, u2)
+            h, uk = h2, u2
         step = _expm_step(h, dt)
         u_mat = step @ u_mat
         if (k + 1) % 64 == 0:
             u_mat = reunitarize(u_mat)
-            f = u_mat @ f0 @ u_mat.conj().T
+            f = u_mat @ f0 @ dagger(u_mat)
         else:
-            f = step @ f @ step.conj().T
-        prev_h, prev_u = h, uk
+            f = step @ f @ dagger(step)
+        hold_h, hold_u = h, uk
+        singular[:, k] = sing
         if record:
-            controls[k] = uk
-    return u_mat, f, prev_h, controls, singular_cells
+            controls[:, k] = uk
+    if single:
+        return (u_mat[0], f[0], (hold_h[0], hold_u[0]),
+                None if controls is None else controls[0],
+                np.flatnonzero(singular[0]))
+    return u_mat, f, (hold_h, hold_u), controls, singular
+
+
+def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
+                   n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Controls (K, l) and singular-cell indices of the march of ``f0`` on
+    K = ``n_cells`` cells, by parareal over its 64-cell projection blocks.
+
+    The unknowns are the block-start unitaries U_s.  The coarse propagator
+    G is one march cell across a block, stepped serially; the fine one F
+    marches every block from its start in lockstep.  Both end with the
+    polar projection (without it the iteration diverges).  Each sweep sets
+    U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old), carries each block's
+    hold state from the fine pass of the block before it, and stops when
+    no start moves by more than ``DEFAULT_TOL.parareal``.  Starts before
+    the first one that still moves are final, so at most K/64 sweeps run.
+    One recording pass over all blocks then gives the controls; a last
+    partial block is marched 64 cells and cut to K.
+    """
+    n, block = constraint.dim, 64
+    n_blocks = -(-n_cells // block)
+    width = min(block, n_cells)
+    t_width = t_final if n_cells <= block else t_final * block / n_cells
+    starts = np.empty((n_blocks, n, n), dtype=complex)
+    starts[0] = np.eye(n)
+    hold_h = np.array(np.broadcast_to(constraint.drift, starts.shape))
+    hold_u = np.zeros((n_blocks, constraint.n_controls))
+    f_stack = np.broadcast_to(f0, starts.shape)
+
+    def coarse(s: int) -> np.ndarray:
+        u_end = _coupled_flow(constraint, f0, t_width, 1, u0=starts[s],
+                              hold=(hold_h[s], hold_u[s]))[0]
+        return reunitarize(u_end)
+
+    coarse_old = np.empty_like(starts)
+    for s in range(n_blocks - 1):
+        coarse_old[s] = starts[s + 1] = coarse(s)
+    first = 0
+    while first < n_blocks - 1:
+        fine, _, (h_end, u_end), _, _ = _coupled_flow(
+            constraint, f_stack[first:-1], np.full(n_blocks - 1 - first, t_width),
+            block, u0=starts[first:-1], hold=(hold_h[first:-1], hold_u[first:-1]))
+        hold_h[first + 1:], hold_u[first + 1:] = h_end, u_end
+        moved = np.zeros(n_blocks)
+        for s in range(first, n_blocks - 1):
+            g = coarse(s)
+            new = fine[s - first] + g - coarse_old[s]
+            moved[s + 1] = np.max(np.abs(new - starts[s + 1]))
+            starts[s + 1], coarse_old[s] = new, g
+        moving = np.flatnonzero(moved > DEFAULT_TOL.parareal)
+        if moving.size == 0:
+            break
+        # the start after `first` is now the fine march of a final start
+        first = max(first + 1, int(moving[0]) - 1)
+    _, _, _, controls, singular = _coupled_flow(
+        constraint, f_stack, np.full(n_blocks, t_width), width, record=True,
+        u0=starts, hold=(hold_h, hold_u))
+    return (controls.reshape(-1, constraint.n_controls)[:n_cells],
+            np.flatnonzero(singular.ravel()[:n_cells]))
 
 
 def _normalize_seed(constraint: ConstraintSet, f0: np.ndarray) -> Optional[np.ndarray]:
     mr = maximizer(f0, constraint)
     c0 = 0.0 if mr.singular else float(np.trace(mr.hamiltonian @ f0).real)
     return None if c0 <= 1e-9 else f0 / c0
+
+
+def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
+                        basis: list[np.ndarray], xs: np.ndarray, n_cells: int,
+                        corrector: bool) -> np.ndarray:
+    """Boundary residuals of a stack of shooting points, one lockstep march.
+
+    Each row of ``xs`` (B, N^2) holds the N^2 - 1 costate coefficients on
+    ``basis`` and T; its seed is rescaled to tr[H(0) F(0)] = 1.  A residual
+    row is the chart of M = U(T) U_f^dagger (the coefficients of its
+    anti-Hermitian part and the trace deficit N - Re tr M) plus the
+    normalization tr[H(T) F(T)] - 1.  A seed that cannot be rescaled gives
+    10 + ||x|| in every entry, a march singular on more than half of its
+    cells gives 10.
+    """
+    n = constraint.dim
+    seeds = [_normalize_seed(constraint, f) for f in reconstruct(xs[:, :-1], basis)]
+    regular = np.array([f is not None for f in seeds])
+    # a seed that cannot be rescaled is marched as the zero costate
+    u_t, f_t, (h_last, _), _, sing = _coupled_flow(
+        constraint, np.stack([np.zeros((n, n)) if f is None else f for f in seeds]),
+        xs[:, -1], n_cells, corrector)
+    m = u_t @ dagger(target)
+    h_fin, _, sing_fin, _ = _span_maximizer(f_t, constraint)
+    h_fin = np.where(sing_fin[:, None, None], h_last, h_fin)
+    out = np.column_stack([expand((m - dagger(m)) / 2j, basis),
+                           n - np.trace(m, axis1=1, axis2=2).real,
+                           np.einsum("kab,kba->k", h_fin, f_t).real - 1.0])
+    out[np.count_nonzero(sing, axis=1) > n_cells // 2] = 10.0
+    out[~regular] = 10.0 + np.linalg.norm(xs[~regular], axis=1)[:, None]
+    return out
+
+
+def _fd_jacobian(residuals, x: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of a stacked residual map at x.
+
+    Uses scipy's 2-point step, sqrt(eps) sign(x) max(1, |x|), turned around
+    where x + h leaves the bounds.  The base point and the perturbed points
+    are one stacked ``residuals`` call.
+    """
+    h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) \
+        * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h < lo) | (x + h > hi), -h, h)
+    rows = residuals(np.vstack([x, x + np.diag(h)]))
+    return (rows[1:] - rows[0]).T / ((x + h) - x)
 
 
 def _time_scale_estimate(problem: ShootingProblem) -> float:
@@ -475,7 +596,6 @@ def _single_start(problem: ShootingProblem, start_index: int,
     basis = generalized_gellmann(n)
     opts = problem.options
     k_cells = opts.grid_points
-    target_dag = dagger(problem.target)
 
     for _ in range(64):
         f0 = _normalize_seed(c, reconstruct(rng.standard_normal(n * n - 1), basis))
@@ -488,32 +608,17 @@ def _single_start(problem: ShootingProblem, start_index: int,
     lo = np.append(np.full(n * n - 1, -np.inf), 1e-6 * t_init)
     hi = np.append(np.full(n * n - 1, np.inf), t_hi)
 
-    def residual_on(cells: int, corrector: bool):
-        def residual(x):
-            f_seed = reconstruct(x[:-1], basis)
-            f_seed = _normalize_seed(c, f_seed)
-            if f_seed is None:
-                return np.full(n * n + 1, 10.0 + float(np.linalg.norm(x)))
-            t_val = x[-1]
-            u_t, f_t, h_last, _, sing = _coupled_flow(
-                c, f_seed, t_val, cells, corrector=corrector)
-            if len(sing) > cells // 2:
-                return np.full(n * n + 1, 10.0)
-            m = u_t @ target_dag
-            sine = traceless((m - dagger(m)) / 2j)
-            r = expand(sine, basis)
-            trace_deficit = n - float(np.trace(m).real)
-            mr = maximizer(f_t, c)
-            h_fin = mr.hamiltonian if not mr.singular else h_last
-            norm_res = float(np.trace(h_fin @ f_t).real) - 1.0
-            return np.concatenate([r, [trace_deficit, norm_res]])
-        return residual
+    def stage(x, cells: int, corrector: bool, tol: float):
+        # one march per residual and one lockstep march per Jacobian
+        def batch(xs):
+            return _shooting_residuals(c, problem.target, basis, xs, cells, corrector)
+        return least_squares(lambda x: batch(x[None])[0], x,
+                             jac=lambda x: _fd_jacobian(batch, x, lo, hi),
+                             bounds=(lo, hi), method="trf", xtol=tol, ftol=tol,
+                             gtol=tol, max_nfev=200)
 
     # coarse sweep to locate the extremal, then polish on the solve grid
-    k_coarse = max(32, k_cells // 3)
-    sol = least_squares(residual_on(k_coarse, False), x0, bounds=(lo, hi),
-                        method="trf", xtol=1e-11, ftol=1e-11, gtol=1e-11,
-                        max_nfev=200)
+    sol = stage(x0, max(32, k_cells // 3), False, 1e-11)
     # a coarse solution on a converged earlier start's extremal reuses its
     # polish; the scale is a gauge (_normalize_seed), so compare directions
     direction, t_coarse = sol.x[:-1] / np.linalg.norm(sol.x[:-1]), sol.x[-1]
@@ -522,9 +627,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
                   abs(t_coarse - known["t_coarse"]) / max(1.0, t_coarse))
         if known["converged"] and gap < DEFAULT_TOL.duplicate_start:
             return {**known, "start": start_index}
-    sol = least_squares(residual_on(k_cells, True), sol.x,
-                        bounds=(lo, hi), method="trf", xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14, max_nfev=200)
+    sol = stage(sol.x, k_cells, True, 1e-14)
     f_star = _normalize_seed(c, reconstruct(sol.x[:-1], basis))
     if f_star is None:
         return None
@@ -549,8 +652,16 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     whose coarse solution matches a converged earlier start's (unit costate
     direction and T, to ``DEFAULT_TOL.duplicate_start``) reuses that
     polished extremal under its own index instead of polishing again.
-    Among converged starts the minimal-T extremal is refined on a dense
-    grid and returned; all converged times are reported.
+    Each residual is one march of the coupled flow (:func:`_coupled_flow`);
+    each Jacobian is one lockstep march of its base point and its N^2
+    forward-difference points (scipy's 2-point step rule).  Among converged
+    starts the minimal-T extremal is refined on a dense grid and returned;
+    all converged times are reported.  The dense march is rebuilt by
+    parareal over its 64-cell projection blocks (:func:`_dense_rebuild`):
+    a serial one-cell coarse march per block, all blocks marched in
+    lockstep as the fine one, both ending with the polar projection, and
+    one recording pass once the block starts stop moving.  Its controls
+    match the serial march to rounding.
 
     Raises
     ------
@@ -604,8 +715,7 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
 
     # dense rebuild of the winning extremal
     k_fine = opts.refine_points
-    _, _, _, controls, singular_cells = _coupled_flow(
-        c, best["f0"], best["T"], k_fine, record=True)
+    controls, singular_cells = _dense_rebuild(c, best["f0"], best["T"], k_fine)
     grid = np.linspace(0.0, best["T"], k_fine + 1)
     protocol = Protocol(c, grid, controls)
     traj = evolve_costate(best["f0"], evolve_unitary(protocol))

@@ -100,7 +100,9 @@ class ConstraintSet:
     control_basis: tuple[np.ndarray, ...]
     kind: Kind
     control_names: Optional[tuple[str, ...]] = None
+    _frame: np.ndarray = field(init=False, repr=False)
     _span: np.ndarray = field(init=False, repr=False)
+    _real_views: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         require_traceless_hermitian(self.drift, "drift")
@@ -148,7 +150,13 @@ class ConstraintSet:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
         if self.control_names is not None and len(self.control_names) != l:
             raise ValidationError("control_names must match the number of controls")
+        object.__setattr__(self, "_frame", stack)
         object.__setattr__(self, "_span", _orthonormalize(stack))
+        # float views (l, 2 N^2) of the span and the frame: for Hermitian s,
+        # tr[F s] is the dot product of the float views of F and s
+        object.__setattr__(self, "_real_views", tuple(
+            np.ascontiguousarray(a, dtype=complex).reshape(len(a), -1).view(float)
+            for a in (self._span, stack)))
 
     @property
     def n_controls(self) -> int:
@@ -175,7 +183,7 @@ class ConstraintSet:
         (l, N*N).
         """
         u = np.asarray(u, dtype=float)
-        frame = np.stack(self.control_basis).reshape(self.n_controls, -1)
+        frame = self._frame.reshape(self.n_controls, -1)
         h = (u @ frame).reshape(u.shape[:-1] + self.drift.shape)
         h += self.drift
         return h
@@ -194,8 +202,7 @@ class ConstraintSet:
             return np.maximum(np.max(lo - u, axis=-1, initial=0.0),
                               np.max(u - hi, axis=-1, initial=0.0))
         if isinstance(self.kind, Typical):
-            stack = np.stack(self.control_basis)
-            g = 0.5 * np.einsum("iab,jba->ij", stack, stack).real
+            g = 0.5 * np.einsum("iab,jba->ij", self._frame, self._frame).real
             radius = self.kind.omega
         else:
             g = np.asarray(self.kind.metric, float)
@@ -276,20 +283,40 @@ def classify(c: ConstraintSet) -> ClassificationReport:
     )
 
 
-def _span_maximizer(f: np.ndarray, span: np.ndarray, drift: np.ndarray,
-                    omega: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Maximizer of tr[H F] over H = drift + sum_i u_i s_i, |u| <= omega.
+def _span_maximizer(f: np.ndarray, c: ConstraintSet):
+    """Maximizer of tr[H F] over the constraint set for a stack F (B, N, N).
 
-    ``span`` is an orthonormal stack {s_i}.  Returns (H, u), or None when F
-    is singular: the span coefficients (1/2) tr[F s_i] have norm below
-    ``DEFAULT_TOL.singular``.
+    Returns (H, u, singular, flagged): the maximizing Hamiltonians (B, N, N),
+    their coefficients (B, l), the rows whose projection onto the control
+    span has norm below ``DEFAULT_TOL.singular`` (their H and u are
+    placeholders), and for the box kind the coordinates whose pairing is
+    within that threshold of zero (all False for the other kinds).  The
+    Typical coefficients are on the orthonormalized span, the others on
+    the control frame.  :func:`maximizer` is the one-costate view.
     """
-    coeffs = 0.5 * np.einsum("ab,iba->i", f, span).real
-    nrm = float(np.linalg.norm(coeffs))
-    if nrm < DEFAULT_TOL.singular:
-        return None
-    scaled = (omega / nrm) * coeffs
-    return drift + np.einsum("i,iab->ab", scaled, span), scaled
+    f_real = np.ascontiguousarray(f, dtype=complex).reshape(len(f), -1).view(float)
+    span_real, frame_real = c._real_views
+    coeffs = 0.5 * (f_real @ span_real.T)
+    nrm = np.sqrt(np.einsum("bi,bi->b", coeffs, coeffs))
+    tol = DEFAULT_TOL.singular
+    singular = nrm < tol
+    if isinstance(c.kind, Typical):
+        u = coeffs * (c.kind.omega / np.maximum(nrm, tol))[:, None]
+        h = (u @ span_real).view(complex).reshape(f.shape)
+        h += c.drift
+        return h, u, singular, np.zeros(u.shape, dtype=bool)
+    g = 0.5 * (f_real @ frame_real.T)
+    flagged = np.abs(g) <= tol
+    if isinstance(c.kind, Box):
+        lo = np.asarray(c.kind.lo, float)
+        hi = np.asarray(c.kind.hi, float)
+        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
+        return c.hamiltonian(u), u, singular, flagged
+    # BallInCoords: maximize g . u subject to u^T G u <= r^2
+    ginv_g = np.linalg.solve(np.asarray(c.kind.metric, float), g.T).T
+    denom = np.sqrt(np.einsum("bi,bi->b", g, ginv_g))
+    u = ginv_g * (c.kind.radius / np.where(singular, 1.0, denom))[:, None]
+    return c.hamiltonian(u), u, singular, np.zeros(u.shape, dtype=bool)
 
 
 def is_singular(f: np.ndarray, c: ConstraintSet) -> bool:
@@ -313,32 +340,16 @@ def maximizer(f: np.ndarray, c: ConstraintSet) -> MaximizerResult:
     * box: per-coordinate bang values by the sign of g_j;
     * ball: u = r * G^{-1} g / sqrt(g^T G^{-1} g), the metric-gradient
       direction saturating the quadratic bound.
+
+    This is the B = 1 case of the stacked ``_span_maximizer``.
     """
     if f.shape != (c.dim, c.dim):
         raise DimensionMismatchError(
             f"costate shape {f.shape} does not match constraint dim {c.dim}")
-    typical = isinstance(c.kind, Typical)
-    best = _span_maximizer(f, c.control_span, c.drift,
-                           c.kind.omega if typical else 1.0)
-    if best is None:
+    h, u, singular, flagged = _span_maximizer(f[None], c)
+    if singular[0]:
         return MaximizerResult(singular=True)
-    if typical:
-        return MaximizerResult(False, *best)
-
-    g = np.array([inner(f, cj) for cj in c.control_basis])
-    if isinstance(c.kind, Box):
-        tol = DEFAULT_TOL.singular
-        lo = np.asarray(c.kind.lo, float)
-        hi = np.asarray(c.kind.hi, float)
-        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
-        flagged = tuple(np.flatnonzero(np.abs(g) <= tol).tolist())
-        return MaximizerResult(False, c.hamiltonian(u), u, flagged)
-
-    # BallInCoords: maximize g . u subject to u^T G u <= r^2.
-    ginv_g = np.linalg.solve(np.asarray(c.kind.metric, float), g)
-    denom = float(np.sqrt(g @ ginv_g))
-    u = c.kind.radius * ginv_g / denom
-    return MaximizerResult(False, c.hamiltonian(u), u)
+    return MaximizerResult(False, h[0], u[0], tuple(np.flatnonzero(flagged[0]).tolist()))
 
 
 def pontryagin_h(h: np.ndarray, f: np.ndarray) -> float:

@@ -172,19 +172,24 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def expand(a: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Coefficients of a traceless Hermitian operator in an orthonormal basis."""
-    if basis and a.shape != basis[0].shape:
+    """Coefficients of a traceless Hermitian operator in an orthonormal basis.
+
+    A stack (..., N, N) of operators gives one row of coefficients each.
+    """
+    if basis and a.shape[-2:] != basis[0].shape:
         raise DimensionMismatchError(
             f"operator dim {a.shape} does not match basis dim {basis[0].shape}")
-    return np.array([inner(a, t) for t in basis])
+    products = a[..., None, :, :] @ np.stack(basis)
+    return 0.5 * np.trace(products, axis1=-2, axis2=-1).real
 
 
 def reconstruct(coeffs: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Inverse of :func:`expand`: sum_j c_j t_j."""
-    if len(coeffs) != len(basis):
+    """Inverse of :func:`expand`: sum_j c_j t_j (of each row, for a stack)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[-1:] != (len(basis),):
         raise DimensionMismatchError(
-            f"{len(coeffs)} coefficients for a basis of {len(basis)} elements")
-    return np.einsum("j,jab->ab", np.asarray(coeffs, dtype=float), np.stack(basis))
+            f"{coeffs.shape[-1]} coefficients for a basis of {len(basis)} elements")
+    return np.einsum("...j,jab->...ab", coeffs, np.stack(basis))
 
 
 def project(a: np.ndarray, subspace: list[np.ndarray] | np.ndarray,

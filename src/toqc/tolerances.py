@@ -38,6 +38,8 @@ class Tolerances:
     identity_target : max-entry distance at which a target is the identity
     duplicate_start : coarse-solution gap (unit costate direction, T relative
         to max(1, T)) below which two shooting starts found one extremal
+    parareal : largest entry change of a block-start unitary below which
+        the parareal dense rebuild of a shooting extremal stops
     """
 
     hermitian: float = 1e-12
@@ -54,6 +56,7 @@ class Tolerances:
     drift_frame: float = 1e-9
     identity_target: float = 1e-10
     duplicate_start: float = 1e-6
+    parareal: float = 1e-13
 
 
 DEFAULT_TOL = Tolerances()

@@ -12,12 +12,14 @@ from toqc.sun_algebra import (
     SIGMA_Z,
     dagger,
     exp_op,
+    expand,
     generalized_gellmann,
     hs_norm,
     inner,
     log_op,
     random_special_unitary,
     random_traceless_hermitian,
+    reconstruct,
 )
 
 RNG = np.random.default_rng(61)
@@ -417,3 +419,284 @@ def test_shooting_keeps_distinct_extremals():
     assert res.converged
     assert res.extremal_times == (1.953157, 3.98413)
     assert res.n_starts == 3
+
+
+# --- lockstep march ------------------------------------------------------------
+
+def _reference_maximizer(f, c):
+    """The per-costate maximizer of the scalar march: (H, u), or None."""
+    from toqc.constraint_model import Box
+    from toqc.tolerances import DEFAULT_TOL
+    span = c.control_span
+    coeffs = 0.5 * np.einsum("ab,iba->i", f, span).real
+    nrm = float(np.linalg.norm(coeffs))
+    if nrm < DEFAULT_TOL.singular:
+        return None
+    if isinstance(c.kind, Typical):
+        scaled = (c.kind.omega / nrm) * coeffs
+        return c.drift + np.einsum("i,iab->ab", scaled, span), scaled
+    g = np.array([inner(f, cj) for cj in c.control_basis])
+    if isinstance(c.kind, Box):
+        tol = DEFAULT_TOL.singular
+        lo, hi = np.asarray(c.kind.lo, float), np.asarray(c.kind.hi, float)
+        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
+        return c.hamiltonian(u), u
+    ginv_g = np.linalg.solve(np.asarray(c.kind.metric, float), g)
+    u = c.kind.radius * ginv_g / float(np.sqrt(g @ ginv_g))
+    return c.hamiltonian(u), u
+
+
+def _reference_step(h, dt):
+    """exp(-i dt H) for one Hermitian H, closed form for 2x2."""
+    if h.shape[0] != 2:
+        return exp_op(h, dt)
+    a = 0.5 * (h[0, 0] + h[1, 1]).real
+    bx, by, bz = h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0] - h[1, 1]).real
+    r = np.sqrt(bx * bx + by * by + bz * bz)
+    phase = np.exp(-1j * dt * a)
+    if r < 1e-300:
+        return phase * np.eye(2)
+    cos, sin = np.cos(dt * r), np.sin(dt * r) / r
+    return phase * np.array([[cos - 1j * sin * bz, -1j * sin * (bx - 1j * by)],
+                             [-1j * sin * (bx + 1j * by), cos + 1j * sin * bz]])
+
+
+def _serial_march(c, f0, t_final, n_cells):
+    """The one-costate, one-cell-at-a-time march: controls and singular cells."""
+    u_mat, f, dt = np.eye(c.dim, dtype=complex), f0, t_final / n_cells
+    controls, singular = np.zeros((n_cells, c.n_controls)), []
+    prev_h, prev_u = c.drift, np.zeros(c.n_controls)
+    for k in range(n_cells):
+        out = _reference_maximizer(f, c)
+        if out is None:
+            h, uk = prev_h, prev_u
+            singular.append(k)
+        else:
+            h, uk = out
+            half = _reference_step(h, 0.5 * dt)
+            out2 = _reference_maximizer(half @ f @ half.conj().T, c)
+            if out2 is not None:
+                h, uk = out2
+        step = _reference_step(h, dt)
+        u_mat = step @ u_mat
+        if (k + 1) % 64 == 0:
+            u_mat = dyn.reunitarize(u_mat)
+            f = u_mat @ f0 @ u_mat.conj().T
+        else:
+            f = step @ f @ step.conj().T
+        prev_h, prev_u = h, uk
+        controls[k] = uk
+    return controls, singular
+
+
+def _seed(c, rng):
+    basis = generalized_gellmann(c.dim)
+    while True:
+        f0 = br._normalize_seed(c, reconstruct(rng.standard_normal(c.dim ** 2 - 1), basis))
+        if f0 is not None:
+            return f0
+
+
+def _rebuild_cases():
+    from toqc.constraint_model import Box
+    from toqc.scenarios import landau_zener, symmetric_two_qubit
+    rng = np.random.default_rng(17)
+    su3 = ConstraintSet(3, 0.3 * random_traceless_hermitian(rng, 3) / 1.5,
+                        tuple(generalized_gellmann(3)), Typical(1.0))
+    lz = landau_zener(1.0, 1.5).constraint
+    ball = symmetric_two_qubit(0.5, 1.0).constraint
+    hold = ConstraintSet(2, 0.8 * SIGMA_Z, (SIGMA_X,),
+                         Box(np.array([-1.0]), np.array([1.0])))
+    return {
+        "su2": (full_su2(0.3, 1.0), _seed(full_su2(0.3, 1.0), rng), 1.7, 4096),
+        "su3": (su3, _seed(su3, rng), 1.9, 2048),
+        "box": (lz, _seed(lz, rng), 2.5, 2048),
+        "ball": (ball, _seed(ball, rng), 2.2, 2048),
+        "hold": (hold, SIGMA_Z / (2 * 0.8), 1.0, 256),
+        "ragged": (full_su2(0.3, 1.0), _seed(full_su2(0.3, 1.0), rng), 1.3, 1000),
+    }
+
+
+@pytest.mark.parametrize("case", ["su2", "su3", "box", "ball", "hold", "ragged"])
+def test_dense_rebuild_matches_the_serial_march(case):
+    # the parareal rebuild reproduces the serial march: same controls to
+    # 1e-12 and the same singular cells, also across a held singular
+    # stretch and on a grid that is not a multiple of the 64-cell block
+    c, f0, t_final, n_cells = _rebuild_cases()[case]
+    ref_controls, ref_singular = _serial_march(c, f0, t_final, n_cells)
+    controls, singular = br._dense_rebuild(c, f0, t_final, n_cells)
+    assert controls.shape == ref_controls.shape
+    np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
+    assert list(singular) == ref_singular
+    if case == "hold":
+        assert len(singular) == n_cells
+
+
+def _shooting_setup(n, rng):
+    drift = 0.3 * SIGMA_Z if n == 2 else 0.2 * random_traceless_hermitian(rng, 3)
+    c = ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(1.0))
+    basis = generalized_gellmann(n)
+    target = random_special_unitary(rng, n)
+    x = np.append(expand(_seed(c, rng), basis), 1.4)
+    return c, basis, target, x
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residual_batch_rows_equal_single_evaluations(n):
+    rng = np.random.default_rng(30 + n)
+    c, basis, target, x = _shooting_setup(n, rng)
+    xs = x + 1e-3 * rng.standard_normal((n * n + 1, n * n))
+    for corrector, cells in ((False, 32), (True, 96)):
+        batch = br._shooting_residuals(c, target, basis, xs, cells, corrector)
+        assert batch.shape == (n * n + 1, n * n + 1)
+        for row, xi in zip(batch, xs):
+            single = br._shooting_residuals(c, target, basis, xi[None], cells, corrector)
+            np.testing.assert_allclose(row, single[0], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lockstep_jacobian_matches_a_column_loop(n):
+    # the columns of the one-march Jacobian against a column-by-column loop
+    # with scipy's 2-point step, with T inside the bounds and at the upper
+    # bound (there the T step turns around)
+    rng = np.random.default_rng(40 + n)
+    c, basis, target, x = _shooting_setup(n, rng)
+    lo = np.append(np.full(n * n - 1, -np.inf), 1e-6)
+    eps = np.sqrt(np.finfo(float).eps)
+
+    def fun(xi):
+        return br._shooting_residuals(c, target, basis, xi[None], 64, True)[0]
+
+    def batch(xs):
+        return br._shooting_residuals(c, target, basis, xs, 64, True)
+
+    for t_hi in (5.0, x[-1]):
+        hi = np.append(np.full(n * n - 1, np.inf), t_hi)
+        jac = br._fd_jacobian(batch, x, lo, hi)
+        f0 = fun(x)
+        cols = []
+        for i in range(n * n):
+            h = eps * (1.0 if x[i] >= 0 else -1.0) * max(1.0, abs(x[i]))
+            if not lo[i] <= x[i] + h <= hi[i]:
+                h = -h
+            xi = x.copy()
+            xi[i] = x[i] + h
+            cols.append((fun(xi) - f0) / (xi[i] - x[i]))
+        loop = np.column_stack(cols)
+        scale = np.linalg.norm(loop, axis=0)
+        assert np.max(np.abs(jac - loop) / scale) < 1e-6
+        if t_hi == x[-1]:
+            # the backward T column differs from the forward one
+            forward = br._fd_jacobian(batch, x, lo, np.append(hi[:-1], 5.0))[:, -1]
+            assert np.max(np.abs(forward - jac[:, -1])) > 0.0
+
+
+def test_stacked_maximizer_equals_the_per_costate_maximizer():
+    from toqc.constraint_model import Box, _span_maximizer
+    from toqc.scenarios import landau_zener, symmetric_two_qubit
+    rng = np.random.default_rng(8)
+    box2 = ConstraintSet(2, 0.5 * SIGMA_Z, (SIGMA_X, SIGMA_Y),
+                         Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0])))
+    cases = [(full_su2(0.3, 1.0), 2), (one_qubit_xy(0.5, 1.0).constraint, 2),
+             (landau_zener(1.0, 1.5).constraint, 2), (box2, 2),
+             (symmetric_two_qubit(0.5, 1.0).constraint, 3)]
+    for c, n in cases:
+        fs = np.stack([random_traceless_hermitian(rng, n) for _ in range(6)])
+        # a costate orthogonal to the control subspace, and for the
+        # two-control box one with no sigma-y part (partially singular)
+        fs[0] -= c.project_control(fs[0])
+        fs[1] = 0.5 * SIGMA_X if n == 2 else fs[1]
+        h, u, singular, flagged = _span_maximizer(fs, c)
+        assert singular[0] and not singular[1:].any()
+        for k, f in enumerate(fs):
+            one = maximizer(f, c)
+            assert one.singular == singular[k]
+            if one.singular:
+                continue
+            np.testing.assert_allclose(h[k], one.hamiltonian, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(u[k], one.controls, rtol=0, atol=1e-14)
+            assert one.partially_singular == tuple(np.flatnonzero(flagged[k]))
+    assert maximizer(0.5 * SIGMA_X, box2).partially_singular == (1,)
+
+
+def test_expm_step_edge_cases():
+    import scipy.linalg
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        zero = np.zeros((4, n, n), dtype=complex)
+        out = br._expm_step(zero, rng.uniform(0.1, 2.0, 4))
+        assert np.array_equal(out, np.broadcast_to(np.eye(n), out.shape))
+        hs = np.stack([random_traceless_hermitian(rng, n) for _ in range(16)])
+        dts = rng.uniform(0.01, 1.5, 16)
+        ref = np.stack([scipy.linalg.expm(-1j * dt * h) for h, dt in zip(hs, dts)])
+        np.testing.assert_allclose(br._expm_step(hs, dts), ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_march_is_second_order(n):
+    # the march's endpoint against DOP853 on U' = -i H(U F0 U^dagger) U,
+    # with H the maximizer Hamiltonian; the midpoint corrector makes the
+    # error fall as dt^2 (a march without it is first order)
+    from scipy.integrate import solve_ivp
+    rng = np.random.default_rng(50 + n)
+    if n == 2:
+        c = full_su2(0.3, 1.0)
+    else:
+        c = ConstraintSet(3, 0.3 * random_traceless_hermitian(rng, 3),
+                          tuple(generalized_gellmann(3))[:5], Typical(1.0))
+    f0 = _seed(c, rng)
+    t_final = 2.0
+
+    def rhs(_, y):
+        u = y.view(complex).reshape(n, n)
+        h = maximizer(u @ f0 @ u.conj().T, c).hamiltonian
+        return (-1j * h @ u).ravel().view(float)
+
+    y0 = np.eye(n, dtype=complex).ravel().view(float)
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-13, atol=1e-13)
+    exact = sol.y[:, -1].copy().view(complex).reshape(n, n)
+    cells = np.array([24, 48, 96, 192])
+    errors = [np.max(np.abs(br._coupled_flow(c, f0, t_final, k)[0] - exact))
+              for k in cells]
+    order = -np.polyfit(np.log(cells), np.log(errors), 1)[0]
+    assert 1.9 <= order <= 2.1, errors
+
+
+def test_each_jacobian_costs_one_march(monkeypatch):
+    # every residual and every Jacobian of the least-squares stages is one
+    # march; the rest are the check march after each polish and the dense
+    # rebuild's calls, of which only the last returns controls
+    marches, rebuild_marches, stages = [], [], []
+    in_rebuild = []
+    flow, rebuild, lsq = br._coupled_flow, br._dense_rebuild, br.least_squares
+
+    def counting_flow(*args, **kwargs):
+        out = flow(*args, **kwargs)
+        (rebuild_marches if in_rebuild else marches).append(out[3] is not None)
+        return out
+
+    def counting_rebuild(*args, **kwargs):
+        in_rebuild.append(True)
+        try:
+            return rebuild(*args, **kwargs)
+        finally:
+            in_rebuild.pop()
+
+    def counting_lsq(*args, **kwargs):
+        sol = lsq(*args, **kwargs)
+        stages.append((kwargs["xtol"], sol.nfev, sol.njev))
+        return sol
+
+    monkeypatch.setattr(br, "_coupled_flow", counting_flow)
+    monkeypatch.setattr(br, "_dense_rebuild", counting_rebuild)
+    monkeypatch.setattr(br, "least_squares", counting_lsq)
+    opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=40,
+                              stop_after_converged=3, refine_points=512)
+    res = br.solve_shooting(br.ShootingProblem(
+        full_su2(0.3, 1.0), _test_04_target(0), opts))
+    assert res.converged
+    polishes = sum(1 for xtol, _, _ in stages if xtol == min(s[0] for s in stages))
+    assert all(njev > 0 for _, _, njev in stages)
+    assert len(marches) == sum(nfev + njev for _, nfev, njev in stages) + polishes
+    assert not any(marches)
+    assert rebuild_marches.count(True) == 1 and rebuild_marches[-1]
