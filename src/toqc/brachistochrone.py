@@ -21,11 +21,15 @@ shooting over the initial costate coefficients and the final time, with the
 control eliminated pointwise through the maximizer of -1 + tr[H F].  The
 boundary mismatch is charted smoothly through the anti-Hermitian part of
 U(T) U_f^dagger plus a trace-deficit entry (no logarithm branch cuts inside
-the iteration); a trust-region least-squares iteration with a
-finite-difference Jacobian, whose columns are marched in lockstep with its
-base point, closes the system.  Results are extremals of the
-necessary conditions, not certified global optima; among converged starts
-the minimal-time one is reported and all converged times are listed.
+the iteration).  The free final time needs no residual of its own: the
+seed is rescaled to tr[H(0) F(0)] = 1, and the flow conserves tr[H F], so
+the system is square (N^2 entries for N^2 unknowns, the costate scale a
+gauge) and the discrete march can hit the target exactly.  A trust-region
+least-squares iteration with a finite-difference Jacobian, whose columns
+are marched in lockstep with its base point, closes the system.  Results
+are extremals of the necessary conditions, not certified global optima;
+among converged starts the minimal-time one is reported and all converged
+times are listed.
 """
 
 from __future__ import annotations
@@ -537,9 +541,12 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
 
     Each row of ``xs`` (B, N^2) holds the N^2 - 1 costate coefficients on
     ``basis`` and T; its seed is rescaled to tr[H(0) F(0)] = 1.  A residual
-    row is the chart of M = U(T) U_f^dagger (the coefficients of its
-    anti-Hermitian part and the trace deficit N - Re tr M) plus the
-    normalization tr[H(T) F(T)] - 1.  A seed that cannot be rescaled gives
+    row is the chart of M = U(T) U_f^dagger: the coefficients of its
+    anti-Hermitian part and the trace deficit N - Re tr M, N^2 entries.
+    There is no final-time entry tr[H(T) F(T)] - 1: the rescaling sets
+    tr[H F] = 1 at t = 0 and the flow conserves it, so such an entry would
+    measure only the march's drift (order dt^3) and keep the least-squares
+    residual from reaching zero.  A seed that cannot be rescaled gives
     10 + ||x|| in every entry, a march singular on more than half of its
     cells gives 10.
     """
@@ -547,15 +554,12 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
     seeds = [_normalize_seed(constraint, f) for f in reconstruct(xs[:, :-1], basis)]
     regular = np.array([f is not None for f in seeds])
     # a seed that cannot be rescaled is marched as the zero costate
-    u_t, f_t, (h_last, _), _, sing = _coupled_flow(
+    u_t, _, _, _, sing = _coupled_flow(
         constraint, np.stack([np.zeros((n, n)) if f is None else f for f in seeds]),
         xs[:, -1], n_cells, corrector)
     m = u_t @ dagger(target)
-    h_fin, _, sing_fin, _ = _span_maximizer(f_t, constraint)
-    h_fin = np.where(sing_fin[:, None, None], h_last, h_fin)
     out = np.column_stack([expand((m - dagger(m)) / 2j, basis),
-                           n - np.trace(m, axis1=1, axis2=2).real,
-                           np.einsum("kab,kba->k", h_fin, f_t).real - 1.0])
+                           n - np.trace(m, axis1=1, axis2=2).real])
     out[np.count_nonzero(sing, axis=1) > n_cells // 2] = 10.0
     out[~regular] = 10.0 + np.linalg.norm(xs[~regular], axis=1)[:, None]
     return out
@@ -647,11 +651,14 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
 
     Each start draws costate coefficients from a unit normal, rescales so
     tr[H(0) F(0)] = 1, and solves for (F(0), T) by trust-region least
-    squares on the smooth boundary chart plus the final-time normalization
-    residual: a coarse sweep, then a polish on the solve grid.  A start
-    whose coarse solution matches a converged earlier start's (unit costate
-    direction and T, to ``DEFAULT_TOL.duplicate_start``) reuses that
-    polished extremal under its own index instead of polishing again.
+    squares on the smooth boundary chart of U(T) U_f^dagger: a coarse
+    sweep, then a polish on the solve grid.  The free-time condition
+    tr[H F] = 1 needs no residual: it holds at t = 0 by the rescaling and
+    is conserved along the flow, so the system is consistent and each
+    stage converges to a zero residual.  A start whose coarse solution
+    matches a converged earlier start's (unit costate direction and T, to
+    ``DEFAULT_TOL.duplicate_start``) reuses that polished extremal under
+    its own index instead of polishing again.
     Each residual is one march of the coupled flow (:func:`_coupled_flow`);
     each Jacobian is one lockstep march of its base point and its N^2
     forward-difference points (scipy's 2-point step rule).  Among converged

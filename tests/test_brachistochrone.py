@@ -548,10 +548,31 @@ def test_residual_batch_rows_equal_single_evaluations(n):
     xs = x + 1e-3 * rng.standard_normal((n * n + 1, n * n))
     for corrector, cells in ((False, 32), (True, 96)):
         batch = br._shooting_residuals(c, target, basis, xs, cells, corrector)
-        assert batch.shape == (n * n + 1, n * n + 1)
+        assert batch.shape == (n * n + 1, n * n)
         for row, xi in zip(batch, xs):
             single = br._shooting_residuals(c, target, basis, xi[None], cells, corrector)
             np.testing.assert_allclose(row, single[0], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_final_time_normalization_is_no_boundary_condition(n):
+    # tr[H F] = 1 holds at t = 0 by the seed rescaling and is conserved by
+    # the flow, so an endpoint entry tr[H(T) F(T)] - 1 would measure only
+    # the march's drift, which falls as dt^3; and the costate scale is a
+    # gauge of the residual
+    rng = np.random.default_rng(60 + n)
+    c, basis, target, x = _shooting_setup(n, rng)
+    f0 = br._normalize_seed(c, reconstruct(x[:-1], basis))
+    cells = np.array([24, 48, 96, 192])
+    drift = []
+    for k in cells:
+        f_t = br._coupled_flow(c, f0, x[-1], k)[1]
+        drift.append(abs(np.trace(maximizer(f_t, c).hamiltonian @ f_t).real - 1.0))
+    order = -np.polyfit(np.log(cells), np.log(drift), 1)[0]
+    assert 2.8 <= order <= 3.2, drift
+    rows = br._shooting_residuals(
+        c, target, basis, np.stack([x, np.append(2.5 * x[:-1], x[-1])]), 96, True)
+    np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -700,3 +721,47 @@ def test_each_jacobian_costs_one_march(monkeypatch):
     assert len(marches) == sum(nfev + njev for _, nfev, njev in stages) + polishes
     assert not any(marches)
     assert rebuild_marches.count(True) == 1 and rebuild_marches[-1]
+
+
+def _su3_shooting_problem():
+    rng = np.random.default_rng(1)
+    c = ConstraintSet(3, 0.2 * random_traceless_hermitian(rng, 3),
+                      tuple(generalized_gellmann(3)), Typical(1.0))
+    opts = br.ShootingOptions(grid_points=48, multistarts=8, seed=1,
+                              stop_after_converged=1, refine_points=512)
+    return br.ShootingProblem(c, random_special_unitary(rng, 3), opts)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_polish_reaches_a_zero_residual(monkeypatch, n):
+    # the boundary system is consistent (no endpoint normalization entry),
+    # so the discrete march hits the target and each polish converges
+    # quadratically to rounding instead of stalling at a residual floor
+    polishes, fidelities = [], []
+    lsq, single_start = br.least_squares, br._single_start
+
+    def recording_lsq(*args, **kwargs):
+        sol = lsq(*args, **kwargs)
+        if kwargs["xtol"] < 1e-12:
+            polishes.append((float(np.linalg.norm(sol.fun)), sol.nfev))
+        return sol
+
+    def recording_start(*args, **kwargs):
+        out = single_start(*args, **kwargs)
+        if out is not None:
+            fidelities.append(out["fidelity"])
+        return out
+
+    monkeypatch.setattr(br, "least_squares", recording_lsq)
+    monkeypatch.setattr(br, "_single_start", recording_start)
+    if n == 2:
+        opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=40,
+                                  stop_after_converged=3, refine_points=512)
+        problem = br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(0), opts)
+    else:
+        problem = _su3_shooting_problem()
+    assert br.solve_shooting(problem).converged
+    assert polishes
+    for norm, nfev in polishes:
+        assert norm < 1e-12 and nfev <= 20, polishes
+    assert max(fidelities) < 1e-14, fidelities
