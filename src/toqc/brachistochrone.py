@@ -95,7 +95,8 @@ __all__ = [
 class ShootingOptions:
     """Settings of the shooting and navigation solvers.
 
-    ``grid_points`` is the cell count of the solve grid; the returned
+    ``grid_points`` is the cell count of the solve grid (each start's
+    coarse stage marches max(16, grid_points // 6) cells); the returned
     trajectory is rebuilt on ``refine_points`` cells.  ``multistarts``
     seeds are tried (deterministically derived from ``seed``); the scan
     stops early once ``stop_after_converged`` starts have converged (a start
@@ -105,6 +106,7 @@ class ShootingOptions:
     shooting start is accepted below max(1e-6, residual_tol).  The time
     horizon (from the target's log norm and the speed bound) and the 200
     residual evaluations per least-squares stage are fixed by the solvers.
+    Counts must be integers >= 1 and residual_tol finite and > 0 (else ValidationError).
     """
 
     grid_points: int = 128
@@ -113,6 +115,16 @@ class ShootingOptions:
     residual_tol: float = 1e-7
     stop_after_converged: int = 6
     refine_points: int = 16384
+
+    def __post_init__(self):
+        for name in ("grid_points", "refine_points", "multistarts",
+                     "stop_after_converged"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValidationError(
+                f"residual_tol must be finite and positive, got {self.residual_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +208,23 @@ def _failure(seed: int, n_starts: int, message: str, T: float = float("nan"),
     """An unconverged result that carries no protocol."""
     return SolveResult(False, T, residual, exact, None, None, None, None, (),
                        seed, n_starts, (), message)
+
+
+def _solve_result(constraint: ConstraintSet, grid: np.ndarray,
+                  controls: np.ndarray, f0: np.ndarray, target: np.ndarray,
+                  options: ShootingOptions, T: float,
+                  singular_intervals: tuple[tuple[float, float], ...],
+                  n_starts: int, extremal_times: tuple[float, ...],
+                  message: str) -> SolveResult:
+    """Evolve U and F (from ``f0``) under the dense controls and report them;
+    ``converged`` when the fidelity residual is below options.residual_tol."""
+    protocol = Protocol(constraint, grid, controls)
+    traj = evolve_costate(f0, evolve_unitary(protocol))
+    report = conservation_report(traj)
+    br = boundary_residual(traj, target)
+    return SolveResult(bool(br.fidelity < options.residual_tol), T, br.fidelity,
+                       br.exact, protocol, traj, f0, report, singular_intervals,
+                       options.seed, n_starts, extremal_times, message)
 
 
 def _check_target(target: np.ndarray, drift: np.ndarray,
@@ -352,18 +381,11 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     grid = np.linspace(0.0, t_star, options.refine_points + 1)
     controls = _navigation_controls(drift, hc0, constraint.control_basis,
                                     0.5 * (grid[:-1] + grid[1:]))
-    protocol = Protocol(constraint, grid, controls)
     denom = float(np.trace(drift @ hc0).real) + 2.0 * omega ** 2
     f0 = (1.0 / denom) * hc0 if denom > 0 else hc0
-    traj = evolve_costate(f0, evolve_unitary(protocol))
-    report = conservation_report(traj)
-    br = boundary_residual(traj, target)
-    return SolveResult(
-        converged=bool(br.fidelity < options.residual_tol),
-        T=t_star, residual=br.fidelity, exact_residual=br.exact,
-        protocol=protocol, trajectory=traj, costate0=f0,
-        conservation=report, singular_intervals=(), seed=options.seed,
-        n_starts=1, extremal_times=(t_star,),
+    return _solve_result(
+        constraint, grid, controls, f0, target, options, T=t_star,
+        singular_intervals=(), n_starts=1, extremal_times=(t_star,),
         message="" if denom > 0 else
         "normalization weight non-positive; costate left unscaled")
 
@@ -400,43 +422,36 @@ def interaction_picture_reduce(c: ConstraintSet) -> dict:
 
 def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
                   t_final: float | np.ndarray, n_cells: int,
-                  corrector: bool = True, record: bool = False,
-                  u0: Optional[np.ndarray] = None,
+                  record: bool = False, u0: Optional[np.ndarray] = None,
                   hold: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """March the maximizer-consistent flow of B costates in lockstep.
 
-    Each cell takes H from F pointwise (with ``corrector``, again at the
-    half-step costate: the exponential midpoint rule), steps U and F by
-    exp(-i dt H), and every 64 cells polar-projects U and resets
-    F = U F0 U^dagger.  ``f0`` is one costate (N, N) or a stack (B, N, N);
-    ``t_final`` is a scalar or one time per member, so each member has its
-    own dt.  ``u0`` starts the members at given unitaries (F = U0 F0
-    U0^dagger) instead of the identity.  A singular cell holds the
-    previous cell's (H, u); ``hold`` is that state at the start, a pair of
-    stacks, and defaults to the drift with u = 0.  Each stage of a cell is
-    one :func:`_span_maximizer` call and one :func:`_expm_step` call on the
-    whole stack, so B members cost about as much as one.
+    Each cell takes H from F pointwise and again at the half-step costate
+    (the exponential midpoint rule), steps U and F by exp(-i dt H), and
+    every 64 cells polar-projects U and resets F = U F0 U^dagger.  ``f0`` is
+    a stack (B, N, N); ``t_final`` is a scalar or one time per member, so
+    each member has its own dt.  ``u0`` (B, N, N) starts the members at
+    given unitaries (F = U0 F0 U0^dagger) instead of the identity.  A
+    singular cell holds the previous cell's (H, u); ``hold`` is that state
+    at the start, a pair of stacks, and defaults to the drift with u = 0.
+    Each stage of a cell is one :func:`_span_maximizer` call and one
+    :func:`_expm_step` call on the whole stack, so B members cost about as
+    much as one.
 
-    Returns (U, F, hold, controls, singular) at the end of the march:
-    controls is (B, n_cells, l) with ``record`` (None without), singular
-    a (B, n_cells) mask.  A single costate gives unstacked U, F, hold and
-    controls, and the indices of its singular cells.
+    Returns (U, F, hold, controls, singular) at the end of the march, each
+    stacked over the members: controls is (B, n_cells, l) with ``record``
+    (None without), singular a (B, n_cells) mask.
     """
-    n = constraint.dim
-    single = f0.ndim == 2
-    f0 = f0.reshape(-1, n, n)
-    b = len(f0)
+    n, b = constraint.dim, len(f0)
     dt = np.broadcast_to(np.asarray(t_final, dtype=float) / n_cells, (b,))
     half_dt = 0.5 * dt
     if u0 is None:
         u_mat, f = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)), f0
     else:
-        u_mat = u0.reshape(b, n, n)
-        f = u_mat @ f0 @ dagger(u_mat)
-    if hold is None:
-        hold = (constraint.drift, np.zeros(constraint.n_controls))
-    hold_h = np.broadcast_to(hold[0], (b, n, n))
-    hold_u = np.broadcast_to(hold[1], (b, constraint.n_controls))
+        u_mat, f = u0, u0 @ f0 @ dagger(u0)
+    hold_h, hold_u = hold if hold is not None else (
+        np.broadcast_to(constraint.drift, (b, n, n)),
+        np.zeros((b, constraint.n_controls)))
     singular = np.zeros((b, n_cells), dtype=bool)
     controls = np.zeros((b, n_cells, constraint.n_controls)) if record else None
     for k in range(n_cells):
@@ -444,14 +459,13 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
         if sing.any():
             h = np.where(sing[:, None, None], hold_h, h)
             uk = np.where(sing[:, None], hold_u, uk)
-        if corrector:
-            half = _expm_step(h, half_dt)
-            h2, u2, sing2, _ = _span_maximizer(half @ f @ dagger(half), constraint)
-            keep = sing | sing2
-            if keep.any():
-                h2 = np.where(keep[:, None, None], h, h2)
-                u2 = np.where(keep[:, None], uk, u2)
-            h, uk = h2, u2
+        half = _expm_step(h, half_dt)
+        h2, u2, sing2, _ = _span_maximizer(half @ f @ dagger(half), constraint)
+        keep = sing | sing2
+        if keep.any():
+            h2 = np.where(keep[:, None, None], h, h2)
+            u2 = np.where(keep[:, None], uk, u2)
+        h, uk = h2, u2
         step = _expm_step(h, dt)
         u_mat = step @ u_mat
         if (k + 1) % 64 == 0:
@@ -463,10 +477,6 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
         singular[:, k] = sing
         if record:
             controls[:, k] = uk
-    if single:
-        return (u_mat[0], f[0], (hold_h[0], hold_u[0]),
-                None if controls is None else controls[0],
-                np.flatnonzero(singular[0]))
     return u_mat, f, (hold_h, hold_u), controls, singular
 
 
@@ -479,12 +489,11 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
     G is one march cell across a block, stepped serially; the fine one F
     marches every block from its start in lockstep.  Both end with the
     polar projection (without it the iteration diverges).  Each sweep sets
-    U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old), carries each block's
-    hold state from the fine pass of the block before it, and stops when
-    no start moves by more than ``DEFAULT_TOL.parareal``.  Starts before
-    the first one that still moves are final, so at most K/64 sweeps run.
-    One recording pass over all blocks then gives the controls; a last
-    partial block is marched 64 cells and cut to K.
+    U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old) for every block, carries
+    each block's hold state from the fine pass of the block before it, and
+    stops when no start moves by more than ``DEFAULT_TOL.parareal``, after
+    at most K/64 - 1 sweeps.  One recording pass over all blocks then gives
+    the controls; a last partial block is marched 64 cells and cut to K.
     """
     n, block = constraint.dim, 64
     n_blocks = -(-n_cells // block)
@@ -497,33 +506,30 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
     f_stack = np.broadcast_to(f0, starts.shape)
 
     def coarse(s: int) -> np.ndarray:
-        u_end = _coupled_flow(constraint, f0, t_width, 1, u0=starts[s],
-                              hold=(hold_h[s], hold_u[s]))[0]
-        return reunitarize(u_end)
+        one = slice(s, s + 1)
+        u_end = _coupled_flow(constraint, f_stack[one], t_width, 1, u0=starts[one],
+                              hold=(hold_h[one], hold_u[one]))[0]
+        return reunitarize(u_end[0])
 
     coarse_old = np.empty_like(starts)
     for s in range(n_blocks - 1):
         coarse_old[s] = starts[s + 1] = coarse(s)
-    first = 0
-    while first < n_blocks - 1:
+    for _ in range(n_blocks - 1):
         fine, _, (h_end, u_end), _, _ = _coupled_flow(
-            constraint, f_stack[first:-1], np.full(n_blocks - 1 - first, t_width),
-            block, u0=starts[first:-1], hold=(hold_h[first:-1], hold_u[first:-1]))
-        hold_h[first + 1:], hold_u[first + 1:] = h_end, u_end
-        moved = np.zeros(n_blocks)
-        for s in range(first, n_blocks - 1):
+            constraint, f_stack[:-1], t_width, block, u0=starts[:-1],
+            hold=(hold_h[:-1], hold_u[:-1]))
+        hold_h[1:], hold_u[1:] = h_end, u_end
+        moved = 0.0
+        for s in range(n_blocks - 1):
             g = coarse(s)
-            new = fine[s - first] + g - coarse_old[s]
-            moved[s + 1] = np.max(np.abs(new - starts[s + 1]))
+            new = fine[s] + g - coarse_old[s]
+            moved = max(moved, np.max(np.abs(new - starts[s + 1])))
             starts[s + 1], coarse_old[s] = new, g
-        moving = np.flatnonzero(moved > DEFAULT_TOL.parareal)
-        if moving.size == 0:
+        if moved <= DEFAULT_TOL.parareal:
             break
-        # the start after `first` is now the fine march of a final start
-        first = max(first + 1, int(moving[0]) - 1)
     _, _, _, controls, singular = _coupled_flow(
-        constraint, f_stack, np.full(n_blocks, t_width), width, record=True,
-        u0=starts, hold=(hold_h, hold_u))
+        constraint, f_stack, t_width, width, record=True, u0=starts,
+        hold=(hold_h, hold_u))
     return (controls.reshape(-1, constraint.n_controls)[:n_cells],
             np.flatnonzero(singular.ravel()[:n_cells]))
 
@@ -535,8 +541,8 @@ def _normalize_seed(constraint: ConstraintSet, f0: np.ndarray) -> Optional[np.nd
 
 
 def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
-                        basis: list[np.ndarray], xs: np.ndarray, n_cells: int,
-                        corrector: bool) -> np.ndarray:
+                        basis: list[np.ndarray], xs: np.ndarray,
+                        n_cells: int) -> np.ndarray:
     """Boundary residuals of a stack of shooting points, one lockstep march.
 
     Each row of ``xs`` (B, N^2) holds the N^2 - 1 costate coefficients on
@@ -556,7 +562,7 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
     # a seed that cannot be rescaled is marched as the zero costate
     u_t, _, _, _, sing = _coupled_flow(
         constraint, np.stack([np.zeros((n, n)) if f is None else f for f in seeds]),
-        xs[:, -1], n_cells, corrector)
+        xs[:, -1], n_cells)
     m = u_t @ dagger(target)
     out = np.column_stack([expand((m - dagger(m)) / 2j, basis),
                            n - np.trace(m, axis1=1, axis2=2).real])
@@ -612,17 +618,17 @@ def _single_start(problem: ShootingProblem, start_index: int,
     lo = np.append(np.full(n * n - 1, -np.inf), 1e-6 * t_init)
     hi = np.append(np.full(n * n - 1, np.inf), t_hi)
 
-    def stage(x, cells: int, corrector: bool, tol: float):
+    def stage(x, cells: int, tol: float):
         # one march per residual and one lockstep march per Jacobian
         def batch(xs):
-            return _shooting_residuals(c, problem.target, basis, xs, cells, corrector)
+            return _shooting_residuals(c, problem.target, basis, xs, cells)
         return least_squares(lambda x: batch(x[None])[0], x,
                              jac=lambda x: _fd_jacobian(batch, x, lo, hi),
                              bounds=(lo, hi), method="trf", xtol=tol, ftol=tol,
                              gtol=tol, max_nfev=200)
 
-    # coarse sweep to locate the extremal, then polish on the solve grid
-    sol = stage(x0, max(32, k_cells // 3), False, 1e-11)
+    # locate the extremal on fewer cells of the same march, then polish
+    sol = stage(x0, max(16, k_cells // 6), 1e-11)
     # a coarse solution on a converged earlier start's extremal reuses its
     # polish; the scale is a gauge (_normalize_seed), so compare directions
     direction, t_coarse = sol.x[:-1] / np.linalg.norm(sol.x[:-1]), sol.x[-1]
@@ -631,18 +637,19 @@ def _single_start(problem: ShootingProblem, start_index: int,
                   abs(t_coarse - known["t_coarse"]) / max(1.0, t_coarse))
         if known["converged"] and gap < DEFAULT_TOL.duplicate_start:
             return {**known, "start": start_index}
-    sol = stage(sol.x, k_cells, True, 1e-14)
+    sol = stage(sol.x, k_cells, 1e-14)
     f_star = _normalize_seed(c, reconstruct(sol.x[:-1], basis))
     if f_star is None:
         return None
     t_star = float(sol.x[-1])
-    u_t, _, _, _, sing = _coupled_flow(c, f_star, t_star, k_cells)
-    fid = fidelity_residual(u_t, problem.target)
+    u_t, _, _, _, sing = _coupled_flow(c, f_star[None], t_star, k_cells)
+    fid = fidelity_residual(u_t[0], problem.target)
     return {
         "start": start_index, "f0": f_star, "T": t_star, "fidelity": fid,
-        "exact": float(np.linalg.norm(u_t - problem.target)),
+        "exact": float(np.linalg.norm(u_t[0] - problem.target)),
         "converged": bool(fid < max(1e-6, opts.residual_tol)),
-        "singular_cells": len(sing), "direction": direction, "t_coarse": t_coarse,
+        "singular_cells": np.count_nonzero(sing), "direction": direction,
+        "t_coarse": t_coarse,
     }
 
 
@@ -652,7 +659,8 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     Each start draws costate coefficients from a unit normal, rescales so
     tr[H(0) F(0)] = 1, and solves for (F(0), T) by trust-region least
     squares on the smooth boundary chart of U(T) U_f^dagger: a coarse
-    sweep, then a polish on the solve grid.  The free-time condition
+    stage, the same midpoint march on max(16, grid_points // 6) cells,
+    then a polish on the solve grid.  The free-time condition
     tr[H F] = 1 needs no residual: it holds at t = 0 by the rescaling and
     is conserved along the flow, so the system is consistent and each
     stage converges to a zero residual.  A start whose coarse solution
@@ -666,9 +674,9 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     all converged times are reported.  The dense march is rebuilt by
     parareal over its 64-cell projection blocks (:func:`_dense_rebuild`):
     a serial one-cell coarse march per block, all blocks marched in
-    lockstep as the fine one, both ending with the polar projection, and
-    one recording pass once the block starts stop moving.  Its controls
-    match the serial march to rounding.
+    lockstep as the fine one in every sweep, both ending with the polar
+    projection, and one recording pass once the block starts stop moving.
+    Its controls match the serial march to rounding.
 
     Raises
     ------
@@ -724,17 +732,10 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     k_fine = opts.refine_points
     controls, singular_cells = _dense_rebuild(c, best["f0"], best["T"], k_fine)
     grid = np.linspace(0.0, best["T"], k_fine + 1)
-    protocol = Protocol(c, grid, controls)
-    traj = evolve_costate(best["f0"], evolve_unitary(protocol))
-    report = conservation_report(traj)
-    br = boundary_residual(traj, problem.target)
-    return SolveResult(
-        converged=bool(br.fidelity < opts.residual_tol),
-        T=best["T"], residual=br.fidelity, exact_residual=br.exact,
-        protocol=protocol, trajectory=traj, costate0=best["f0"],
-        conservation=report,
+    return _solve_result(
+        c, grid, controls, best["f0"], problem.target, opts, T=best["T"],
         singular_intervals=_merge_intervals(grid, singular_cells),
-        seed=opts.seed, n_starts=n_run, extremal_times=times,
+        n_starts=n_run, extremal_times=times,
         message="extremal of the necessary conditions (not a global certificate)")
 
 

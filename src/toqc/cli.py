@@ -68,8 +68,6 @@ class RunConfig:
             raise ValidationError(f"unknown command {self.command!r}")
         if self.grid < 16:
             raise ValidationError("--grid must be at least 16")
-        if self.multistarts < 1:
-            raise ValidationError("--multistarts must be at least 1")
         if self.fmt not in {"json", "csv"}:
             raise ValidationError("--format must be json or csv")
 

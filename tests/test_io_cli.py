@@ -284,6 +284,15 @@ def test_cli_exit_codes(tmp_path):
         rc, _, err = run_cli(command, "--constraint", str(cpath),
                              "--target", str(tpath))
         assert rc == 2 and "not unitary" in err, (command, rc, err)
+    # a residual bar that is not finite and positive is an input error; at
+    # inf every residual would pass as converged
+    upath = tmp_path / "unitary.json"
+    upath.write_text(iof.dump_json(iof.matrix_to_json(exp_op(SIGMA_X, 0.9))))
+    for command in ("zermelo", "solve"):
+        for tol in ("nan", "inf", "0", "-1"):
+            rc, _, err = run_cli(command, "--constraint", str(cpath),
+                                 "--target", str(upath), "--tol", tol)
+            assert rc == 2 and "residual_tol" in err, (command, tol, rc, err)
 
 
 def test_cli_refuses_flags_its_command_does_not_read():
