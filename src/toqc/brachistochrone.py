@@ -26,10 +26,10 @@ seed is rescaled to tr[H(0) F(0)] = 1, and the flow conserves tr[H F], so
 the system is square (N^2 entries for N^2 unknowns, the costate scale a
 gauge) and the discrete march can hit the target exactly.  A trust-region
 least-squares iteration with a finite-difference Jacobian, whose columns
-are marched in lockstep with its base point, closes the system.  Results
-are extremals of the necessary conditions, not certified global optima;
-among converged starts the minimal-time one is reported and all converged
-times are listed.
+are marched in lockstep with each residual evaluation, closes the system.
+Results are extremals of the necessary conditions, not certified global
+optima; among converged starts the minimal-time one is reported and all
+converged times are listed.
 """
 
 from __future__ import annotations
@@ -95,18 +95,20 @@ __all__ = [
 class ShootingOptions:
     """Settings of the shooting and navigation solvers.
 
-    ``grid_points`` is the cell count of the solve grid (each start's
-    coarse stage marches max(16, grid_points // 6) cells); the returned
-    trajectory is rebuilt on ``refine_points`` cells.  ``multistarts``
-    seeds are tried (deterministically derived from ``seed``); the scan
-    stops early once ``stop_after_converged`` starts have converged (a start
-    that reuses an earlier start's polish counts, see :func:`solve_shooting`).
+    ``grid_points`` (at least 16) is the cell count of the solve grid (each
+    start's coarse stage marches max(16, grid_points // 6) cells, never more
+    than its polish); the returned trajectory is rebuilt on
+    ``refine_points`` cells.  ``multistarts`` seeds are tried
+    (deterministically derived from ``seed``); the scan stops early once
+    ``stop_after_converged`` starts have converged (a start that reuses an
+    earlier start's polish counts, see :func:`solve_shooting`).
     ``residual_tol`` is the one fidelity-residual bar: a result is
     ``converged`` below it, for shooting and for navigation alike, and a
     shooting start is accepted below max(1e-6, residual_tol).  The time
     horizon (from the target's log norm and the speed bound) and the 200
     residual evaluations per least-squares stage are fixed by the solvers.
-    Counts must be integers >= 1 and residual_tol finite and > 0 (else ValidationError).
+    Counts must be integers >= 1, grid_points >= 16, and residual_tol finite
+    and > 0 (else ValidationError).
     """
 
     grid_points: int = 128
@@ -122,6 +124,9 @@ class ShootingOptions:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.grid_points < 16:
+            raise ValidationError(
+                f"grid_points must be at least 16, got {self.grid_points!r}")
         if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise ValidationError(
                 f"residual_tol must be finite and positive, got {self.residual_tol!r}")
@@ -182,25 +187,10 @@ class SolveResult:
         return out
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _expm_step(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """exp(-i dt_b H_b) for a stack of traceless Hermitian H (B, N, N).
-
-    For N = 2, Cayley-Hamilton gives cos(dt r) I - i (sin(dt r) / r) H with
-    r^2 = (1/2) tr H^2 (a zero H gives exactly I); larger N use the batched
-    eigendecomposition of :func:`exp_op`.
-    """
-    n = h.shape[-1]
-    if n != 2:
-        return exp_op(h, dt)
-    flat = h.reshape(len(h), -1)
-    r = np.sqrt(0.5 * np.einsum("bi,bi->b", flat.view(float), flat.view(float)))
-    x = dt * r
-    out = h * (-1j * np.sin(x) / np.maximum(r, _TINY))[:, None, None]
-    out.reshape(len(h), -1)[:, ::n + 1] += np.cos(x)[:, None]
-    return out
+    """exp(-i dt_b H_b) for a stack of Hermitian H (B, N, N): the march's
+    exponential, :func:`exp_op` (the SU(2) closed form for N = 2)."""
+    return exp_op(h, dt)
 
 
 def _failure(seed: int, n_starts: int, message: str, T: float = float("nan"),
@@ -491,9 +481,13 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
     polar projection (without it the iteration diverges).  Each sweep sets
     U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old) for every block, carries
     each block's hold state from the fine pass of the block before it, and
-    stops when no start moves by more than ``DEFAULT_TOL.parareal``, after
-    at most K/64 - 1 sweeps.  One recording pass over all blocks then gives
-    the controls; a last partial block is marched 64 cells and cut to K.
+    stops after at most K/64 - 1 sweeps.  With ``moved`` the largest entry
+    change of a start in a sweep, it stops when moved <= tol
+    (``DEFAULT_TOL.parareal``) or when the next sweep's correction, which
+    superlinear convergence predicts as moved^2 / moved of the sweep
+    before, is below tol too.  One recording pass over all blocks then
+    gives the controls; a last partial block is marched 64 cells and cut
+    to K.
     """
     n, block = constraint.dim, 64
     n_blocks = -(-n_cells // block)
@@ -514,6 +508,7 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
     coarse_old = np.empty_like(starts)
     for s in range(n_blocks - 1):
         coarse_old[s] = starts[s + 1] = coarse(s)
+    tol, moved_before = DEFAULT_TOL.parareal, 0.0
     for _ in range(n_blocks - 1):
         fine, _, (h_end, u_end), _, _ = _coupled_flow(
             constraint, f_stack[:-1], t_width, block, u0=starts[:-1],
@@ -525,8 +520,10 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
             new = fine[s] + g - coarse_old[s]
             moved = max(moved, np.max(np.abs(new - starts[s + 1])))
             starts[s + 1], coarse_old[s] = new, g
-        if moved <= DEFAULT_TOL.parareal:
+        # moved^2 / moved_before predicts the next sweep's correction
+        if moved <= tol or moved * moved <= tol * moved_before:
             break
+        moved_before = moved
     _, _, _, controls, singular = _coupled_flow(
         constraint, f_stack, t_width, width, record=True, u0=starts,
         hold=(hold_h, hold_u))
@@ -619,13 +616,27 @@ def _single_start(problem: ShootingProblem, start_index: int,
     hi = np.append(np.full(n * n - 1, np.inf), t_hi)
 
     def stage(x, cells: int, tol: float):
-        # one march per residual and one lockstep march per Jacobian
+        # each residual is one lockstep march of x and its forward-difference
+        # points; the Jacobian is kept for trf's jac call at that same x
         def batch(xs):
             return _shooting_residuals(c, problem.target, basis, xs, cells)
-        return least_squares(lambda x: batch(x[None])[0], x,
-                             jac=lambda x: _fd_jacobian(batch, x, lo, hi),
-                             bounds=(lo, hi), method="trf", xtol=tol, ftol=tol,
-                             gtol=tol, max_nfev=200)
+        last = [None, None]   # the last marched point (bytes) and its Jacobian
+
+        def fun(x):
+            rows = []
+
+            def marched(xs):
+                rows.append(batch(xs))
+                return rows[0]
+            last[:] = x.tobytes(), _fd_jacobian(marched, x, lo, hi)
+            return rows[0][0]
+
+        def jac(x):
+            if x.tobytes() != last[0]:
+                fun(x)
+            return last[1]
+        return least_squares(fun, x, jac=jac, bounds=(lo, hi), method="trf",
+                             xtol=tol, ftol=tol, gtol=tol, max_nfev=200)
 
     # locate the extremal on fewer cells of the same march, then polish
     sol = stage(x0, max(16, k_cells // 6), 1e-11)
@@ -667,16 +678,19 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     matches a converged earlier start's (unit costate direction and T, to
     ``DEFAULT_TOL.duplicate_start``) reuses that polished extremal under
     its own index instead of polishing again.
-    Each residual is one march of the coupled flow (:func:`_coupled_flow`);
-    each Jacobian is one lockstep march of its base point and its N^2
-    forward-difference points (scipy's 2-point step rule).  Among converged
+    Each residual evaluation is one lockstep march of the coupled flow
+    (:func:`_coupled_flow`) of its point and the point's N^2
+    forward-difference points (scipy's 2-point step rule); the Jacobian
+    that the trust-region iteration then asks for at that point is the one
+    this march gave, so it costs no march of its own.  Among converged
     starts the minimal-T extremal is refined on a dense grid and returned;
     all converged times are reported.  The dense march is rebuilt by
     parareal over its 64-cell projection blocks (:func:`_dense_rebuild`):
     a serial one-cell coarse march per block, all blocks marched in
     lockstep as the fine one in every sweep, both ending with the polar
-    projection, and one recording pass once the block starts stop moving.
-    Its controls match the serial march to rounding.
+    projection, and one recording pass once the block starts stop moving
+    or the next sweep's correction, predicted from the last two, is below
+    the tolerance.  Its controls match the serial march to rounding.
 
     Raises
     ------

@@ -292,31 +292,47 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
     placeholders), and for the box kind the coordinates whose pairing is
     within that threshold of zero (all False for the other kinds).  The
     Typical coefficients are on the orthonormalized span, the others on
-    the control frame.  :func:`maximizer` is the one-costate view.
+    the control frame.  Every product is taken row by row, so a row of the
+    result does not depend on the other rows of the stack.
+    :func:`maximizer` is the one-costate view.
     """
     f_real = np.ascontiguousarray(f, dtype=complex).reshape(len(f), -1).view(float)
     span_real, frame_real = c._real_views
-    coeffs = 0.5 * (f_real @ span_real.T)
+    coeffs = 0.5 * _row_products(f_real, span_real.T)
     nrm = np.sqrt(np.einsum("bi,bi->b", coeffs, coeffs))
     tol = DEFAULT_TOL.singular
     singular = nrm < tol
+    flagged = np.zeros(coeffs.shape[:1] + (c.n_controls,), dtype=bool)
     if isinstance(c.kind, Typical):
         u = coeffs * (c.kind.omega / np.maximum(nrm, tol))[:, None]
-        h = (u @ span_real).view(complex).reshape(f.shape)
-        h += c.drift
-        return h, u, singular, np.zeros(u.shape, dtype=bool)
-    g = 0.5 * (f_real @ frame_real.T)
-    flagged = np.abs(g) <= tol
-    if isinstance(c.kind, Box):
-        lo = np.asarray(c.kind.lo, float)
-        hi = np.asarray(c.kind.hi, float)
-        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
-        return c.hamiltonian(u), u, singular, flagged
-    # BallInCoords: maximize g . u subject to u^T G u <= r^2
-    ginv_g = np.linalg.solve(np.asarray(c.kind.metric, float), g.T).T
-    denom = np.sqrt(np.einsum("bi,bi->b", g, ginv_g))
-    u = ginv_g * (c.kind.radius / np.where(singular, 1.0, denom))[:, None]
-    return c.hamiltonian(u), u, singular, np.zeros(u.shape, dtype=bool)
+        basis_real = span_real
+    else:
+        basis_real = frame_real
+        g = 0.5 * _row_products(f_real, frame_real.T)
+        if isinstance(c.kind, Box):
+            lo = np.asarray(c.kind.lo, float)
+            hi = np.asarray(c.kind.hi, float)
+            u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
+            flagged = np.abs(g) <= tol
+        else:
+            # BallInCoords: maximize g . u subject to u^T G u <= r^2
+            metric = np.asarray(c.kind.metric, float)
+            ginv_g = np.linalg.solve(metric, g[:, :, None])[:, :, 0]
+            denom = np.sqrt(np.einsum("bi,bi->b", g, ginv_g))
+            u = ginv_g * (c.kind.radius / np.where(singular, 1.0, denom))[:, None]
+    h = _row_products(u, basis_real).view(complex).reshape(f.shape)
+    h += c.drift
+    return h, u, singular, flagged
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a stack of rows a (B, k), one row at a time.
+
+    Each row is its own product, so its value does not depend on the other
+    rows: BLAS takes a single row by another kernel than a block of rows,
+    with another rounding.
+    """
+    return np.matmul(a[:, None, :], b)[:, 0]
 
 
 def is_singular(f: np.ndarray, c: ConstraintSet) -> bool:

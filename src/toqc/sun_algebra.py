@@ -11,7 +11,8 @@ Operators are plain complex ``numpy`` arrays.  Conventions used throughout:
 
 Exponentials and logarithms go through eigendecomposition of the Hermitian
 generator (always diagonalizable), which keeps unitarity exact and the
-logarithm branch under explicit control.
+logarithm branch under explicit control; the N = 2 exponential takes the
+Cayley-Hamilton closed form instead.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_TINY = np.finfo(float).tiny
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -214,19 +216,50 @@ def project(a: np.ndarray, subspace: list[np.ndarray] | np.ndarray,
 
 
 def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
-    """exp(-i s A) for Hermitian A, via eigendecomposition.
+    """exp(-i s A) for Hermitian A.
 
     The result is unitary to machine precision; for traceless A it lies in
     SU(N) exactly up to rounding.  An array of times ``s`` gives the stack
     of exp(-i s_k A), shape ``s.shape + (N, N)``, from one decomposition.
     A generator stack A of shape (K, N, N) with times of shape (K,) gives
     the stack of exp(-i s_k A_k), from one batched decomposition.
+
+    For N = 2, Cayley-Hamilton gives the closed form
+    e^{-i s a} [cos(s r) I - i (sin(s r) / r) H] with a = tr A / 2,
+    H = A - a I and r^2 = (1/2) tr H^2 (a zero generator gives exactly I);
+    larger N use the batched eigendecomposition.
     """
+    if a.shape[-1] == 2:
+        return _exp_su2(a, np.asarray(s, dtype=float))
+    return _exp_eigh(a, s)
+
+
+def _exp_eigh(a: np.ndarray, s: float | np.ndarray) -> np.ndarray:
+    """:func:`exp_op` through the batched eigendecomposition, for any N."""
     w, v = np.linalg.eigh(a)
     phases = np.exp((-1j * np.asarray(s, dtype=float))[..., None] * w)
     scaled = v * phases[..., None, :]
     # conjugated in place: one stack-sized temporary fewer (peak memory)
     return scaled @ np.swapaxes(np.conjugate(v, out=v), -1, -2)
+
+
+def _exp_su2(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The N = 2 closed form of :func:`exp_op`; the trace part is a phase."""
+    # C order, so that the reshapes below are views of the arrays they edit
+    a = np.ascontiguousarray(a, dtype=complex)
+    trace = a[..., 0, 0] + a[..., 1, 1]
+    has_trace = np.count_nonzero(trace) > 0
+    if has_trace:
+        trace = 0.5 * trace.real
+        a = a - trace[..., None, None] * np.eye(2)
+    flat = a.reshape(-1, 4).view(float)
+    r = np.sqrt(0.5 * np.einsum("bi,bi->b", flat, flat)).reshape(trace.shape)
+    x = s * r
+    out = a * np.asarray(-1j * np.sin(x) / np.maximum(r, _TINY))[..., None, None]
+    out.reshape(-1, 4)[:, ::3] += np.cos(x).reshape(-1, 1)
+    if has_trace:
+        out *= np.asarray(np.exp(-1j * (s * trace)))[..., None, None]
+    return out
 
 
 def _remove_periods(phases: np.ndarray) -> np.ndarray:
@@ -298,5 +331,10 @@ def random_traceless_hermitian(rng: np.random.Generator, n: int,
 
 
 def random_special_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random SU(N) element via exp of a random generator."""
-    return exp_op(random_traceless_hermitian(rng, n))
+    """Haar-ish random SU(N) element via exp of a random generator.
+
+    The exponential is the eigendecomposition one for every N, so a seed
+    gives the same draws bit for bit whichever path :func:`exp_op` takes
+    for N = 2 (seeded test and benchmark targets are built from them).
+    """
+    return _exp_eigh(random_traceless_hermitian(rng, n), 1.0)

@@ -181,6 +181,7 @@ def test_solvers_validate_the_target():
 
 @pytest.mark.parametrize("field, value", [
     ("grid_points", 0), ("grid_points", -5), ("grid_points", 64.0),
+    ("grid_points", 8), ("grid_points", 15),
     ("refine_points", 0), ("multistarts", 0), ("stop_after_converged", 0),
     ("residual_tol", float("nan")), ("residual_tol", float("inf")),
     ("residual_tol", 0.0), ("residual_tol", -1.0),
@@ -546,6 +547,26 @@ def test_dense_rebuild_matches_the_serial_march(case):
         assert len(singular) == n_cells
 
 
+def test_dense_rebuild_stops_on_the_predicted_correction(monkeypatch):
+    # parareal converges superlinearly, so the rebuild stops once the next
+    # sweep's correction, predicted from the last two, is below the
+    # tolerance; on 4096 cells that saves one sweep of 63 one-cell coarse
+    # calls (315 without the prediction)
+    c, f0, t_final, n_cells = _rebuild_cases()["su2"]
+    one_cell = []
+    flow = br._coupled_flow
+
+    def counting_flow(*args, **kwargs):
+        one_cell.append(args[3] == 1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(br, "_coupled_flow", counting_flow)
+    controls, _ = br._dense_rebuild(c, f0, t_final, n_cells)
+    assert sum(one_cell) <= 252
+    ref_controls, _ = _serial_march(c, f0, t_final, n_cells)
+    np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
+
+
 def _shooting_setup(n, rng):
     drift = 0.3 * SIGMA_Z if n == 2 else 0.2 * random_traceless_hermitian(rng, 3)
     c = ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(1.0))
@@ -698,9 +719,10 @@ def test_march_is_second_order(n):
 
 
 def test_each_jacobian_costs_one_march(monkeypatch):
-    # every residual and every Jacobian of the least-squares stages is one
-    # march; the rest are the check march after each polish and the dense
-    # rebuild's calls, of which only the last returns controls
+    # every residual evaluation of the least-squares stages is one march,
+    # which also gives the Jacobian at its point, so a Jacobian costs no
+    # march of its own; the rest are the check march after each polish and
+    # the dense rebuild's calls, of which only the last returns controls
     marches, rebuild_marches, stages = [], [], []
     in_rebuild = []
     flow, rebuild, lsq = br._coupled_flow, br._dense_rebuild, br.least_squares
@@ -732,9 +754,46 @@ def test_each_jacobian_costs_one_march(monkeypatch):
     assert res.converged
     polishes = sum(1 for xtol, _, _ in stages if xtol == min(s[0] for s in stages))
     assert all(njev > 0 for _, _, njev in stages)
-    assert len(marches) == sum(nfev + njev for _, nfev, njev in stages) + polishes
+    assert len(marches) == sum(nfev for _, nfev, _ in stages) + polishes
     assert not any(marches)
     assert rebuild_marches.count(True) == 1 and rebuild_marches[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
+    # oracle: each stage of a start run again with a separate residual
+    # (one march of x alone) and Jacobian (one lockstep march of x and its
+    # forward-difference points); the rows of a march do not depend on the
+    # other members, so trf takes bitwise the same iterations
+    lsq, residuals = br.least_squares, br._shooting_residuals
+    problem = (br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(0), FAST)
+               if n == 2 else _su3_shooting_problem())
+    basis = generalized_gellmann(n)
+    cells, stages = [], []
+
+    def recording_residuals(c, target, basis, xs, n_cells):
+        cells.append(n_cells)
+        return residuals(c, target, basis, xs, n_cells)
+
+    def both_ways(fun, x0, jac, bounds, **kwargs):
+        new = lsq(fun, x0, jac=jac, bounds=bounds, **kwargs)
+
+        def batch(xs):
+            return residuals(problem.constraint, problem.target, basis, xs, cells[-1])
+        old = lsq(lambda x: batch(x[None])[0], x0,
+                  jac=lambda x: br._fd_jacobian(batch, x, *bounds),
+                  bounds=bounds, **kwargs)
+        stages.append((new, old))
+        return new
+
+    monkeypatch.setattr(br, "_shooting_residuals", recording_residuals)
+    monkeypatch.setattr(br, "least_squares", both_ways)
+    t0 = br._time_scale_estimate(problem)
+    out = br._single_start(problem, 0, t0, 6.0 * t0, np.random.default_rng(9), [])
+    assert out is not None and len(stages) == 2   # a coarse stage and a polish
+    for new, old in stages:
+        assert np.array_equal(new.x, old.x)
+        assert (new.nfev, new.njev, new.status) == (old.nfev, old.njev, old.status)
 
 
 def _su3_shooting_problem():

@@ -329,7 +329,10 @@ def test_cli_zermelo_tol_sets_the_residual_bar(tmp_path):
     cpath = tmp_path / "full.json"
     cpath.write_text(iof.dump_json(iof.constraint_to_json(c)))
     tpath = tmp_path / "t.json"
-    tpath.write_text(iof.dump_json(iof.matrix_to_json(exp_op(SIGMA_X, 0.9))))
+    # the fidelity residual of a navigation solve is at rounding level (its
+    # endpoint is about 1e-10 off, which 1 - |tr|/N squares); this target's
+    # reads 1.1e-16, where e^{-0.9 i sigma_x}'s reads exactly 0
+    tpath.write_text(iof.dump_json(iof.matrix_to_json(exp_op(SIGMA_X, 1.1))))
     args = ("zermelo", "--constraint", str(cpath), "--target", str(tpath))
     rc, out, _ = run_cli(*args)
     assert rc == 0

@@ -222,6 +222,34 @@ def test_exp_op_time_stack_matches_per_time():
             np.testing.assert_allclose(u, sa.exp_op(g, float(t)), rtol=0, atol=1e-13)
 
 
+def test_exp_op_su2_closed_form_against_expm():
+    # the N = 2 closed form on every shape exp_op takes, with a trace part
+    # (a phase) and a zero generator (exactly the identity)
+    import scipy.linalg
+    rng = np.random.default_rng(33)
+
+    def expm(a, t):
+        return scipy.linalg.expm(-1j * t * a)
+
+    a = sa.random_traceless_hermitian(rng, 2) + 0.7 * np.eye(2)
+    np.testing.assert_allclose(sa.exp_op(a, 1.3), expm(a, 1.3), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sa.exp_op(np.asfortranarray(a), 1.3), expm(a, 1.3),
+                               rtol=0, atol=1e-14)
+    ts = rng.uniform(-3.0, 3.0, 12)
+    stack = sa.exp_op(a, ts)
+    assert stack.shape == (12, 2, 2)
+    np.testing.assert_allclose(stack, [expm(a, t) for t in ts], rtol=0, atol=1e-14)
+    gens = np.stack([sa.random_traceless_hermitian(rng, 2) + rng.normal() * np.eye(2)
+                     for _ in ts])
+    stack = sa.exp_op(gens, ts)
+    assert stack.shape == (12, 2, 2)
+    np.testing.assert_allclose(stack, [expm(g, t) for g, t in zip(gens, ts)],
+                               rtol=0, atol=1e-14)
+    for zero in (np.zeros((2, 2), dtype=complex), np.zeros((3, 2, 2), dtype=complex)):
+        out = sa.exp_op(zero, np.array([0.4, 1.1, -2.0]))
+        assert np.array_equal(out, np.broadcast_to(np.eye(2), out.shape))
+
+
 def test_log_norms_match_log_op_per_matrix():
     rng = np.random.default_rng(32)
     for n in (2, 3, 4):
