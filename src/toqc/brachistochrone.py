@@ -305,13 +305,16 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     """Solve the navigation problem (full control subspace, norm <= omega).
 
     Scans T on 4096 points for the smallest positive root of
-    g(T) = ||log(e^{i H_d T} U_f)|| - omega T, polishes the first sign
-    change with Brent's method, recovers H_c(0) from the principal log at
-    the root, and reproduces the motion on a dense midpoint-sampled grid
-    with the exact costate F = lambda_0 H_c.  Each stage is one stacked
-    operation over its sample times.  The dense controls are rebuilt in the
-    eigenbasis of H_d, from one phase array over its eigenvalue gaps and
-    one matrix product (:func:`_navigation_controls`).  Scan samples on the
+    g(T) = ||log(e^{i H_d T} U_f)|| - omega T, in chunks of 512 points in
+    order, and stops at the first chunk that holds a sign change (the
+    sample before a chunk carries across its edge).  It polishes that first
+    sign change with Brent's method, recovers H_c(0) from the principal log
+    at the root, and reproduces the motion on a dense midpoint-sampled grid
+    with the exact costate F = lambda_0 H_c.  Each scan chunk and each
+    stage after the root is one stacked operation over its sample times.
+    The dense controls are rebuilt in the eigenbasis of H_d, from one phase
+    array over its eigenvalue gaps and one matrix product
+    (:func:`_navigation_controls`).  Scan samples on the
     logarithm branch cut are skipped; a cut met inside the bracket or at the
     root returns an unconverged result that says so.  The result is
     ``converged`` when the rebuilt endpoint's fidelity residual is below
@@ -342,16 +345,21 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     speed_slack = max(omega - hs_norm(drift), omega / 8.0)
     t_max = (l0 + 2.0 * np.pi) / speed_slack
 
-    n_scan = 4096
+    n_scan, chunk = 4096, 512
     ts = np.linspace(t_max / n_scan, t_max, n_scan)
-    gs = g(ts)
-    prev = np.concatenate([[l0], gs[:-1]])   # g(0+) = ||log U_f|| > 0
-    # NaN samples compare false on both sides, so no bracket touches them
-    hits = np.flatnonzero((prev > 0.0) & (gs <= 0.0))
-    if hits.size == 0:
+    last = l0                                # g(0+) = ||log U_f|| > 0
+    for start in range(0, n_scan, chunk):
+        gs = g(ts[start:start + chunk])
+        prev = np.concatenate([[last], gs[:-1]])
+        # NaN samples compare false on both sides, so no bracket touches them
+        hits = np.flatnonzero((prev > 0.0) & (gs <= 0.0))
+        if hits.size:
+            break
+        last = gs[-1]
+    else:
         return _failure(options.seed, 0,
                         f"no root of the log-norm equation below T = {t_max:.4g}")
-    i = int(hits[0])
+    i = start + int(hits[0])
     lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
     try:
         t_star = float(brentq(g_scalar, lo, hi, xtol=1e-15))

@@ -9,10 +9,13 @@ Operators are plain complex ``numpy`` arrays.  Conventions used throughout:
 * The commutator operation returns ``-i[A, B]`` so every result stays
   Hermitian; callers that need ``i[.,.]`` negate.
 
-Exponentials and logarithms go through eigendecomposition of the Hermitian
-generator (always diagonalizable), which keeps unitarity exact and the
-logarithm branch under explicit control; the N = 2 exponential takes the
-Cayley-Hamilton closed form instead.
+The exponential has three forms (:func:`exp_op`): the Cayley-Hamilton
+closed form for N = 2; for the small steps of a generator stack with
+N >= 3, the diagonal Pade approximant r_3, which maps su(N) onto a unitary
+because its denominator is the adjoint of its numerator; and otherwise the
+eigendecomposition of the Hermitian generator (always diagonalizable).
+Logarithms go through the eigendecomposition, which keeps unitarity exact
+and the logarithm branch under explicit control.
 """
 
 from __future__ import annotations
@@ -222,16 +225,62 @@ def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
     SU(N) exactly up to rounding.  An array of times ``s`` gives the stack
     of exp(-i s_k A), shape ``s.shape + (N, N)``, from one decomposition.
     A generator stack A of shape (K, N, N) with times of shape (K,) gives
-    the stack of exp(-i s_k A_k), from one batched decomposition.
+    the stack of exp(-i s_k A_k).
 
-    For N = 2, Cayley-Hamilton gives the closed form
-    e^{-i s a} [cos(s r) I - i (sin(s r) / r) H] with a = tr A / 2,
-    H = A - a I and r^2 = (1/2) tr H^2 (a zero generator gives exactly I);
-    larger N use the batched eigendecomposition.
+    Three forms, chosen from the shape of A and the norm of each step:
+
+    * N = 2, every shape: Cayley-Hamilton gives the closed form
+      e^{-i s a} [cos(s r) I - i (sin(s r) / r) H] with a = tr A / 2,
+      H = A - a I and r^2 = (1/2) tr H^2 (a zero generator gives exactly I).
+    * N >= 3, a generator stack: each member with ||s_k A_k||_1 <= theta_3
+      takes the diagonal Pade approximant r_3 (:func:`_exp_stack`), exact to
+      unit roundoff there; a member above theta_3 takes the
+      eigendecomposition.  The choice is made per member, so every member's
+      result is independent of the rest of the stack.  The time steps of
+      :func:`toqc.dynamics.evolve_unitary` and of the coupled-flow march
+      take this form.
+    * N >= 3, one generator (with one time or many): one eigendecomposition
+      for all times.  The navigation scan and root, the closed-form
+      navigation flow and the callers of :func:`log_op` take this form.
     """
     if a.shape[-1] == 2:
         return _exp_su2(a, np.asarray(s, dtype=float))
+    if a.ndim == 3:
+        return _exp_stack(a, np.broadcast_to(np.asarray(s, dtype=float), a.shape[:1]))
     return _exp_eigh(a, s)
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3: below this
+# 1-norm of X the diagonal Pade approximant r_3(X) is e^X to unit roundoff
+_PADE3_THETA = 1.495585217958292e-2
+# members per Pade pass: bounds the temporaries of a long stack (peak memory)
+_PADE_CHUNK = 2048
+
+
+def _exp_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`exp_op` of a generator stack (K, N, N) with times (K,).
+
+    With X = -i s_k A_k, r_3(X) = q(X)^{-1} p(X), where p(X) = even + odd,
+    q(X) = even - odd, odd = X (I/2 + X^2/120) and even = I + X^2/10.  For
+    Hermitian A, q(X) = p(X)^dagger, so r_3(X) is unitary.  Members above
+    ``_PADE3_THETA`` take :func:`_exp_eigh`; the rest go through in chunks
+    of ``_PADE_CHUNK`` written into one output.
+    """
+    n = a.shape[-1]
+    out = np.empty(a.shape, dtype=complex)
+    fits = np.abs(s) * np.max(np.sum(np.abs(a), axis=-2), axis=-1) <= _PADE3_THETA
+    large, small = np.flatnonzero(~fits), np.flatnonzero(fits)
+    if large.size:
+        out[large] = _exp_eigh(a[large], s[large])
+    eye = np.eye(n)
+    for start in range(0, small.size, _PADE_CHUNK):
+        rows = small[start:start + _PADE_CHUNK]
+        x = (-1j * s[rows])[:, None, None] * a[rows]
+        x2 = x @ x
+        odd = x @ (0.5 * eye + x2 / 120.0)
+        even = eye + x2 / 10.0
+        out[rows] = np.linalg.solve(even - odd, even + odd)
+    return out
 
 
 def _exp_eigh(a: np.ndarray, s: float | np.ndarray) -> np.ndarray:
@@ -334,7 +383,7 @@ def random_special_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random SU(N) element via exp of a random generator.
 
     The exponential is the eigendecomposition one for every N, so a seed
-    gives the same draws bit for bit whichever path :func:`exp_op` takes
-    for N = 2 (seeded test and benchmark targets are built from them).
+    gives the same draws bit for bit whichever form :func:`exp_op` takes
+    (seeded test and benchmark targets are built from them).
     """
     return _exp_eigh(random_traceless_hermitian(rng, n), 1.0)

@@ -163,6 +163,115 @@ def test_zermelo_rebuild_matches_callback_path():
                                    rtol=0, atol=1e-12)
 
 
+def _scan_samples(drift, omega, target):
+    l0 = br._target_log_norm(target)
+    t_max = (l0 + 2.0 * np.pi) / max(omega - hs_norm(drift), omega / 8.0)
+    return np.linspace(t_max / 4096, t_max, 4096)
+
+
+def _full_scan_root(drift, omega, target):
+    # reference: the root scan as one 4096-sample stack, then Brent's method
+    # on its first sign change; None when no sample pair brackets a root
+    from scipy.optimize import brentq
+
+    def g(ts):
+        return br.log_norms(exp_op(drift, -ts) @ target) - omega * ts
+
+    ts = _scan_samples(drift, omega, target)
+    gs = g(ts)
+    prev = np.concatenate([[br._target_log_norm(target)], gs[:-1]])
+    hits = np.flatnonzero((prev > 0.0) & (gs <= 0.0))
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    lo = float(ts[i - 1]) if i else 0.0
+    return float(brentq(lambda t: float(g(np.array([t]))[0]), lo, float(ts[i]),
+                        xtol=1e-15))
+
+
+def _cut_at_sample_511():
+    # an eigenvalue of e^{i H_d T} U_f is -1 at scan sample 511, the last of
+    # the first chunk, which the second chunk carries as its previous sample
+    phi = np.array([-2.9, 1.45, 1.45])
+    target = np.diag(np.exp(-1j * phi))
+    lift = np.pi + phi[0]
+    c = lift / ((br._target_log_norm(target) + 2.0 * np.pi) / 8.0 + lift)
+    return c * np.diag([1.0, -1.0, 0.0]).astype(complex), target
+
+
+def test_zermelo_scan_stops_at_its_first_bracket_with_the_full_scan_root():
+    rng = np.random.default_rng(64)
+    cases = []
+    for _ in range(6):
+        drift = random_traceless_hermitian(rng, 3)
+        cases.append((drift * 0.3 / hs_norm(drift), random_special_unitary(rng, 3)))
+    # drift-free, g(T) = ||log U_f|| - T: the first sample with g <= 0 is
+    # index 1024, the first of the third chunk
+    h = random_traceless_hermitian(rng, 3)
+    l0 = 0.2501 * 2.0 * np.pi / (1.0 - 0.2501)
+    cases.append((np.zeros((3, 3), complex), exp_op(h * (l0 / hs_norm(h)), 1.0)))
+    cases.append(_cut_at_sample_511())
+    times = []
+    for drift, target in cases:
+        res = br.zermelo_solve(drift, 1.0, target, br.ShootingOptions(refine_points=64))
+        assert res.converged and res.T == _full_scan_root(drift, 1.0, target)
+        times.append(res.T)
+    drift, target = cases[-2]
+    ts = _scan_samples(drift, 1.0, target)
+    assert ts[1023] < times[-2] <= ts[1024]
+    drift, target = cases[-1]
+    ts = _scan_samples(drift, 1.0, target)
+    assert np.isnan(br.log_norms(exp_op(drift, -ts[511:512]) @ target)[0])
+    assert times[-1] > ts[1024]
+
+
+@pytest.mark.parametrize("case", ["all_positive", "sign_change_across_the_cut"])
+def test_zermelo_scan_without_a_bracket_keeps_its_message(monkeypatch, case):
+    if case == "all_positive":
+        # the scan runs through all its chunks
+        rng = np.random.default_rng(65)
+        drift = random_traceless_hermitian(rng, 3)
+        drift *= 0.3 / hs_norm(drift)
+        target = random_special_unitary(rng, 3)
+        shift = -1e3
+    else:
+        # g > 0 up to sample 510, NaN at 511 and g <= 0 from 512 on: a NaN
+        # sample carried across a chunk edge forms no bracket
+        drift, target = _cut_at_sample_511()
+        t = _scan_samples(drift, 1.0, target)[512:513]
+        shift = br.log_norms(exp_op(drift, -t) @ target)[0] - t[0] + 1e-3
+    norms = br.log_norms
+    monkeypatch.setattr(br, "log_norms", lambda u: norms(u) - shift)
+    assert _full_scan_root(drift, 1.0, target) is None
+    res = br.zermelo_solve(drift, 1.0, target)
+    t_max = _scan_samples(drift, 1.0, target)[-1]
+    assert not res.converged
+    assert res.message == f"no root of the log-norm equation below T = {t_max:.4g}"
+
+
+def test_navigation_solve_makes_no_batched_eigh(monkeypatch):
+    # the 16384 steps of an SU(3) navigation rebuild lie below the Pade
+    # radius, so evolve_unitary takes no stacked eigendecomposition; the
+    # scan, the root and the control rebuild take single-matrix ones
+    rng = np.random.default_rng(66)
+    drift = random_traceless_hermitian(rng, 3)
+    drift *= 0.3 / hs_norm(drift)
+    target = random_special_unitary(rng, 3)
+    eigh, stacks = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        stacks.append(a.shape[:-2])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    res = br.zermelo_solve(drift, 1.0, target)
+    assert res.converged and res.protocol.n_cells == 16384
+    assert stacks and set(stacks) == {()}
+    del stacks[:]
+    dyn.evolve_unitary(res.protocol)
+    assert stacks == []
+
+
 def test_zermelo_solve_identity_target():
     for target in (np.eye(2, dtype=complex), exp_op(SIGMA_Z, 1e-11)):
         res = br.zermelo_solve(0.3 * SIGMA_Z, 1.0, target)

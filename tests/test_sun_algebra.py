@@ -250,6 +250,38 @@ def test_exp_op_su2_closed_form_against_expm():
         assert np.array_equal(out, np.broadcast_to(np.eye(2), out.shape))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_exp_op_pade_stack_against_expm(n):
+    # a generator stack with N >= 3 takes the Pade form member by member
+    # below theta_3 (in the 1-norm of s A) and the eigendecomposition above
+    import scipy.linalg
+    rng = np.random.default_rng(34 + n)
+    gens = np.stack([sa.random_traceless_hermitian(rng, n) for _ in range(16)])
+    one_norms = np.max(np.sum(np.abs(gens), axis=-2), axis=-1)
+    below = sa._PADE3_THETA * rng.uniform(0.9, 0.999999, 16) / one_norms
+    above = sa._PADE3_THETA * rng.uniform(1.000001, 1.1, 16) / one_norms
+    mixed = np.where(np.arange(16) % 2 == 0, below, -above)
+    for ts in (below, -below, above, mixed):
+        stack = sa.exp_op(gens, ts)
+        ref = [scipy.linalg.expm(-1j * t * g) for g, t in zip(gens, ts)]
+        np.testing.assert_allclose(stack, ref, rtol=0, atol=1e-14)
+        assert np.max(sa.unitarity_defect(stack)) <= 1e-14
+        for k in range(16):
+            assert np.array_equal(stack[k], sa.exp_op(gens[k:k + 1], ts[k:k + 1])[0])
+
+
+def test_random_special_unitary_draws_keep_the_eigendecomposition():
+    # seeded targets are built from these draws: they stay the eigenbasis
+    # exponential of the drawn generator, bit for bit
+    for n in (2, 3, 4):
+        draws, rng = np.random.default_rng(35), np.random.default_rng(35)
+        for _ in range(5):
+            h = sa.random_traceless_hermitian(rng, n)
+            w, v = np.linalg.eigh(h)
+            want = (v * np.exp(-1j * w)) @ v.conj().T
+            assert np.array_equal(sa.random_special_unitary(draws, n), want)
+
+
 def test_log_norms_match_log_op_per_matrix():
     rng = np.random.default_rng(32)
     for n in (2, 3, 4):
