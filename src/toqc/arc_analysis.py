@@ -512,7 +512,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         coeffs = vec / float(vec @ phi * 2.0)  # tr[H_d F] = 2 phi . f
         f_star = reconstruct(coeffs, basis)
         h = c.hamiltonian(u)
-        rep = glc_test(red, h, f_star, m_max=m_max, costate_basis=basis)
+        rep = glc_test(red, h, f_star, m_max=m_max)
         if rep.verdict != "excluded":
             return replace(rep, notes=rep.notes + (
                 f"boundary piece '{case.name}' admits a "

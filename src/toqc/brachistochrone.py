@@ -316,10 +316,13 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     array over its eigenvalue gaps and one matrix product
     (:func:`_navigation_controls`).  Scan samples on the
     logarithm branch cut are skipped; a cut met inside the bracket or at the
-    root returns an unconverged result that says so.  The result is
-    ``converged`` when the rebuilt endpoint's fidelity residual is below
-    ``options.residual_tol``.  A target off the unitary group raises
-    ValidationError, one of the wrong shape DimensionMismatchError.
+    root returns an unconverged result that says so.  The closed-form
+    endpoint e^{-i H_d T} e^{-i H_c(0) T} is U_f by construction of H_c(0),
+    so it is not checked again: the result is ``converged`` when the rebuilt
+    endpoint's fidelity residual is below ``options.residual_tol``, and
+    otherwise unconverged with its protocol and residual.  A target off the
+    unitary group raises ValidationError, one of the wrong shape
+    DimensionMismatchError.
     """
     if omega <= 0:
         raise ValidationError("omega must be positive")
@@ -368,13 +371,6 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
         return _failure(options.seed, 0,
                         f"logarithm branch cut met in the root bracket "
                         f"[{lo:.6g}, {hi:.6g}]: {exc}")
-
-    # verify the closed form hits the target
-    endpoint = zermelo_solution(drift, hc0, t_star)["U_t"]
-    fid = fidelity_residual(endpoint, target)
-    if fid > 1e3 * options.residual_tol:
-        return _failure(options.seed, 0, "root found but closed form misses the target",
-                        t_star, fid, float(np.linalg.norm(endpoint - target)))
 
     grid = np.linspace(0.0, t_star, options.refine_points + 1)
     controls = _navigation_controls(drift, hc0, constraint.control_basis,
@@ -782,13 +778,11 @@ def _random_admissible(c: ConstraintSet, rng: np.random.Generator,
                        shape: tuple[int, ...]) -> np.ndarray:
     """Admissible Hamiltonians drawn from the bound region, ``shape + (N, N)``."""
     l = c.n_controls
-    if isinstance(c.kind, Box):
-        return c.hamiltonian(rng.uniform(c.kind.lo, c.kind.hi, size=shape + (l,)))
-    typical = isinstance(c.kind, Typical)
-    g = np.eye(l) if typical else np.asarray(c.kind.metric, float)
-    radius = c.kind.omega if typical else c.kind.radius
+    if c._ball is None:
+        return c.hamiltonian(rng.uniform(*c._box, size=shape + (l,)))
+    metric, radius = c._ball
     w = rng.standard_normal(shape + (l,))
-    w /= np.sqrt(np.einsum("...i,ij,...j->...", w, g, w))[..., None]
+    w /= np.sqrt(np.einsum("...i,ij,...j->...", w, metric, w))[..., None]
     u = radius * rng.uniform(size=shape + (1,)) ** (1.0 / l) * w
     return c.hamiltonian(u)
 

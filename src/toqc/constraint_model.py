@@ -10,6 +10,11 @@ control subspace, and one of three bound kinds:
   coefficients with a declared SPD metric G (the frame need not be
   normalized, e.g. coefficient balls mixing exchange and field axes).
 
+The three kinds have two geometries, a box and a ball: on the frame the
+Hilbert-Schmidt ball is the coefficient ball whose metric is the frame's
+Gram matrix (1/2) tr[c_i c_j], so ``Typical(omega)`` is the ball of radius
+omega in that metric.  Controls are frame coefficients for every kind.
+
 The module classifies constraint sets (lollipop vs lotus-leaf, planar,
 typical, drift-in-bracket), evaluates the pointwise maximizer of the
 Pontryagin function -1 + tr[H F], and detects singular points where the
@@ -102,7 +107,11 @@ class ConstraintSet:
     control_names: Optional[tuple[str, ...]] = None
     _frame: np.ndarray = field(init=False, repr=False)
     _span: np.ndarray = field(init=False, repr=False)
-    _real_views: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # the resolved bound: (lo, hi) of a box, or (metric, radius) of a ball
+    _box: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    _ball: Optional[tuple[np.ndarray, float]] = field(init=False, repr=False)
+    _frame_real: np.ndarray = field(init=False, repr=False)
+    _pairing: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         require_traceless_hermitian(self.drift, "drift")
@@ -119,6 +128,7 @@ class ConstraintSet:
         l = len(self.control_basis)
         stack = np.stack(self.control_basis)
         gram = 0.5 * np.einsum("iab,jba->ij", stack, stack).real
+        box = ball = None
         if isinstance(self.kind, Typical):
             if not 0 < self.kind.omega < np.inf:   # NaN fails too
                 raise ValidationError("typical bound omega must be positive and finite")
@@ -126,6 +136,7 @@ class ConstraintSet:
                 raise ValidationError(
                     "typical kind needs an orthonormal control frame "
                     "(Gram matrix 2*I under the full trace)")
+            ball = gram, self.kind.omega
         elif isinstance(self.kind, Box):
             lo, hi = np.asarray(self.kind.lo, float), np.asarray(self.kind.hi, float)
             if lo.shape != (l,) or hi.shape != (l,):
@@ -134,6 +145,7 @@ class ConstraintSet:
                 raise ValidationError("box bounds must be finite")
             if np.any(lo > hi):
                 raise ValidationError("box bounds need lo_j <= hi_j")
+            box = lo, hi
         elif isinstance(self.kind, BallInCoords):
             g = np.asarray(self.kind.metric, float)
             if g.shape != (l, l):
@@ -146,17 +158,27 @@ class ConstraintSet:
                 raise ValidationError("ball metric must be positive definite")
             if not 0 < self.kind.radius < np.inf:
                 raise ValidationError("ball radius must be positive and finite")
+            ball = g, self.kind.radius
         else:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
         if self.control_names is not None and len(self.control_names) != l:
             raise ValidationError("control_names must match the number of controls")
-        object.__setattr__(self, "_frame", stack)
-        object.__setattr__(self, "_span", _orthonormalize(stack))
-        # float views (l, 2 N^2) of the span and the frame: for Hermitian s,
-        # tr[F s] is the dot product of the float views of F and s
-        object.__setattr__(self, "_real_views", tuple(
-            np.ascontiguousarray(a, dtype=complex).reshape(len(a), -1).view(float)
-            for a in (self._span, stack)))
+        # float view (l, 2 N^2) of the frame: for Hermitian c_j, tr[F c_j] is
+        # the dot product of the float views of F and c_j.  The pairing
+        # columns give g, Gram^{-1} g and, for a ball whose metric is not
+        # the Gram matrix, metric^{-1} g.  The pseudo-inverse keeps a
+        # linearly dependent frame: g lies in the range of its singular Gram
+        # matrix, so g . Gram^+ g = ||P F||^2.
+        frame_real = np.ascontiguousarray(stack, dtype=complex).reshape(l, -1).view(float)
+        duals = [gram] if ball is None or np.array_equal(ball[0], gram) \
+            else [gram, ball[0]]
+        half = 0.5 * frame_real.T
+        pairing = np.concatenate(
+            [half] + [half @ np.linalg.pinv(d, hermitian=True) for d in duals], axis=1)
+        for name, value in (("_frame", stack), ("_span", _orthonormalize(stack)),
+                            ("_box", box), ("_ball", ball),
+                            ("_frame_real", frame_real), ("_pairing", pairing)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_controls(self) -> int:
@@ -196,18 +218,12 @@ class ConstraintSet:
         whose metric is the frame's Gram matrix.
         """
         u = np.asarray(u, dtype=float)
-        if isinstance(self.kind, Box):
-            lo = np.asarray(self.kind.lo, float)
-            hi = np.asarray(self.kind.hi, float)
+        if self._ball is None:
+            lo, hi = self._box
             return np.maximum(np.max(lo - u, axis=-1, initial=0.0),
                               np.max(u - hi, axis=-1, initial=0.0))
-        if isinstance(self.kind, Typical):
-            g = 0.5 * np.einsum("iab,jba->ij", self._frame, self._frame).real
-            radius = self.kind.omega
-        else:
-            g = np.asarray(self.kind.metric, float)
-            radius = self.kind.radius
-        quad = np.einsum("...i,ij,...j->...", u, g, u)
+        metric, radius = self._ball
+        quad = np.einsum("...i,ij,...j->...", u, metric, u)
         return np.maximum(0.0, np.sqrt(np.maximum(quad, 0.0)) - radius)
 
 
@@ -287,40 +303,37 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
     """Maximizer of tr[H F] over the constraint set for a stack F (B, N, N).
 
     Returns (H, u, singular, flagged): the maximizing Hamiltonians (B, N, N),
-    their coefficients (B, l), the rows whose projection onto the control
-    span has norm below ``DEFAULT_TOL.singular`` (their H and u are
-    placeholders), and for the box kind the coordinates whose pairing is
-    within that threshold of zero (all False for the other kinds).  The
-    Typical coefficients are on the orthonormalized span, the others on
-    the control frame.  Every product is taken row by row, so a row of the
-    result does not depend on the other rows of the stack.
-    :func:`maximizer` is the one-costate view.
+    their frame coefficients (B, l), the rows whose projection onto the
+    control subspace has norm below ``DEFAULT_TOL.singular`` (their H and u
+    are placeholders), and for the box kind the coordinates whose pairing is
+    within that threshold of zero (all False for the balls).  The pairings
+    g_j = (1/2) tr[F c_j], Gram^{-1} g and, for a ball whose metric is not
+    the Gram matrix, metric^{-1} g are one product with the constraint's
+    pairing matrix; ||P F||^2 = g . Gram^{-1} g.  Every product is taken row
+    by row, so a row of the result does not depend on the other rows of the
+    stack.  :func:`maximizer` is the one-costate view.
     """
+    l = c.n_controls
     f_real = np.ascontiguousarray(f, dtype=complex).reshape(len(f), -1).view(float)
-    span_real, frame_real = c._real_views
-    coeffs = 0.5 * _row_products(f_real, span_real.T)
-    nrm = np.sqrt(np.einsum("bi,bi->b", coeffs, coeffs))
+    pairs = _row_products(f_real, c._pairing)
+    g, gram_g = pairs[:, :l], pairs[:, l:2 * l]
+    nrm = np.sqrt(np.maximum(np.einsum("bi,bi->b", g, gram_g), 0.0))
     tol = DEFAULT_TOL.singular
     singular = nrm < tol
-    flagged = np.zeros(coeffs.shape[:1] + (c.n_controls,), dtype=bool)
-    if isinstance(c.kind, Typical):
-        u = coeffs * (c.kind.omega / np.maximum(nrm, tol))[:, None]
-        basis_real = span_real
+    if c._ball is None:
+        lo, hi = c._box
+        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
+        flagged = np.abs(g) <= tol
     else:
-        basis_real = frame_real
-        g = 0.5 * _row_products(f_real, frame_real.T)
-        if isinstance(c.kind, Box):
-            lo = np.asarray(c.kind.lo, float)
-            hi = np.asarray(c.kind.hi, float)
-            u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
-            flagged = np.abs(g) <= tol
-        else:
-            # BallInCoords: maximize g . u subject to u^T G u <= r^2
-            metric = np.asarray(c.kind.metric, float)
-            ginv_g = np.linalg.solve(metric, g[:, :, None])[:, :, 0]
-            denom = np.sqrt(np.einsum("bi,bi->b", g, ginv_g))
-            u = ginv_g * (c.kind.radius / np.where(singular, 1.0, denom))[:, None]
-    h = _row_products(u, basis_real).view(complex).reshape(f.shape)
+        # maximize g . u subject to u^T M u <= r^2; for M = Gram the
+        # denominator is ||P F||
+        metric_g, denom = gram_g, nrm
+        if pairs.shape[1] > 2 * l:
+            metric_g = pairs[:, 2 * l:]
+            denom = np.sqrt(np.einsum("bi,bi->b", g, metric_g))
+        u = metric_g * (c._ball[1] / np.where(singular, 1.0, denom))[:, None]
+        flagged = np.zeros(u.shape, dtype=bool)
+    h = _row_products(u, c._frame_real).view(complex).reshape(f.shape)
     h += c.drift
     return h, u, singular, flagged
 
@@ -347,15 +360,17 @@ def is_singular(f: np.ndarray, c: ConstraintSet) -> bool:
 def maximizer(f: np.ndarray, c: ConstraintSet) -> MaximizerResult:
     """Maximize tr[H F] over the constraint set at fixed costate F.
 
-    Returns a singular result when the projection of F onto the control
-    subspace is below ``DEFAULT_TOL.singular`` in the induced norm.
-    Otherwise, with g_j = (1/2) tr[F c_j]:
+    With g_j = (1/2) tr[F c_j] and the frame's Gram matrix G_ij =
+    (1/2) tr[c_i c_j], the projection of F onto the control subspace has
+    ||P F||^2 = g^T G^{-1} g; below ``DEFAULT_TOL.singular`` in the induced
+    norm the result is singular.  Otherwise the controls u are frame
+    coefficients:
 
-    * typical: H_c = omega * P(F) / ||P(F)|| (Cauchy-Schwarz direction,
-      bound saturated);
     * box: per-coordinate bang values by the sign of g_j;
-    * ball: u = r * G^{-1} g / sqrt(g^T G^{-1} g), the metric-gradient
-      direction saturating the quadratic bound.
+    * ball (metric M, radius r): u = r * M^{-1} g / sqrt(g^T M^{-1} g), the
+      metric-gradient direction saturating the quadratic bound.  Typical is
+      the ball with M = G and r = omega, so H_c = omega * P(F) / ||P(F)||
+      (the Cauchy-Schwarz direction).
 
     This is the B = 1 case of the stacked ``_span_maximizer``.
     """

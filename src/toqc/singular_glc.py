@@ -311,15 +311,15 @@ def singular_chain(f: np.ndarray, c: ConstraintSet, h: np.ndarray, depth: int,
 
 
 def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
-             m_max: int = 4,
-             costate_basis: Optional[list[np.ndarray]] = None) -> GLCReport:
+             m_max: int = 4) -> GLCReport:
     """Run the stepwise GLC test at a singular point (H, F).
 
     Orders are scanned from m = 1.  An order whose matrix vanishes as a
     functional of F is skipped; an order that vanishes at this F but not
     identically records, when odd, the linear relations Q^(m)(F) = 0 among
     the costate coefficients as derived conditions and continues; the
-    coefficients are named f1, f2, ... in the order of ``costate_basis``.
+    coefficients are named f1, f2, ... in the order of the generalized
+    Gell-Mann basis.
     An order vanishes at F below ``DEFAULT_TOL.singular`` relative to
     max(1, max |f_a|).  At the first order M with a nonzero value the
     parity and semidefiniteness verdicts are issued: M must be even and
@@ -327,7 +327,7 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
     ``DEFAULT_TOL.semidefinite``, relatively).
     """
     n = chart.dim
-    basis = costate_basis if costate_basis is not None else generalized_gellmann(n)
+    basis = generalized_gellmann(n)
     names = [f"f{a+1}" for a in range(len(basis))]
     stack = np.stack(basis)
     tensors = [np.einsum("xab,ijba->ijx", stack, k).imag

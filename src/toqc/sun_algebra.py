@@ -46,7 +46,6 @@ __all__ = [
     "log_norms",
     "dagger",
     "traceless",
-    "is_traceless_hermitian",
     "is_unitary",
     "unitarity_defect",
     "require_traceless_hermitian",
@@ -73,15 +72,6 @@ def traceless(a: np.ndarray) -> np.ndarray:
     """Remove the trace part: A - (tr A / N) I."""
     n = a.shape[0]
     return a - (np.trace(a) / n) * np.eye(n)
-
-
-def is_traceless_hermitian(a: np.ndarray) -> bool:
-    return (
-        a.ndim == 2
-        and a.shape[0] == a.shape[1]
-        and np.max(np.abs(a - dagger(a))) < DEFAULT_TOL.hermitian
-        and abs(np.trace(a)) < DEFAULT_TOL.trace * max(1.0, float(np.max(np.abs(a))))
-    )
 
 
 def unitarity_defect(u: np.ndarray) -> float | np.ndarray:

@@ -272,6 +272,23 @@ def test_navigation_solve_makes_no_batched_eigh(monkeypatch):
     assert stacks == []
 
 
+def test_zermelo_solve_below_its_bar_keeps_the_protocol():
+    # the closed-form endpoint e^{-i H_d T} e^{-i H_c(0) T} misses this
+    # target by a fidelity of 1.2e-15, rounding only, which a 1e-19 bar
+    # must not turn into a failure without a protocol: the rebuilt
+    # trajectory's residual is the one bar
+    rng = np.random.default_rng(0)
+    drift = random_traceless_hermitian(rng, 3)
+    drift *= 0.3 / hs_norm(drift)
+    target = random_special_unitary(rng, 3)
+    res = br.zermelo_solve(drift, 1.0, target,
+                           br.ShootingOptions(refine_points=256, residual_tol=1e-19))
+    assert not res.converged
+    assert res.protocol is not None and res.protocol.n_cells == 256
+    assert 1e-19 <= res.residual < 1e-9
+    assert res.message == ""
+
+
 def test_zermelo_solve_identity_target():
     for target in (np.eye(2, dtype=complex), exp_op(SIGMA_Z, 1e-11)):
         res = br.zermelo_solve(0.3 * SIGMA_Z, 1.0, target)

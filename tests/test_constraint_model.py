@@ -129,6 +129,41 @@ def test_maximizer_ball_metric_direction():
     np.testing.assert_allclose(r.controls, expected, atol=1e-12)
 
 
+def _near_orthonormal_frame(frame, rng, size):
+    # an accepted Typical frame: orthonormal to within the Gram bar, not to
+    # rounding
+    return tuple(b + size * random_traceless_hermitian(rng, len(b)) for b in frame)
+
+
+def test_typical_maximizer_controls_are_admissible_frame_coefficients():
+    # Gram within 2.3e-11 of I; coefficients on the orthonormalized span,
+    # read on this frame, leave the ball by more than 1e-10
+    rng = np.random.default_rng(7)
+    frame = _near_orthonormal_frame((SIGMA_X, SIGMA_Y, SIGMA_Z), rng, 2.4e-11)
+    c = cm.ConstraintSet(2, 0.3 * SIGMA_Z, frame, cm.Typical(10.0))
+    for _ in range(64):
+        r = cm.maximizer(random_traceless_hermitian(rng, 2), c)
+        assert c.bound_violation(r.controls) <= 1e-14
+        assert np.max(np.abs(c.hamiltonian(r.controls) - r.hamiltonian)) <= 1e-14
+
+
+def test_typical_is_the_gram_metric_ball():
+    rng = np.random.default_rng(9)
+    basis = np.stack(generalized_gellmann(3))
+    q = np.linalg.qr(rng.standard_normal((len(basis), 4)))[0]
+    frame = _near_orthonormal_frame(np.einsum("aj,abc->jbc", q, basis), rng, 1e-11)
+    gram = np.array([[inner(a, b) for b in frame] for a in frame])
+    drift = random_traceless_hermitian(rng, 3)
+    typical = cm.ConstraintSet(3, drift, frame, cm.Typical(1.5))
+    ball = cm.ConstraintSet(3, drift, frame, cm.BallInCoords(1.5, gram))
+    for _ in range(32):
+        f = random_traceless_hermitian(rng, 3)
+        rt, rb = cm.maximizer(f, typical), cm.maximizer(f, ball)
+        assert not rt.singular and not rb.singular
+        np.testing.assert_allclose(rt.controls, rb.controls, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rt.hamiltonian, rb.hamiltonian, rtol=0, atol=1e-14)
+
+
 def test_maximizer_dominates_random_admissible_points():
     c = xy_constraint()
     rng = np.random.default_rng(5)
@@ -182,6 +217,19 @@ def test_is_singular_agrees_with_maximizer():
             p = c.project_control(g)
             f = g - p + 10 ** rng.uniform(-11, -7) * p / hs_norm(p)
             assert cm.is_singular(f, c) == cm.maximizer(f, c).singular
+
+
+def test_singular_test_on_a_linearly_dependent_frame():
+    # two controls on one axis: the Gram matrix is singular, and ||P F|| is
+    # read through its pseudo-inverse
+    c = cm.ConstraintSet(2, 0.3 * SIGMA_Z, (SIGMA_X, 2.0 * SIGMA_X),
+                         cm.Box(-np.ones(2), np.ones(2)))
+    assert not cm.is_singular(1e-8 * SIGMA_X + SIGMA_Y, c)
+    assert cm.is_singular(1e-10 * SIGMA_X + SIGMA_Y, c)
+    r = cm.maximizer(SIGMA_X + SIGMA_Z, c)
+    np.testing.assert_array_equal(r.controls, [1.0, 1.0])
+    np.testing.assert_allclose(r.hamiltonian, 0.3 * SIGMA_Z + 3.0 * SIGMA_X,
+                               rtol=0, atol=1e-15)
 
 
 def test_pontryagin_values():
