@@ -8,16 +8,20 @@ Two complementary engines:
   equalities, and the flow-invariance derivatives of everything already
   established, solving the linear layers at the coefficient level; the
   closing even order is then reduced to sign conditions on the remaining
-  free coefficients and control values.  This is the engine behind the
-  "interior arc" reports of the built-in scenarios.
+  free coefficients and control values.  The flow derivatives and the
+  GLC matrices come from the numeric engine's own recurrence
+  (``singular_glc._r_jets``) run on exact sympy matrices with the unit
+  ``sympy.I``.  This is the engine behind the "interior arc" reports of
+  the built-in scenarios.
 
 * :func:`boundary_closure_study` works numerically at sampled points of a
   quadratic boundary piece.  Condition operators (control directions plus
   first-order GLC brackets of the reduced chart) are closed under the
   costate flow C -> -i[C, H] until the rank saturates; the arc family is
   infeasible when no costate in the surviving null space can carry the
-  normalization tr[H_d F] = 1.  Feasible families are handed to the numeric
-  GLC test.
+  normalization tr[H_d F] = 1 (``singular_glc._normalizable_costate``, the
+  solve behind :func:`~toqc.singular_glc.normalized_singular_costate`).
+  Feasible families are handed to the numeric GLC test.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ import numpy as np
 
 from .constraint_model import BallInCoords, ConstraintSet
 from .errors import ValidationError
-from .singular_glc import ControlChart, GLCReport, boundary_reduce, glc_test
+from .singular_glc import (
+    ControlChart,
+    GLCReport,
+    _normalizable_costate,
+    _r_jets,
+    boundary_reduce,
+    glc_test,
+)
 from .sun_algebra import commutator, expand, generalized_gellmann, reconstruct
 
 __all__ = [
@@ -103,19 +114,12 @@ def arc_model(c: ConstraintSet, omega0: float) -> ArcModel:
     )
 
 
-def _sym_q_matrix(partials, h, f, m):
-    """Planar-chart GLC matrix of order m, constant control, symbolic."""
+def _sym_q_matrix(partials, level, f):
+    """Q_ij = -i tr[[h_j, F] R_i] from one :func:`_r_jets` level, symbolic."""
     import sympy
-    rs = list(partials)
-    for _ in range(m - 1):
-        rs = [sympy.expand(-sympy.I * (r * h - h * r)) for r in rs]
-    l = len(partials)
-    q = sympy.zeros(l, l)
-    for i in range(l):
-        for j in range(l):
-            br = partials[j] * f - f * partials[j]
-            q[i, j] = sympy.expand(-sympy.I * (br * rs[i]).trace())
-    return q
+    brackets = [hj * f - f * hj for hj in partials]
+    return sympy.Matrix(len(partials), len(partials), lambda i, j: sympy.expand(
+        -sympy.I * (brackets[j] * level[i][0]).trace()))
 
 
 def _fmt_equality(row, names) -> str:
@@ -309,7 +313,8 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     f_subs, frees, rref_rows = solve_f_layer()
 
     # odd-order GLC at m = 1 (entries are u-independent on planar charts)
-    q1 = _sym_q_matrix(list(model.partials), H_full, F, 1)
+    partials = list(model.partials)
+    q1 = _sym_q_matrix(partials, _r_jets(partials, [H_full], 1, sympy.I)[0], F)
     q1_entries = [sympy.expand(q1[i, j].subs(f_subs))
                   for i in range(q1.rows) for j in range(q1.cols)]
     if any(e != 0 for e in q1_entries):
@@ -352,9 +357,8 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
         u_rows = []
         H_cur = sympy.expand(H_full.subs(u_subs))
         F_cur = sympy.expand(F.subs(f_subs))
-        for op in condition_operators():
-            d_op = sympy.expand(-sympy.I * (op * H_cur - H_cur * op))
-            expr = sympy.expand((d_op * F_cur).trace())
+        for d_op in _r_jets(condition_operators(), [H_cur], 2, sympy.I)[1]:
+            expr = sympy.expand((d_op[0] * F_cur).trace())
             for phi in frees:
                 coef = sympy.expand(expr.coeff(phi))
                 if coef == 0:
@@ -400,9 +404,9 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     parity_ok = True
     sign_ok = True
     inequalities: list[str] = []
+    levels = _r_jets(partials, [H_cur], m_max, sympy.I)
     for m in range(2, m_max + 1):
-        q = _sym_q_matrix(list(model.partials), H_cur, F_cur, m)
-        q = q.applyfunc(lambda e: sympy.expand(e))
+        q = _sym_q_matrix(partials, levels[m - 1], F_cur)
         if all(e == 0 for e in q):
             continue
         order = m
@@ -500,19 +504,12 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         u[case.eliminate] = np.sqrt(max(r * r - quad, 0.0) / gee)
         full_chart = ControlChart(tuple(c.control_basis), u=u, names=c.control_labels)
         red = boundary_reduce(full_chart, c.kind, case.eliminate)
-        rows = _flow_closure_rows(c, u, red)
-        _, s, vt = np.linalg.svd(rows)
-        rank = int(np.sum(s > 1e-9 * s[0]))
-        null = vt[rank:]
-        if null.shape[0] == 0 or np.max(np.abs(null @ phi)) < 1e-9:
+        coeffs = _normalizable_costate(_flow_closure_rows(c, u, red), phi)
+        if coeffs is None:
             continue  # no normalizable singular costate at this point
         # feasible: normalized costate and numeric GLC verdict
-        weights = null @ phi
-        vec = weights @ null
-        coeffs = vec / float(vec @ phi * 2.0)  # tr[H_d F] = 2 phi . f
-        f_star = reconstruct(coeffs, basis)
-        h = c.hamiltonian(u)
-        rep = glc_test(red, h, f_star, m_max=m_max)
+        rep = glc_test(red, c.hamiltonian(u), reconstruct(coeffs, basis),
+                       m_max=m_max)
         if rep.verdict != "excluded":
             return replace(rep, notes=rep.notes + (
                 f"boundary piece '{case.name}' admits a "

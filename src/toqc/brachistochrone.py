@@ -41,7 +41,6 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 
 from .constraint_model import (
-    Box,
     ConstraintSet,
     Typical,
     _span_maximizer,
@@ -589,12 +588,7 @@ def _fd_jacobian(residuals, x: np.ndarray, lo: np.ndarray,
 
 def _time_scale_estimate(problem: ShootingProblem) -> float:
     c = problem.constraint
-    if isinstance(c.kind, Typical):
-        speed = c.kind.omega
-    elif isinstance(c.kind, Box):
-        speed = float(np.max(np.abs(np.concatenate([c.kind.lo, c.kind.hi]))))
-    else:
-        speed = c.kind.radius
+    speed = c._ball[1] if c._box is None else float(np.max(np.abs(c._box)))
     speed = max(speed + hs_norm(c.drift), 1e-9)
     return max(_target_log_norm(problem.target) / speed, 1e-3)
 

@@ -15,7 +15,10 @@ recurrence
     Q^(m)_{ij} = -i tr[[h_j, F] R^(m-1)_i],
 
 where d/dt expands the chart's explicit time dependence (du/dt enters
-through dH/dt).  The index order in the final trace is fixed so that for a
+through dH/dt).  One recurrence, ``_r_jets``, runs on floats here and on
+exact sympy matrices in the symbolic engine of :mod:`toqc.arc_analysis`
+(which passes the unit sympy.I; this module never imports sympy).  The
+index order in the final trace is fixed so that for a
 planar chart
 
     Q^(1)_{ij} = -i tr[[h_i, h_j] F],
@@ -71,8 +74,8 @@ class ControlChart:
     study.  ``u`` optionally records the control values there (needed for
     boundary reductions).  ``du_dt`` carries the arc's control velocity; when
     omitted the arc is treated as constant-control unless ``time_varying`` is
-    set, in which case orders that need dH/dt raise MissingDerivativeError.
-    The partials are constant along the arc (d h_j/dt = 0, as for planar
+    set, in which case orders from Q^(2) on raise MissingDerivativeError.
+    The partials and dH/dt are constant along the arc (as for planar
     charts).  ``u`` and ``du_dt`` are stored as float arrays; anything but a
     finite vector of length l raises ValidationError.
     """
@@ -124,12 +127,6 @@ class ControlChart:
             return None
         return np.zeros_like(self.partials[0])
 
-    def partial_rates(self) -> Optional[tuple[np.ndarray, ...]]:
-        """d h_j/dt (zero), or None on a time-varying chart without du/dt."""
-        if self.time_varying and self.du_dt is None:
-            return None
-        return tuple(np.zeros_like(h) for h in self.partials)
-
 
 @dataclass(frozen=True, eq=False)
 class GLCReport:
@@ -169,50 +166,53 @@ class GLCReport:
 #
 # A jet is a list [X, X', X'', ...] of successive time derivatives at the
 # evaluation instant.  Commutators obey the Leibniz rule order by order,
-# which is all the recurrence needs.
+# which is all the recurrence needs.  The jet code uses only @, +, - and
+# integer multiples (zeros are built as X - X), so it runs unchanged on
+# numpy arrays and on exact sympy matrices; the caller passes the imaginary
+# unit of its number type.
 
-def _jet_commutator(a: list[np.ndarray], b: list[np.ndarray],
-                    order: int) -> list[np.ndarray]:
+def _jet_commutator(a: list, b: list, order: int) -> list:
     out = []
     for n in range(order + 1):
-        acc = np.zeros_like(a[0])
+        acc = a[0] - a[0]
         for k in range(n + 1):
             acc = acc + comb(n, k) * (a[k] @ b[n - k] - b[n - k] @ a[k])
         out.append(acc)
     return out
 
 
-def _jet(value: np.ndarray, rate: Optional[np.ndarray],
-         order: int) -> list[np.ndarray]:
-    """[X, dX/dt, 0, ...] up to ``order``: the rate is held constant over
-    the arc, and is needed only from order 1 on."""
-    if order < 1:
-        return [value]
-    if rate is None:
-        raise MissingDerivativeError(
-            "chart is time-varying but du/dt was not supplied; the recurrence "
-            "needs it from this order on")
-    return [value, rate] + [np.zeros_like(value)] * (order - 1)
-
-
-def _r_jets(chart: ControlChart, h: np.ndarray, m_max: int) -> list[list[list[np.ndarray]]]:
+def _r_jets(partials: Sequence, h_jet: Sequence, m_max: int,
+            unit=1j) -> list[list[list]]:
     """R^(m)_j for m < m_max as jets: result[m][j] has derivative order
-    m_max - 1 - m.  So dh_j/dt is asked for from m_max = 2 on and dH/dt
-    from m_max = 3 on."""
+    m_max - 1 - m.
+
+    The partials h_j are constant along the arc.  ``h_jet`` lists H and its
+    leading derivatives; the derivatives it leaves out are zero (a rate held
+    constant over the arc, or a constant control).
+    """
     top = m_max - 1
-    h_jet = _jet(h, chart.hamiltonian_rate(), top - 1)
-    rates = chart.partial_rates() or (None,) * chart.n_controls
-    current = [_jet(hj, rate, top) for hj, rate in zip(chart.partials, rates)]
-    levels = [current]
+    h_jet = list(h_jet) + [h_jet[0] - h_jet[0]] * (top - len(h_jet))
+    levels = [[[hj] + [hj - hj] * top for hj in partials]]
     for m in range(1, m_max):
         order = top - m
         nxt = []
-        for jet in current:
-            comm = _jet_commutator(jet, h_jet[: order + 2], order)
-            nxt.append([jet[k + 1] - 1j * comm[k] for k in range(order + 1)])
+        for jet in levels[-1]:
+            comm = _jet_commutator(jet, h_jet, order)
+            nxt.append([jet[k + 1] - unit * comm[k] for k in range(order + 1)])
         levels.append(nxt)
-        current = nxt
     return levels
+
+
+def _chart_r_jets(chart: ControlChart, h: np.ndarray,
+                  m_max: int) -> list[list[list[np.ndarray]]]:
+    """:func:`_r_jets` of a numeric chart at H; dH/dt is needed from
+    m_max = 2 on."""
+    rate = chart.hamiltonian_rate()
+    if rate is None and m_max >= 2:
+        raise MissingDerivativeError(
+            "chart is time-varying but du/dt was not supplied; the recurrence "
+            "needs it from this order on")
+    return _r_jets(chart.partials, [h] if rate is None else [h, rate], m_max)
 
 
 def _q_kernels(chart: ControlChart, h: np.ndarray,
@@ -225,7 +225,7 @@ def _q_kernels(chart: ControlChart, h: np.ndarray,
     """
     hs = np.stack(chart.partials)
     out = []
-    for level in _r_jets(chart, h, m_max):
+    for level in _chart_r_jets(chart, h, m_max):
         r = np.stack([jet[0] for jet in level])
         out.append(np.einsum("iab,jbc->ijac", r, hs)
                    - np.einsum("jab,ibc->ijac", hs, r))
@@ -305,7 +305,7 @@ def singular_chain(f: np.ndarray, c: ConstraintSet, h: np.ndarray, depth: int,
     chart = ControlChart(tuple(c.control_basis), du_dt=du_dt,
                          time_varying=time_varying)
     residuals = [np.array([float(np.trace(jet[0] @ f).real) for jet in level])
-                 for level in _r_jets(chart, h, depth + 1)]
+                 for level in _chart_r_jets(chart, h, depth + 1)]
     normalization = float(np.trace(c.drift @ f).real) - 1.0
     return {"residuals": residuals, "normalization": normalization}
 
@@ -428,26 +428,21 @@ def reparametrization_check(chart_a: ControlChart, chart_b: ControlChart,
     """Verify GLC congruence between two charts of the same Hamiltonian.
 
     With jacobian J[k, i] = dv_k/du_i relating chart_a coordinates u to
-    chart_b coordinates v, the first nonzero order M <= 4 must satisfy
-    Q^(M)(u) = J^T Q^(M)(v) J to ``DEFAULT_TOL.congruence``, and the three
-    sign verdicts (zero, positive semidefinite, negative semidefinite) must
-    agree.
+    chart_b coordinates v, both charts must have the same first nonzero
+    order M <= 4 by the rule of :func:`glc_test`, Q^(M)(u) = J^T Q^(M)(v) J
+    must hold to ``DEFAULT_TOL.congruence``, and the three sign verdicts
+    (zero, positive semidefinite, negative semidefinite) must agree.
     """
     jac = np.asarray(jacobian, float)
     if abs(np.linalg.det(jac)) < 1e-10:
         raise ValidationError("jacobian is not invertible")
-    qa = glc_matrices(chart_a, h, f, 4)
-    qb = glc_matrices(chart_b, h, f, 4)
-    scale_a = [np.max(np.abs(q)) for q in qa]
-    scale_b = [np.max(np.abs(q)) for q in qb]
-    thresh = 1e-10 * max(1.0, max(scale_a), max(scale_b))
-    order_a = next((m for m, s in enumerate(scale_a, start=1) if s > thresh), None)
-    order_b = next((m for m, s in enumerate(scale_b, start=1) if s > thresh), None)
-    if order_a != order_b:
+    rep_a = glc_test(chart_a, h, f, 4)
+    rep_b = glc_test(chart_b, h, f, 4)
+    if rep_a.order != rep_b.order:
         return False
-    if order_a is None:
+    if rep_a.order is None:
         return True
-    qa_m, qb_m = qa[order_a - 1], qb[order_a - 1]
+    qa_m, qb_m = rep_a.matrices[rep_a.order - 1], rep_b.matrices[rep_a.order - 1]
     congruent = np.max(np.abs(qa_m - jac.T @ qb_m @ jac)) <= \
         DEFAULT_TOL.congruence * max(1.0, float(np.max(np.abs(qa_m))))
     return bool(congruent and _sign_flags(qa_m) == _sign_flags(qb_m))
@@ -463,20 +458,29 @@ def bracket_obstruction(c: ConstraintSet) -> bool:
     return classify(c).drift_in_bracket
 
 
+def _normalizable_costate(rows: np.ndarray,
+                          phi: np.ndarray) -> Optional[np.ndarray]:
+    """Minimal-norm Gell-Mann coefficients f with rows . f = 0 and
+    2 phi . f = tr[H_d F] = 1, or None when the SVD null space of ``rows``
+    (rank cut 1e-9 relative) holds no f pairing with the drift's phi."""
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    null = vt[rank:]
+    if null.shape[0] == 0 or np.max(np.abs(null @ phi)) < 1e-9:
+        return None
+    vec = (null @ phi) @ null  # phi projected on the null space
+    return vec / float(vec @ phi * 2.0)
+
+
 def normalized_singular_costate(c: ConstraintSet) -> Optional[np.ndarray]:
-    """A costate with tr[c_j F] = 0 for all j and tr[H_d F] = 1, if any.
+    """The minimal-norm costate with tr[c_j F] = 0 for all j and
+    tr[H_d F] = 1, if any.
 
     Returns None when the linear system is infeasible -- which is always the
     case for lollipop constraints, where the drift lies inside the control
     subspace and the normalization contradicts the singularity conditions.
     """
     basis = generalized_gellmann(c.dim)
-    rows = [2.0 * expand(cj, basis) for cj in c.control_basis]
-    rows.append(2.0 * expand(c.drift, basis))
-    a = np.stack(rows)
-    b = np.zeros(len(rows))
-    b[-1] = 1.0
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.linalg.norm(a @ coeffs - b) > 1e-8:
-        return None
-    return reconstruct(coeffs, basis)
+    rows = np.stack([expand(cj, basis) for cj in c.control_basis])
+    coeffs = _normalizable_costate(rows, expand(c.drift, basis))
+    return None if coeffs is None else reconstruct(coeffs, basis)

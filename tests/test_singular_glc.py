@@ -511,3 +511,38 @@ def test_lotus_leaf_admits_normalized_singular_costate():
     assert f is not None
     assert abs(np.trace(lz.drift @ f).real - 1.0) < 1e-10
     assert cm.is_singular(f, lz)
+
+
+def lstsq_singular_costate(c):
+    """The minimal-norm normalized singular costate by least squares, with a
+    1e-8 residual bar for feasibility (test oracle)."""
+    basis = generalized_gellmann(c.dim)
+    a = np.stack([2.0 * expand(m, basis) for m in (*c.control_basis, c.drift)])
+    b = np.zeros(len(a))
+    b[-1] = 1.0
+    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if np.linalg.norm(a @ coeffs - b) > 1e-8:
+        return None
+    return sum(x * tau for x, tau in zip(coeffs, basis))
+
+
+def test_normalized_singular_costate_is_the_minimal_norm_solution():
+    rng = np.random.default_rng(211)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        l = int(rng.integers(1, n * n - 1))
+        frame = tuple(random_traceless_hermitian(rng, n) for _ in range(l))
+        c = cm.ConstraintSet(n, random_traceless_hermitian(rng, n), frame,
+                             cm.Box(-np.ones(l), np.ones(l)))
+        assert cm.classify(c).type_label == "lotus_leaf"
+        f = sg.normalized_singular_costate(c)
+        for cj in c.control_basis:
+            assert abs(np.trace(cj @ f)) < 1e-12
+        assert abs(np.trace(c.drift @ f) - 1.0) < 1e-12
+        assert cm.is_singular(f, c)
+        np.testing.assert_allclose(f, lstsq_singular_costate(c), rtol=0, atol=1e-12)
+        # lollipop: the drift inside the span admits no normalized costate
+        lolli = cm.ConstraintSet(n, sum(rng.standard_normal() * x for x in frame),
+                                 frame, cm.Box(-np.ones(l), np.ones(l)))
+        assert sg.normalized_singular_costate(lolli) is None
+        assert lstsq_singular_costate(lolli) is None

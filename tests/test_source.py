@@ -107,6 +107,19 @@ def test_cli_import_leaves_sympy_unloaded():
     assert out.strip() == "False"
 
 
+def test_numeric_glc_run_leaves_sympy_unloaded():
+    # a boundary-arc audit runs only the numeric GLC engine, which shares
+    # its recurrence with the symbolic one but must not import sympy
+    code = ("import contextlib, io, sys, toqc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = toqc.cli.main(['glc', '--scenario', 'symmetric_two_qubit',"
+            " '--arc', 'boundary-b3'])\n"
+            "print(rc, 'sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0 False"
+
+
 def test_bench_tracer_reaches_every_shooting_layer(monkeypatch):
     # the benchmark's per-layer numbers bind the shooting helpers by name and
     # read their results; a refactor that renames a helper or reshapes what
