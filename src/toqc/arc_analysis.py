@@ -258,8 +258,11 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     order is reduced to sign conditions.  The verdict is "excluded" when the
     conditions force tr[H_d F] = 0 (no normal singular arc exists) or when
     the closing order fails parity/semidefiniteness, and "consistent"
-    otherwise, with the full derived condition set attached.
+    otherwise, with the full derived condition set attached.  m_max < 1
+    raises ValidationError.
     """
+    if m_max < 1:
+        raise ValidationError("m_max must be >= 1")
     import sympy
     f_syms = list(model.costate_syms)
     u_syms = list(model.control_syms)
@@ -479,8 +482,13 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
     condition operators under the costate flow, and checks whether any
     costate in the surviving null space can carry tr[H_d F] = 1.  When no
     sampled point admits one the family is excluded outright; otherwise the
-    numeric GLC test is run on the canonical surviving costate.
+    numeric GLC test is run on the canonical surviving costate.  A seed
+    that is not an integer >= 0, or m_max < 1, raises ValidationError.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if m_max < 1:
+        raise ValidationError("m_max must be >= 1")
     if not isinstance(c.kind, BallInCoords):
         raise ValidationError("boundary study needs a coefficient-ball constraint")
     rng = np.random.default_rng(seed)

@@ -47,6 +47,7 @@ from .constraint_model import (
     maximizer,
 )
 from .dynamics import (
+    PROJECTION_PERIOD,
     ConservationReport,
     Protocol,
     Trajectory,
@@ -106,8 +107,8 @@ class ShootingOptions:
     shooting start is accepted below max(1e-6, residual_tol).  The time
     horizon (from the target's log norm and the speed bound) and the 200
     residual evaluations per least-squares stage are fixed by the solvers.
-    Counts must be integers >= 1, grid_points >= 16, and residual_tol finite
-    and > 0 (else ValidationError).
+    Counts must be integers >= 1, the seed an integer >= 0, grid_points >=
+    16, and residual_tol finite and > 0 (else ValidationError).
     """
 
     grid_points: int = 128
@@ -118,14 +119,13 @@ class ShootingOptions:
     refine_points: int = 16384
 
     def __post_init__(self):
-        for name in ("grid_points", "refine_points", "multistarts",
-                     "stop_after_converged"):
+        for name, least in (("grid_points", 16), ("refine_points", 1),
+                            ("multistarts", 1), ("stop_after_converged", 1),
+                            ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.grid_points < 16:
-            raise ValidationError(
-                f"grid_points must be at least 16, got {self.grid_points!r}")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValidationError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise ValidationError(
                 f"residual_tol must be finite and positive, got {self.residual_tol!r}")
@@ -415,97 +415,75 @@ def interaction_picture_reduce(c: ConstraintSet) -> dict:
 
 def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
                   t_final: float | np.ndarray, n_cells: int,
-                  record: bool = False, u0: Optional[np.ndarray] = None,
-                  hold: Optional[tuple[np.ndarray, np.ndarray]] = None):
+                  record: bool = False, u0: Optional[np.ndarray] = None):
     """March the maximizer-consistent flow of B costates in lockstep.
 
-    Each cell takes H from F pointwise and again at the half-step costate
-    (the exponential midpoint rule), steps U and F by exp(-i dt H), and
-    every 64 cells polar-projects U and resets F = U F0 U^dagger.  ``f0`` is
-    a stack (B, N, N); ``t_final`` is a scalar or one time per member, so
-    each member has its own dt.  ``u0`` (B, N, N) starts the members at
-    given unitaries (F = U0 F0 U0^dagger) instead of the identity.  A
-    singular cell holds the previous cell's (H, u); ``hold`` is that state
-    at the start, a pair of stacks, and defaults to the drift with u = 0.
-    Each stage of a cell is one :func:`_span_maximizer` call and one
-    :func:`_expm_step` call on the whole stack, so B members cost about as
-    much as one.
+    A member's only state is its unitary U.  Each cell takes the costate
+    F = U F0 U^dagger, takes H from F pointwise and again at the half-step
+    costate (the exponential midpoint rule) and steps U by exp(-i dt H);
+    every ``PROJECTION_PERIOD`` cells U is polar-projected.  At a singular
+    costate H is the maximizer's own choice, the admissible control nearest
+    zero.  ``f0`` is a stack (B, N, N); ``t_final`` is a scalar or one time
+    per member, so each member has its own dt.  ``u0`` (B, N, N) starts the
+    members at given unitaries instead of the identity.  Each stage of a
+    cell is one :func:`_span_maximizer` call and one :func:`_expm_step`
+    call on the whole stack, so B members cost about as much as one.
 
-    Returns (U, F, hold, controls, singular) at the end of the march, each
-    stacked over the members: controls is (B, n_cells, l) with ``record``
-    (None without), singular a (B, n_cells) mask.
+    Returns (U, F, singular, controls) at the end of the march, each
+    stacked over the members: singular is a (B, n_cells) mask of the cells
+    whose start costate is singular, controls (B, n_cells, l) with
+    ``record`` (None without).
     """
     n, b = constraint.dim, len(f0)
     dt = np.broadcast_to(np.asarray(t_final, dtype=float) / n_cells, (b,))
     half_dt = 0.5 * dt
-    if u0 is None:
-        u_mat, f = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)), f0
-    else:
-        u_mat, f = u0, u0 @ f0 @ dagger(u0)
-    hold_h, hold_u = hold if hold is not None else (
-        np.broadcast_to(constraint.drift, (b, n, n)),
-        np.zeros((b, constraint.n_controls)))
+    u_mat = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)) if u0 is None else u0
     singular = np.zeros((b, n_cells), dtype=bool)
     controls = np.zeros((b, n_cells, constraint.n_controls)) if record else None
     for k in range(n_cells):
-        h, uk, sing, _ = _span_maximizer(f, constraint)
-        if sing.any():
-            h = np.where(sing[:, None, None], hold_h, h)
-            uk = np.where(sing[:, None], hold_u, uk)
+        f = u_mat @ f0 @ dagger(u_mat)
+        h, _, singular[:, k], _ = _span_maximizer(f, constraint)
         half = _expm_step(h, half_dt)
-        h2, u2, sing2, _ = _span_maximizer(half @ f @ dagger(half), constraint)
-        keep = sing | sing2
-        if keep.any():
-            h2 = np.where(keep[:, None, None], h, h2)
-            u2 = np.where(keep[:, None], uk, u2)
-        h, uk = h2, u2
-        step = _expm_step(h, dt)
-        u_mat = step @ u_mat
-        if (k + 1) % 64 == 0:
+        h, uk, _, _ = _span_maximizer(half @ f @ dagger(half), constraint)
+        u_mat = _expm_step(h, dt) @ u_mat
+        if (k + 1) % PROJECTION_PERIOD == 0:
             u_mat = reunitarize(u_mat)
-            f = u_mat @ f0 @ dagger(u_mat)
-        else:
-            f = step @ f @ dagger(step)
-        hold_h, hold_u = h, uk
-        singular[:, k] = sing
         if record:
             controls[:, k] = uk
-    return u_mat, f, (hold_h, hold_u), controls, singular
+    return u_mat, u_mat @ f0 @ dagger(u_mat), singular, controls
 
 
 def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
                    n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Controls (K, l) and singular-cell indices of the march of ``f0`` on
-    K = ``n_cells`` cells, by parareal over its 64-cell projection blocks.
+    K = ``n_cells`` cells, by parareal over its projection blocks
+    (``PROJECTION_PERIOD`` cells each).
 
-    The unknowns are the block-start unitaries U_s.  The coarse propagator
-    G is one march cell across a block, stepped serially; the fine one F
-    marches every block from its start in lockstep.  Both end with the
-    polar projection (without it the iteration diverges).  Each sweep sets
-    U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old) for every block, carries
-    each block's hold state from the fine pass of the block before it, and
+    The unknowns are the block-start unitaries U_s; the march is stateless,
+    so a block depends on its start alone.  The coarse propagator G is one
+    march cell across a block, stepped serially; the fine one F marches
+    every block from its start in lockstep.  Both end with the polar
+    projection (without it the iteration diverges).  Each sweep sets
+    U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old) for every block and
     stops after at most K/64 - 1 sweeps.  With ``moved`` the largest entry
     change of a start in a sweep, it stops when moved <= tol
     (``DEFAULT_TOL.parareal``) or when the next sweep's correction, which
     superlinear convergence predicts as moved^2 / moved of the sweep
     before, is below tol too.  One recording pass over all blocks then
-    gives the controls; a last partial block is marched 64 cells and cut
-    to K.
+    gives the controls; a last partial block is marched a full block and
+    cut to K.
     """
-    n, block = constraint.dim, 64
+    n, block = constraint.dim, PROJECTION_PERIOD
     n_blocks = -(-n_cells // block)
     width = min(block, n_cells)
     t_width = t_final if n_cells <= block else t_final * block / n_cells
     starts = np.empty((n_blocks, n, n), dtype=complex)
     starts[0] = np.eye(n)
-    hold_h = np.array(np.broadcast_to(constraint.drift, starts.shape))
-    hold_u = np.zeros((n_blocks, constraint.n_controls))
     f_stack = np.broadcast_to(f0, starts.shape)
 
     def coarse(s: int) -> np.ndarray:
         one = slice(s, s + 1)
-        u_end = _coupled_flow(constraint, f_stack[one], t_width, 1, u0=starts[one],
-                              hold=(hold_h[one], hold_u[one]))[0]
+        u_end = _coupled_flow(constraint, f_stack[one], t_width, 1, u0=starts[one])[0]
         return reunitarize(u_end[0])
 
     coarse_old = np.empty_like(starts)
@@ -513,10 +491,8 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
         coarse_old[s] = starts[s + 1] = coarse(s)
     tol, moved_before = DEFAULT_TOL.parareal, 0.0
     for _ in range(n_blocks - 1):
-        fine, _, (h_end, u_end), _, _ = _coupled_flow(
-            constraint, f_stack[:-1], t_width, block, u0=starts[:-1],
-            hold=(hold_h[:-1], hold_u[:-1]))
-        hold_h[1:], hold_u[1:] = h_end, u_end
+        fine = _coupled_flow(constraint, f_stack[:-1], t_width, block,
+                             u0=starts[:-1])[0]
         moved = 0.0
         for s in range(n_blocks - 1):
             g = coarse(s)
@@ -527,9 +503,8 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
         if moved <= tol or moved * moved <= tol * moved_before:
             break
         moved_before = moved
-    _, _, _, controls, singular = _coupled_flow(
-        constraint, f_stack, t_width, width, record=True, u0=starts,
-        hold=(hold_h, hold_u))
+    _, _, singular, controls = _coupled_flow(
+        constraint, f_stack, t_width, width, record=True, u0=starts)
     return (controls.reshape(-1, constraint.n_controls)[:n_cells],
             np.flatnonzero(singular.ravel()[:n_cells]))
 
@@ -560,7 +535,7 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
     seeds = [_normalize_seed(constraint, f) for f in reconstruct(xs[:, :-1], basis)]
     regular = np.array([f is not None for f in seeds])
     # a seed that cannot be rescaled is marched as the zero costate
-    u_t, _, _, _, sing = _coupled_flow(
+    u_t, _, sing, _ = _coupled_flow(
         constraint, np.stack([np.zeros((n, n)) if f is None else f for f in seeds]),
         xs[:, -1], n_cells)
     m = u_t @ dagger(target)
@@ -651,7 +626,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
     if f_star is None:
         return None
     t_star = float(sol.x[-1])
-    u_t, _, _, _, sing = _coupled_flow(c, f_star[None], t_star, k_cells)
+    u_t, _, sing, _ = _coupled_flow(c, f_star[None], t_star, k_cells)
     fid = fidelity_residual(u_t[0], problem.target)
     return {
         "start": start_index, "f0": f_star, "T": t_star, "fidelity": fid,

@@ -304,9 +304,11 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
 
     Returns (H, u, singular, flagged): the maximizing Hamiltonians (B, N, N),
     their frame coefficients (B, l), the rows whose projection onto the
-    control subspace has norm below ``DEFAULT_TOL.singular`` (their H and u
-    are placeholders), and for the box kind the coordinates whose pairing is
-    within that threshold of zero (all False for the balls).  The pairings
+    control subspace has norm below ``DEFAULT_TOL.singular``, and for the
+    box kind the coordinates whose pairing is within that threshold of zero
+    (all False for the balls).  At a singular row every admissible control
+    maximizes; the row takes the one nearest zero, clip(0, lo, hi) for a
+    box and 0 for a ball.  The pairings
     g_j = (1/2) tr[F c_j], Gram^{-1} g and, for a ball whose metric is not
     the Gram matrix, metric^{-1} g are one product with the constraint's
     pairing matrix; ||P F||^2 = g . Gram^{-1} g.  Every product is taken row
@@ -322,9 +324,11 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
     singular = nrm < tol
     if c._ball is None:
         lo, hi = c._box
-        u = np.where(g > tol, hi, np.where(g < -tol, lo, np.clip(0.0, lo, hi)))
+        nearest = np.clip(0.0, lo, hi)
+        u = np.where(g > tol, hi, np.where(g < -tol, lo, nearest))
         flagged = np.abs(g) <= tol
     else:
+        nearest = 0.0
         # maximize g . u subject to u^T M u <= r^2; for M = Gram the
         # denominator is ||P F||
         metric_g, denom = gram_g, nrm
@@ -333,6 +337,7 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
             denom = np.sqrt(np.einsum("bi,bi->b", g, metric_g))
         u = metric_g * (c._ball[1] / np.where(singular, 1.0, denom))[:, None]
         flagged = np.zeros(u.shape, dtype=bool)
+    u[singular] = nearest   # every admissible u maximizes there
     h = _row_products(u, c._frame_real).view(complex).reshape(f.shape)
     h += c.drift
     return h, u, singular, flagged

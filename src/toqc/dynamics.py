@@ -24,6 +24,11 @@ from .sun_algebra import (
 )
 from .tolerances import DEFAULT_TOL
 
+# cells between the polar projections of a long product of steps; the
+# shooting march projects on the same period, and its parareal rebuild
+# reproduces the serial march only with blocks of this length
+PROJECTION_PERIOD = 64
+
 __all__ = [
     "Protocol",
     "Trajectory",
@@ -153,9 +158,9 @@ def reunitarize(u: np.ndarray) -> np.ndarray:
 def evolve_unitary(protocol: Protocol) -> Trajectory:
     """Integrate i dU/dt = H(t) U with U(0) = 1 by exact exponential steps.
 
-    Every 64 steps the accumulated product is polar-projected back onto the
-    unitary group, so rounding does not build up over long grids (keeps
-    tr[F^2] frozen to ~1e-14 even at 10^5 cells).
+    Every ``PROJECTION_PERIOD`` (64) steps the accumulated product is
+    polar-projected back onto the unitary group, so rounding does not build
+    up over long grids (keeps tr[F^2] frozen to ~1e-14 even at 10^5 cells).
 
     The running product is blocked along those 64-cell projection blocks:
     the prefix products inside every block are formed for all blocks at
@@ -166,7 +171,7 @@ def evolve_unitary(protocol: Protocol) -> Trajectory:
     """
     n = protocol.constraint.dim
     k_cells = protocol.n_cells
-    block = 64
+    block = PROJECTION_PERIOD
     steps = exp_op(protocol.hamiltonians(), np.diff(protocol.grid))
     out = np.empty((k_cells + 1, n, n), dtype=complex)
     out[0] = np.eye(n)

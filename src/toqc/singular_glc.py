@@ -324,8 +324,11 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
     max(1, max |f_a|).  At the first order M with a nonzero value the
     parity and semidefiniteness verdicts are issued: M must be even and
     (-1)^(M/2) Q^(M) negative semidefinite (eigenvalues <=
-    ``DEFAULT_TOL.semidefinite``, relatively).
+    ``DEFAULT_TOL.semidefinite``, relatively).  m_max < 1 raises
+    ValidationError.
     """
+    if m_max < 1:
+        raise ValidationError("m_max must be >= 1")
     n = chart.dim
     basis = generalized_gellmann(n)
     names = [f"f{a+1}" for a in range(len(basis))]

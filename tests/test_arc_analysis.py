@@ -81,6 +81,28 @@ def test_boundary_study_needs_ball_kind():
         boundary_closure_study(sc.constraint, BoundaryCase("x", (), 0))
 
 
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_glc_engines_refuse_m_max_below_one(m_max):
+    # with no order to examine, each engine used to return a verdict:
+    # "inconclusive", or on boundary-b3 "excluded" without running the test
+    sc = get_scenario("symmetric_two_qubit")
+    with pytest.raises(ValidationError, match="m_max"):
+        derive_singular_structure(sc.arc_model(), m_max=m_max)
+    for case in sc.boundary_cases:
+        with pytest.raises(ValidationError, match="m_max"):
+            boundary_closure_study(sc.constraint, case, m_max=m_max)
+    chart = ControlChart((SIGMA_Z,))
+    with pytest.raises(ValidationError, match="m_max"):
+        glc_test(chart, SIGMA_Z, SIGMA_Z, m_max=m_max)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_boundary_study_refuses_a_bad_seed(seed):
+    sc = get_scenario("symmetric_two_qubit")
+    with pytest.raises(ValidationError, match="seed"):
+        boundary_closure_study(sc.constraint, sc.boundary_cases[0], seed=seed)
+
+
 def test_interior_closure_numeric_cross_check():
     # numeric counterpart of the symbolic interior study: at an interior
     # point with any field component on, the flow closure leaves no

@@ -311,6 +311,7 @@ def test_solvers_validate_the_target():
     ("refine_points", 0), ("multistarts", 0), ("stop_after_converged", 0),
     ("residual_tol", float("nan")), ("residual_tol", float("inf")),
     ("residual_tol", 0.0), ("residual_tol", -1.0),
+    ("seed", -1), ("seed", 1.5),
 ])
 def test_shooting_options_refuse_bad_values(field, value):
     # each of these used to fail deep inside a solve (IndexError, numpy
@@ -461,13 +462,14 @@ def test_shooting_control_saturation_typical():
 
 def test_shooting_singular_hold_mechanism():
     # a costate orthogonal to the control subspace keeps the maximizer
-    # singular along the whole flow; the hold rule then runs pure drift
+    # singular along the whole flow; its nearest-zero control, u = 0 in this
+    # box, then runs pure drift
     from toqc.brachistochrone import _coupled_flow
     from toqc.constraint_model import Box
     c = ConstraintSet(2, 0.8 * SIGMA_Z, (SIGMA_X,),
                       Box(np.array([-1.0]), np.array([1.0])))
     f0 = SIGMA_Z / (2 * 0.8)
-    u_end, _, _, controls, singular = _coupled_flow(
+    u_end, _, singular, controls = _coupled_flow(
         c, f0[None], 1.0, 64, record=True)
     assert singular[0].all()
     np.testing.assert_allclose(controls[0], 0.0, atol=1e-14)
@@ -603,21 +605,24 @@ def _reference_step(h, dt):
 
 
 def _serial_march(c, f0, t_final, n_cells):
-    """The one-costate, one-cell-at-a-time march: controls and singular cells."""
+    """The one-costate, one-cell-at-a-time march: controls and singular cells.
+
+    A singular costate takes the admissible control nearest zero, at the
+    cell start and at the half step alike.
+    """
+    from toqc.constraint_model import Box
     u_mat, f, dt = np.eye(c.dim, dtype=complex), f0, t_final / n_cells
     controls, singular = np.zeros((n_cells, c.n_controls)), []
-    prev_h, prev_u = c.drift, np.zeros(c.n_controls)
+    nearest = (np.clip(0.0, c.kind.lo, c.kind.hi) if isinstance(c.kind, Box)
+               else np.zeros(c.n_controls))
+    idle = c.hamiltonian(nearest), nearest
     for k in range(n_cells):
         out = _reference_maximizer(f, c)
         if out is None:
-            h, uk = prev_h, prev_u
             singular.append(k)
-        else:
-            h, uk = out
-            half = _reference_step(h, 0.5 * dt)
-            out2 = _reference_maximizer(half @ f @ half.conj().T, c)
-            if out2 is not None:
-                h, uk = out2
+        h, _ = out or idle
+        half = _reference_step(h, 0.5 * dt)
+        h, uk = _reference_maximizer(half @ f @ half.conj().T, c) or idle
         step = _reference_step(h, dt)
         u_mat = step @ u_mat
         if (k + 1) % 64 == 0:
@@ -625,7 +630,6 @@ def _serial_march(c, f0, t_final, n_cells):
             f = u_mat @ f0 @ u_mat.conj().T
         else:
             f = step @ f @ step.conj().T
-        prev_h, prev_u = h, uk
         controls[k] = uk
     return controls, singular
 
@@ -648,21 +652,26 @@ def _rebuild_cases():
     ball = symmetric_two_qubit(0.5, 1.0).constraint
     hold = ConstraintSet(2, 0.8 * SIGMA_Z, (SIGMA_X,),
                          Box(np.array([-1.0]), np.array([1.0])))
+    off_zero = ConstraintSet(2, 0.8 * SIGMA_Z, (SIGMA_X,),
+                             Box(np.array([0.5]), np.array([1.0])))
     return {
         "su2": (full_su2(0.3, 1.0), _seed(full_su2(0.3, 1.0), rng), 1.7, 4096),
         "su3": (su3, _seed(su3, rng), 1.9, 2048),
         "box": (lz, _seed(lz, rng), 2.5, 2048),
         "ball": (ball, _seed(ball, rng), 2.2, 2048),
         "hold": (hold, SIGMA_Z / (2 * 0.8), 1.0, 256),
+        "off_zero": (off_zero, SIGMA_Z / (2 * 0.8), 1.0, 256),
         "ragged": (full_su2(0.3, 1.0), _seed(full_su2(0.3, 1.0), rng), 1.3, 1000),
     }
 
 
-@pytest.mark.parametrize("case", ["su2", "su3", "box", "ball", "hold", "ragged"])
+@pytest.mark.parametrize("case", ["su2", "su3", "box", "ball", "hold",
+                                  "off_zero", "ragged"])
 def test_dense_rebuild_matches_the_serial_march(case):
     # the parareal rebuild reproduces the serial march: same controls to
-    # 1e-12 and the same singular cells, also across a held singular
-    # stretch and on a grid that is not a multiple of the 64-cell block
+    # 1e-12 and the same singular cells, also across a singular stretch, at
+    # a singular start whose nearest-zero control is not 0 (a box that
+    # excludes 0), and on a grid that is not a multiple of the 64-cell block
     c, f0, t_final, n_cells = _rebuild_cases()[case]
     ref_controls, ref_singular = _serial_march(c, f0, t_final, n_cells)
     controls, singular = br._dense_rebuild(c, f0, t_final, n_cells)
@@ -671,6 +680,8 @@ def test_dense_rebuild_matches_the_serial_march(case):
     assert list(singular) == ref_singular
     if case == "hold":
         assert len(singular) == n_cells
+    # every control is admissible, so the controls make a Protocol
+    dyn.Protocol(c, np.linspace(0.0, t_final, n_cells + 1), controls)
 
 
 def test_dense_rebuild_stops_on_the_predicted_correction(monkeypatch):
@@ -801,6 +812,35 @@ def test_stacked_maximizer_equals_the_per_costate_maximizer():
     assert maximizer(0.5 * SIGMA_X, box2).partially_singular == (1,)
 
 
+def test_singular_rows_take_the_admissible_control_nearest_zero():
+    # at a singular costate every admissible control maximizes tr[H F]; the
+    # stacked maximizer's rows take the one nearest zero, so a march that
+    # steps with them stays admissible, also in a box that excludes 0
+    from toqc.constraint_model import BallInCoords, Box, _span_maximizer
+    from toqc.scenarios import symmetric_two_qubit
+    rng = np.random.default_rng(9)
+    boxes = [(np.array([-1.0, -0.5]), np.array([1.0, 2.0])),
+             (np.array([0.5, -2.0]), np.array([1.0, -1.0]))]
+    cases = [ConstraintSet(2, 0.5 * SIGMA_Z, (SIGMA_X, SIGMA_Y), Box(lo, hi))
+             for lo, hi in boxes]
+    cases += [full_su2(0.3, 1.0), one_qubit_xy(0.5, 1.0).constraint,
+              symmetric_two_qubit(0.5, 1.0).constraint]
+    for c in cases:
+        fs = np.stack([random_traceless_hermitian(rng, c.dim) for _ in range(4)])
+        fs[::2] -= np.stack([c.project_control(f) for f in fs[::2]])
+        h, u, singular, _ = _span_maximizer(fs, c)
+        assert list(singular) == [True, False, True, False]
+        if isinstance(c.kind, Box):
+            nearest = np.clip(0.0, c.kind.lo, c.kind.hi)
+        else:
+            assert isinstance(c.kind, (Typical, BallInCoords))
+            nearest = np.zeros(c.n_controls)
+        assert np.array_equal(u[singular], np.stack([nearest, nearest]))
+        np.testing.assert_allclose(h[singular], c.hamiltonian(u[singular]),
+                                   rtol=0, atol=1e-15)
+        assert np.all(c.bound_violation(u[singular]) == 0.0)
+
+
 def test_expm_step_edge_cases():
     import scipy.linalg
     rng = np.random.default_rng(12)
@@ -814,12 +854,27 @@ def test_expm_step_edge_cases():
         np.testing.assert_allclose(br._expm_step(hs, dts), ref, rtol=0, atol=1e-14)
 
 
+def _dop853_endpoint(c, f0, t_final, tol):
+    """U(T) of the extremal flow U' = -i H(U F0 U^dagger) U by DOP853, with
+    H the maximizer Hamiltonian: no grid, no march, no exponential."""
+    from scipy.integrate import solve_ivp
+    n = c.dim
+
+    def rhs(_, y):
+        u = y.view(complex).reshape(n, n)
+        h = maximizer(u @ f0 @ u.conj().T, c).hamiltonian
+        return (-1j * h @ u).ravel().view(float)
+
+    y0 = np.eye(n, dtype=complex).ravel().view(float)
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=tol, atol=tol)
+    return sol.y[:, -1].copy().view(complex).reshape(n, n)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_march_is_second_order(n):
     # the march's endpoint against DOP853 on U' = -i H(U F0 U^dagger) U,
     # with H the maximizer Hamiltonian; the exponential midpoint rule makes
     # the error fall as dt^2 (a one-stage march would be first order)
-    from scipy.integrate import solve_ivp
     rng = np.random.default_rng(50 + n)
     if n == 2:
         c = full_su2(0.3, 1.0)
@@ -828,20 +883,32 @@ def test_march_is_second_order(n):
                           tuple(generalized_gellmann(3))[:5], Typical(1.0))
     f0 = _seed(c, rng)
     t_final = 2.0
-
-    def rhs(_, y):
-        u = y.view(complex).reshape(n, n)
-        h = maximizer(u @ f0 @ u.conj().T, c).hamiltonian
-        return (-1j * h @ u).ravel().view(float)
-
-    y0 = np.eye(n, dtype=complex).ravel().view(float)
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-13, atol=1e-13)
-    exact = sol.y[:, -1].copy().view(complex).reshape(n, n)
+    exact = _dop853_endpoint(c, f0, t_final, 1e-13)
     cells = np.array([24, 48, 96, 192])
     errors = [np.max(np.abs(br._coupled_flow(c, f0[None], t_final, k)[0][0] - exact))
               for k in cells]
     order = -np.polyfit(np.log(cells), np.log(errors), 1)[0]
     assert 1.9 <= order <= 2.1, errors
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "su3"])
+def test_returned_extremal_matches_an_independent_integrator(case):
+    # the endpoint of a returned extremal, rebuilt on 16384 cells, against
+    # DOP853 on the extremal flow from its costate0 over its T: about 1e-9
+    # (3e-9 for SU(3)); a first-order march would leave about 1e-4
+    from dataclasses import replace
+    if case == "su3":
+        problem = _su3_shooting_problem()
+        problem = replace(problem, options=replace(problem.options,
+                                                   refine_points=16384))
+    else:
+        opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=40,
+                                  stop_after_converged=3, refine_points=16384)
+        problem = br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(case), opts)
+    res = br.solve_shooting(problem)
+    assert res.converged
+    exact = _dop853_endpoint(problem.constraint, res.costate0, res.T, 1e-12)
+    assert np.max(np.abs(res.trajectory.final_unitary - exact)) < 1e-7
 
 
 def test_each_jacobian_costs_one_march(monkeypatch):

@@ -293,6 +293,22 @@ def test_cli_exit_codes(tmp_path):
             rc, _, err = run_cli(command, "--constraint", str(cpath),
                                  "--target", str(upath), "--tol", tol)
             assert rc == 2 and "residual_tol" in err, (command, tol, rc, err)
+    # a negative seed used to reach numpy's generator and die with exit 1
+    for args in (("solve", "--scenario", "one_qubit_xy", "--alpha", "0.5"),
+                 ("zermelo", "--constraint", str(cpath), "--target", str(upath)),
+                 ("glc", "--scenario", "symmetric_two_qubit",
+                  "--arc", "boundary-b3")):
+        rc, _, err = run_cli(*args, "--seed", "-1")
+        assert rc == 2 and "seed" in err, (args, rc, err)
+
+
+@pytest.mark.parametrize("m_max", ["0", "-1"])
+def test_cli_glc_refuses_m_max_below_one(m_max):
+    # these used to exit 0 with a verdict although no order was examined
+    for arc in ("interior", "boundary-J", "boundary-b3"):
+        rc, out, err = run_cli("glc", "--scenario", "symmetric_two_qubit",
+                               "--arc", arc, "--m-max", m_max)
+        assert rc == 2 and "m_max" in err and out == "", (arc, rc, out, err)
 
 
 def test_cli_refuses_flags_its_command_does_not_read():
