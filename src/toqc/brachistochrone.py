@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .constraint_model import (
     ConstraintSet,
@@ -363,6 +362,7 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
                         f"no root of the log-norm equation below T = {t_max:.4g}")
     i = start + int(hits[0])
     lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
+    from scipy.optimize import brentq   # deferred: scipy only where it is used
     try:
         t_star = float(brentq(g_scalar, lo, hi, xtol=1e-15))
         hc0 = log_op(exp_op(drift, -t_star) @ target) / t_star
@@ -544,6 +544,19 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
     out[np.count_nonzero(sing, axis=1) > n_cells // 2] = 10.0
     out[~regular] = 10.0 + np.linalg.norm(xs[~regular], axis=1)[:, None]
     return out
+
+
+def least_squares(fun, x0, **kwargs):
+    """scipy's ``least_squares``, imported on its first call.
+
+    Deferred so that commands which never shoot (``glc``, ``classify``,
+    ``evolve``, ``scenario``) do not pay for importing scipy.  It stays a
+    module-level name because the benchmark tracer wraps
+    ``brachistochrone.least_squares`` to count the least-squares layer; once
+    the tracer wraps scipy's own function (ROADMAP item 1) it can go.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(fun, x0, **kwargs)
 
 
 def _fd_jacobian(residuals, x: np.ndarray, lo: np.ndarray,

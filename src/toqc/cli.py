@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,9 +51,9 @@ class RunConfig:
     omega0: Optional[float] = None
     Omega: Optional[float] = None
     alpha: Optional[float] = None
-    grid: int = 128
-    multistarts: int = 32
-    seed: int = 0
+    grid: int = brach.ShootingOptions.grid_points
+    multistarts: int = brach.ShootingOptions.multistarts
+    seed: int = brach.ShootingOptions.seed
     tol: Optional[float] = None
     out: Optional[str] = None
     fmt: str = "json"
@@ -61,15 +61,17 @@ class RunConfig:
     m_max: int = 4
     action: Optional[str] = None
     name: Optional[str] = None
+    options: Optional[brach.ShootingOptions] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.command not in {"classify", "evolve", "solve", "glc",
                                 "zermelo", "scenario"}:
             raise ValidationError(f"unknown command {self.command!r}")
-        if self.grid < 16:
-            raise ValidationError("--grid must be at least 16")
         if self.fmt not in {"json", "csv"}:
             raise ValidationError("--format must be json or csv")
+        if self.command in {"solve", "zermelo"}:
+            # ShootingOptions alone checks the grid floor, counts, seed and tol
+            self.options = _solve_options(self)
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -178,7 +180,7 @@ def _cmd_solve(config: RunConfig) -> int:
     if target is None:
         target = _target_from_config(config, constraint, omega0)
     result = brach.solve_shooting(
-        brach.ShootingProblem(constraint, target, _solve_options(config)))
+        brach.ShootingProblem(constraint, target, config.options))
     _emit(result.as_dict(), config)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
@@ -194,7 +196,7 @@ def _cmd_zermelo(config: RunConfig) -> int:
         raise ValidationError("zermelo needs the full control subspace")
     target = _target_from_config(config, constraint, None)
     result = brach.zermelo_solve(constraint.drift, constraint.kind.omega,
-                                 target, _solve_options(config))
+                                 target, config.options)
     _emit(result.as_dict(), config)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .arc_analysis import ArcModel, BoundaryCase, arc_model
 from .constraint_model import BallInCoords, Box, ConstraintSet, Typical
@@ -102,8 +101,8 @@ def triplet_operators() -> dict[str, np.ndarray]:
 
 def landau_zener(omega0: float, Omega: float) -> Scenario:
     """Fixed z splitting, one bounded x control: |u| <= Omega."""
-    if omega0 <= 0 or Omega <= 0:
-        raise ValidationError("landau_zener needs omega0 > 0 and Omega > 0")
+    if not (0 < omega0 < np.inf and 0 < Omega < np.inf):   # NaN fails too
+        raise ValidationError("landau_zener needs finite omega0 > 0 and Omega > 0")
     constraint = ConstraintSet(
         2, omega0 * SIGMA_Z, (SIGMA_X,),
         Box(np.array([-Omega]), np.array([Omega])),
@@ -132,8 +131,8 @@ def landau_zener(omega0: float, Omega: float) -> Scenario:
 
 def one_qubit_xy(omega0: float, Omega: float) -> Scenario:
     """Fixed z splitting, transverse control with (1/2) tr[H_c^2] <= Omega^2."""
-    if omega0 <= 0 or Omega <= 0:
-        raise ValidationError("one_qubit_xy needs omega0 > 0 and Omega > 0")
+    if not (0 < omega0 < np.inf and 0 < Omega < np.inf):   # NaN fails too
+        raise ValidationError("one_qubit_xy needs finite omega0 > 0 and Omega > 0")
     constraint = ConstraintSet(
         2, omega0 * SIGMA_Z, (SIGMA_X, SIGMA_Y), Typical(Omega),
         control_names=("ux", "uy"))
@@ -220,10 +219,15 @@ def singular_replacement(t_grid: np.ndarray, j_values: np.ndarray,
     j_values = np.asarray(j_values, dtype=float)
     if t_grid.ndim != 1 or t_grid.shape != j_values.shape or len(t_grid) < 2:
         raise ValidationError("need matching 1-d time and J samples")
+    # NaN fails every ordering check below, so finiteness is checked first
+    if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(j_values))
+            and 0 < Omega < np.inf):
+        raise ValidationError("replacement needs finite samples and a finite Omega > 0")
     if np.any(np.diff(t_grid) <= 0):
         raise ValidationError("time samples must be strictly increasing")
     if np.any(j_values < 0) or np.any(j_values >= Omega):
         raise ValidationError("replacement needs 0 <= J < Omega on the arc")
+    from scipy.integrate import simpson   # deferred: scipy only where it is used
     t1, t2 = float(t_grid[0]), float(t_grid[-1])
     integral = float(simpson(j_values, x=t_grid))
     if integral >= (t2 - t1) * Omega:

@@ -21,7 +21,6 @@ and the logarithm branch under explicit control.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchAmbiguityError,
@@ -92,6 +91,9 @@ def is_unitary(u: np.ndarray) -> bool | np.ndarray:
 def require_traceless_hermitian(a: np.ndarray, name: str = "operator") -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be a square matrix, got shape {a.shape}")
+    # NaN fails every comparison below, so non-finite entries are refused first
+    if not np.all(np.isfinite(a)):
+        raise DimensionMismatchError(f"{name} has a non-finite entry")
     if np.max(np.abs(a - dagger(a))) >= DEFAULT_TOL.hermitian:
         raise DimensionMismatchError(f"{name} is not Hermitian to {DEFAULT_TOL.hermitian}")
     if abs(np.trace(a)) >= DEFAULT_TOL.trace * max(1.0, float(np.max(np.abs(a)))):
@@ -334,6 +336,7 @@ def log_op(u: np.ndarray) -> np.ndarray:
     """
     if not is_unitary(u):
         raise BranchAmbiguityError(f"matrix is not unitary to {DEFAULT_TOL.unitary:g}")
+    import scipy.linalg   # deferred: only logarithms pay for scipy's import
     # Complex Schur form: for a (normal) unitary matrix T is diagonal and Z
     # unitary, which is what makes the reassembled logarithm exactly Hermitian.
     t, z = scipy.linalg.schur(u, output="complex")

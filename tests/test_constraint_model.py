@@ -278,6 +278,20 @@ def test_constraint_rejects_non_finite_bounds(kind):
         cm.ConstraintSet(2, 0.3 * SIGMA_Z, (SIGMA_X,), kind)
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_constraint_rejects_non_finite_operators(bad):
+    # a NaN entry fails the Hermitian and trace comparisons silently, so a
+    # NaN drift or control used to be accepted
+    drift = 0.3 * SIGMA_Z.copy()
+    drift[0, 0] = bad
+    with pytest.raises(DimensionMismatchError, match="non-finite"):
+        cm.ConstraintSet(2, drift, (SIGMA_X,), cm.Typical(1.0))
+    control = SIGMA_X.copy()
+    control[0, 1] = control[1, 0] = bad
+    with pytest.raises(DimensionMismatchError, match="non-finite"):
+        cm.ConstraintSet(2, 0.3 * SIGMA_Z, (control,), cm.Typical(1.0))
+
 def test_maximizer_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         cm.maximizer(np.zeros((3, 3), complex), lz_constraint())

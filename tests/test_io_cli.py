@@ -384,6 +384,23 @@ def test_cli_classify_refuses_non_finite_bound(tmp_path):
     assert rc == 2 and "finite" in err, (rc, err)
 
 
+
+def test_cli_refuses_non_finite_scenario_parameters_and_drift(tmp_path):
+    # these used to exit 0, classifying a NaN drift or printing Infinity
+    for args in (("classify", "--scenario", "landau_zener", "--omega0", "nan"),
+                 ("scenario", "show", "landau_zener", "--omega0", "inf"),
+                 ("scenario", "show", "one_qubit_xy", "--Omega", "nan")):
+        rc, out, err = run_cli(*args)
+        assert rc == 2 and "finite" in err and out == "", (args, rc, out, err)
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
+                      Typical(1.0))
+    data = iof.constraint_to_json(c)
+    data["drift"][0][0][0] = float("nan")
+    cpath = tmp_path / "nan_drift.json"
+    cpath.write_text(iof.dump_json(data))
+    rc, out, err = run_cli("classify", "--constraint", str(cpath))
+    assert rc == 2 and "finite" in err and out == "", (rc, out, err)
+
 def test_cli_dump_json_deterministic(tmp_path):
     payload = {"b": 1.0 / 3.0, "a": [1, 2, {"z": 0.1}]}
     t1 = iof.dump_json(payload)

@@ -103,6 +103,15 @@ def test_symmetric_two_qubit_requires_parameter_order():
         sc.landau_zener(-1.0, 1.0)
 
 
+
+@pytest.mark.parametrize("name", ["landau_zener", "one_qubit_xy"])
+@pytest.mark.parametrize("param", ["omega0", "Omega"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scenario_parameters_must_be_finite(name, param, value):
+    # NaN passed the old "<= 0" checks and gave a NaN drift or bound
+    with pytest.raises(ValidationError, match="finite"):
+        sc.get_scenario(name, **{param: value})
+
 def test_symmetric_two_qubit_canonical_target_cost():
     s = sc.symmetric_two_qubit(1.0, 2.0)
     ops = sc.triplet_operators()
@@ -170,3 +179,16 @@ def test_replacement_rejects_infeasible_arcs():
         sc.singular_replacement(grid, np.full(11, 2.5), Omega=2.0)
     with pytest.raises(ValidationError):
         sc.singular_replacement(grid, -np.ones(11), Omega=2.0)
+
+
+def test_replacement_rejects_non_finite_input():
+    # NaN samples or a NaN bound used to give t3 = NaN, and Omega = inf a
+    # zero-length bang piece with J = inf
+    grid = np.linspace(0.0, 1.0, 11)
+    j = np.full(11, 0.5)
+    bad_j, bad_grid = j.copy(), grid.copy()
+    bad_j[3] = bad_grid[3] = np.nan
+    for args in ((grid, j, np.nan), (grid, j, np.inf), (grid, bad_j, 1.0),
+                 (bad_grid, j, 1.0)):
+        with pytest.raises(ValidationError, match="finite"):
+            sc.singular_replacement(*args)

@@ -120,6 +120,31 @@ def test_numeric_glc_run_leaves_sympy_unloaded():
     assert out.strip() == "0 False"
 
 
+def test_imports_leave_scipy_unloaded():
+    # scipy is imported only inside the solvers that call it (shooting,
+    # navigation, log_op, singular_replacement); every toqc process pays for
+    # the package import, and most commands never reach those solvers
+    code = ("import sys, toqc, toqc.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_glc_runs_leave_scipy_unloaded():
+    # the singular-arc audits, symbolic (interior) and numeric (boundary),
+    # call no scipy function
+    code = ("import contextlib, io, sys, toqc.cli\n"
+            "for arc in ('boundary-b3', 'interior'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = toqc.cli.main(['glc', '--scenario', 'symmetric_two_qubit',"
+            " '--arc', arc])\n"
+            "    print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["0 []", "0 []"]
+
+
 def test_bench_tracer_reaches_every_shooting_layer(monkeypatch):
     # the benchmark's per-layer numbers bind the shooting helpers by name and
     # read their results; a refactor that renames a helper or reshapes what

@@ -83,6 +83,15 @@ def test_inner_dimension_mismatch():
         sa.inner(sa.SIGMA_X, sa.gellmann_basis()[0])
 
 
+
+def test_require_traceless_hermitian_refuses_non_finite_entries():
+    # NaN compares false with every tolerance, so it used to pass both checks
+    for bad in (np.nan, np.inf):
+        a = sa.SIGMA_Z.copy()
+        a[1, 1] = bad
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            sa.require_traceless_hermitian(a, "costate")
+
 def test_expand_pauli_example():
     basis = sa.pauli_basis()
     np.testing.assert_allclose(sa.expand(sa.SIGMA_Z, basis), [0, 0, 1], atol=1e-15)
