@@ -73,6 +73,7 @@ from .sun_algebra import (
     log_op,
     reconstruct,
     require_same_dim,
+    stack_product,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -441,16 +442,18 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
     singular = np.zeros((b, n_cells), dtype=bool)
     controls = np.zeros((b, n_cells, constraint.n_controls)) if record else None
     for k in range(n_cells):
-        f = u_mat @ f0 @ dagger(u_mat)
+        f = stack_product(stack_product(u_mat, f0), dagger(u_mat))
         h, _, singular[:, k], _ = _span_maximizer(f, constraint)
         half = _expm_step(h, half_dt)
-        h, uk, _, _ = _span_maximizer(half @ f @ dagger(half), constraint)
-        u_mat = _expm_step(h, dt) @ u_mat
+        h, uk, _, _ = _span_maximizer(
+            stack_product(stack_product(half, f), dagger(half)), constraint)
+        u_mat = stack_product(_expm_step(h, dt), u_mat)
         if (k + 1) % PROJECTION_PERIOD == 0:
             u_mat = reunitarize(u_mat)
         if record:
             controls[:, k] = uk
-    return u_mat, u_mat @ f0 @ dagger(u_mat), singular, controls
+    return (u_mat, stack_product(stack_product(u_mat, f0), dagger(u_mat)),
+            singular, controls)
 
 
 def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,

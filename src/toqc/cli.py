@@ -69,6 +69,9 @@ class RunConfig:
             raise ValidationError(f"unknown command {self.command!r}")
         if self.fmt not in {"json", "csv"}:
             raise ValidationError("--format must be json or csv")
+        if self.fmt == "csv" and self.out is None:
+            raise ValidationError("--format csv writes the trajectory to a "
+                                  "file: give it with --out FILE")
         if self.command in {"solve", "zermelo"}:
             # ShootingOptions alone checks the grid floor, counts, seed and tol
             self.options = _solve_options(self)
@@ -142,7 +145,7 @@ def _cmd_evolve(config: RunConfig) -> int:
         "conservation": report,
         "final_unitary": matrix_to_json(traj.final_unitary),
     }
-    if config.out is not None and config.fmt == "csv":
+    if config.fmt == "csv":
         export_plotdata(traj, config.out)
         sys.stdout.write(dump_json(payload))
     else:

@@ -20,6 +20,7 @@ from .sun_algebra import (
     dagger,
     exp_op,
     require_traceless_hermitian,
+    stack_product,
     unitarity_defect,
 )
 from .tolerances import DEFAULT_TOL
@@ -164,10 +165,12 @@ def evolve_unitary(protocol: Protocol) -> Trajectory:
 
     The running product is blocked along those 64-cell projection blocks:
     the prefix products inside every block are formed for all blocks at
-    once (63 stacked products, in place in the step stack), the block totals
-    are chained one after another with the projection at each block end,
-    and every node is then one stacked product of an in-block prefix with
-    its block's start.  The last K mod 64 cells are stepped one by one.
+    once (63 calls of :func:`~toqc.sun_algebra.stack_product`, each on one
+    member per block, written back into the step stack), the block totals are
+    chained one after another with the projection at each block end, and
+    every node is then one :func:`~toqc.sun_algebra.stack_product` of an
+    in-block prefix with its block's start, taken in chunks of 2048 nodes.
+    The last K mod 64 cells are stepped one by one.
     """
     n = protocol.constraint.dim
     k_cells = protocol.n_cells
@@ -179,12 +182,12 @@ def evolve_unitary(protocol: Protocol) -> Trajectory:
     full = n_blocks * block
     prefix = steps[:full].reshape(n_blocks, block, n, n)
     for j in range(1, block):
-        np.matmul(prefix[:, j], prefix[:, j - 1], out=prefix[:, j])
+        prefix[:, j] = stack_product(prefix[:, j], prefix[:, j - 1])
     starts = np.empty((n_blocks + 1, n, n), dtype=complex)
     starts[0] = out[0]
     for b in range(n_blocks):
         starts[b + 1] = reunitarize(prefix[b, -1] @ starts[b])
-    np.matmul(prefix, starts[:-1, None], out=out[1:full + 1].reshape(prefix.shape))
+    stack_product(prefix, starts[:-1, None], out=out[1:full + 1].reshape(prefix.shape))
     out[block:full + 1:block] = starts[1:]   # block ends carry the projection
     acc = starts[-1]
     for k in range(full, k_cells):
@@ -198,15 +201,20 @@ def evolve_costate(f0: np.ndarray, traj: Trajectory) -> Trajectory:
 
     This is the exact solution of i dF/dt = [H, F] for the piecewise-constant
     Hamiltonian that generated ``traj``; the flow is isospectral, so the
-    spectrum of every F(t_k) equals that of F(0).
+    spectrum of every F(t_k) equals that of F(0).  The two products are
+    :func:`~toqc.sun_algebra.stack_product` calls, the second taken as
+    conj(conj(U F0) U^T): U^T is a view, so no stack-sized U^dagger is made
+    and the peak is the two stacks U F0 and F.
     """
     require_traceless_hermitian(f0, "costate")
     if f0.shape != traj.unitaries[0].shape:
         raise DimensionMismatchError(
             f"costate shape {f0.shape} vs unitary shape {traj.unitaries[0].shape}")
     us = traj.unitaries
-    costates = np.einsum("kab,bc,kdc->kad", us, f0, us.conj())
-    return replace(traj, costates=costates)
+    # conj(conj(U F0) U^T) is U F0 U^dagger bit for bit
+    w = stack_product(us, f0)
+    costates = stack_product(np.conjugate(w, out=w), np.swapaxes(us, -1, -2))
+    return replace(traj, costates=np.conjugate(costates, out=costates))
 
 
 def conserved_traces(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,13 @@ N >= 3, the diagonal Pade approximant r_3, which maps su(N) onto a unitary
 because its denominator is the adjoint of its numerator; and otherwise the
 eigendecomposition of the Hermitian generator (always diagonalizable).
 Logarithms go through the eigendecomposition, which keeps unitarity exact
-and the logarithm branch under explicit control.
+and the logarithm branch under explicit control.  Products of stacks of
+N x N matrices go through :func:`stack_product`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,6 +50,7 @@ __all__ = [
     "traceless",
     "is_unitary",
     "unitarity_defect",
+    "stack_product",
     "require_traceless_hermitian",
     "require_same_dim",
     "random_traceless_hermitian",
@@ -73,9 +77,57 @@ def traceless(a: np.ndarray) -> np.ndarray:
     return a - (np.trace(a) / n) * np.eye(n)
 
 
+# members per pass over a long stack, in stack_product and the Pade kernel:
+# bounds the stack-sized temporaries of a pass (peak memory)
+_STACK_CHUNK = 2048
+
+
+def stack_product(a: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The matrix product ``a @ b`` of (stacks of) N x N matrices.
+
+    numpy's stacked ``@`` handles each member of a stack on its own, which
+    for N <= 3 costs more than the product itself; there the product is the
+    sum of N broadcast outer products a[..., :, k] b[..., k, :], formed for
+    the whole stack at once.  For N >= 4 it is ``@``.  The form depends on N
+    alone and every member is reduced on its own, so a member's result does
+    not depend on the stack it sits in.  An operand of more than
+    ``_STACK_CHUNK`` members goes through in chunks of about that many
+    along the leading axis, each summed in ``out`` (peak memory); ``out``
+    must not overlap ``a`` or ``b``.
+    """
+    n = a.shape[-1]
+    if n > 3:
+        return np.matmul(a, b, out=out)
+    if max(a.size, b.size) <= _STACK_CHUNK * n * n:
+        return _outer_sum(a, b, n, out)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(a, b))
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    step = max(1, _STACK_CHUNK // math.prod(shape[1:-2]))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        _outer_sum(a[rows], b[rows], n, out[rows])
+    return out
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray, n: int,
+               out: np.ndarray | None) -> np.ndarray:
+    """sum_k a[..., :, k] b[..., k, :], in order k = 0 .. n - 1, summed in
+    ``out`` (a new array when None)."""
+    out = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
+    for k in range(1, n):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
 def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
-    """max |U^dagger U - I| over the entries; one value per matrix of a stack."""
-    gram = dagger(u) @ u
+    """max |U^dagger U - I| over the entries; one value per matrix of a stack.
+
+    U^dagger U is one :func:`stack_product`.
+    """
+    gram = stack_product(dagger(u), u)
     gram -= np.eye(u.shape[-1])   # in place: no second stack-sized array
     return np.max(np.abs(gram), axis=(-2, -1))
 
@@ -245,8 +297,6 @@ def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
 # Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3: below this
 # 1-norm of X the diagonal Pade approximant r_3(X) is e^X to unit roundoff
 _PADE3_THETA = 1.495585217958292e-2
-# members per Pade pass: bounds the temporaries of a long stack (peak memory)
-_PADE_CHUNK = 2048
 
 
 def _exp_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -256,7 +306,7 @@ def _exp_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     q(X) = even - odd, odd = X (I/2 + X^2/120) and even = I + X^2/10.  For
     Hermitian A, q(X) = p(X)^dagger, so r_3(X) is unitary.  Members above
     ``_PADE3_THETA`` take :func:`_exp_eigh`; the rest go through in chunks
-    of ``_PADE_CHUNK`` written into one output.
+    of ``_STACK_CHUNK`` written into one output.
     """
     n = a.shape[-1]
     out = np.empty(a.shape, dtype=complex)
@@ -265,11 +315,11 @@ def _exp_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     if large.size:
         out[large] = _exp_eigh(a[large], s[large])
     eye = np.eye(n)
-    for start in range(0, small.size, _PADE_CHUNK):
-        rows = small[start:start + _PADE_CHUNK]
+    for start in range(0, small.size, _STACK_CHUNK):
+        rows = small[start:start + _STACK_CHUNK]
         x = (-1j * s[rows])[:, None, None] * a[rows]
-        x2 = x @ x
-        odd = x @ (0.5 * eye + x2 / 120.0)
+        x2 = stack_product(x, x)
+        odd = stack_product(x, 0.5 * eye + x2 / 120.0)
         even = eye + x2 / 10.0
         out[rows] = np.linalg.solve(even - odd, even + odd)
     return out

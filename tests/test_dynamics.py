@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -252,6 +254,39 @@ def test_conservation_exact_for_constant_h():
     assert rep.hf_drift < 1e-12
     assert rep.f2_drift < 1e-12
     assert rep.unitarity_drift < 1e-10
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of traced allocations above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_grid_flows_hold_few_stacks():
+    # a 16384-cell SU(3) protocol; one stack of its K + 1 matrices is about
+    # 2.4 MB.  The stacked products go through in chunks of 2048 members,
+    # so no pass holds more than a few stack-sized arrays
+    rng = np.random.default_rng(23)
+    basis = tuple(generalized_gellmann(3))
+    c = cm.ConstraintSet(3, random_traceless_hermitian(rng, 3, 0.3), basis,
+                         cm.Typical(1.0))
+    cells = 16384
+    w = rng.standard_normal((cells, len(basis)))
+    p = dyn.Protocol(c, np.linspace(0.0, 3.0, cells + 1),
+                     w / np.linalg.norm(w, axis=1, keepdims=True))
+    f0 = random_traceless_hermitian(rng, 3)
+    stack, mb = (cells + 1) * 9 * 16, 1e6
+    traj, peak = _traced_peak(lambda: dyn.evolve_unitary(p))
+    assert peak <= 3 * stack + mb, peak
+    traj, peak = _traced_peak(lambda: dyn.evolve_costate(f0, traj))
+    assert peak <= 2 * stack + mb, peak
+    _, peak = _traced_peak(lambda: dyn.conservation_report(traj))
+    assert peak <= 2 * stack + mb, peak
 
 
 def test_boundary_residual_examples():

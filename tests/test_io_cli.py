@@ -225,6 +225,18 @@ def test_cli_evolve_writes_csv_and_report(tmp_path):
     assert json.loads(out)["conservation"] == {"unitarity_drift": full.unitarity_drift}
 
 
+def test_cli_evolve_csv_without_out_is_refused(tmp_path):
+    # the CSV goes to a file only, so --format csv without --out is an input
+    # error, not the JSON report on stdout
+    c = get_scenario("landau_zener").constraint
+    p = dyn.Protocol(c, np.linspace(0, 1, 17), np.zeros((16, 1)))
+    ppath = tmp_path / "p.json"
+    ppath.write_text(iof.dump_json(iof.protocol_to_json(p)))
+    rc, out, err = run_cli("evolve", "--protocol", str(ppath), "--format", "csv")
+    assert rc == 2 and out == "" and "--out" in err, (rc, out, err)
+    assert list(tmp_path.iterdir()) == [ppath]
+
+
 def test_cli_solve_and_zermelo_agree(tmp_path):
     omega0, bound = 0.3, 1.0
     c = ConstraintSet(2, omega0 * SIGMA_Z, tuple(generalized_gellmann(2)),

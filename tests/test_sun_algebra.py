@@ -168,6 +168,49 @@ def test_project_rejects_non_orthonormal_subspace():
         sa.project(sx, [sx, sx + sy])
 
 
+# --- stacked products ---------------------------------------------------------
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stack_product_equals_matmul_on_every_caller_shape(n):
+    # the shapes its callers pass: a stack and one matrix (the costate
+    # flow), stack times stack (the march, the Pade kernel), and the
+    # blocked node product of evolve_unitary; 40 blocks of 64 cross the
+    # 2048-member chunk, and so do the 2500-member stacks
+    rng = np.random.default_rng(70 + n)
+    pairs = [((n, n), (5, n, n)), ((n, n), (2500, n, n)), ((2500, n, n), (n, n)),
+             ((5, n, n), (5, n, n)), ((2500, n, n), (2500, n, n)),
+             ((40, 64, n, n), (40, 1, n, n))]
+    for a_shape, b_shape in pairs:
+        a, b = _complex_stack(rng, a_shape), _complex_stack(rng, b_shape)
+        want = a @ b
+        got = sa.stack_product(a, b)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # summed in a given output, as the node product of evolve_unitary is
+        out = np.empty(want.shape, dtype=complex)
+        assert sa.stack_product(a, b, out=out) is out
+        assert np.array_equal(out, got)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stack_product_member_bits_do_not_depend_on_the_stack(n):
+    # one member alone, in a 5-member stack and at the far side of the
+    # chunk edge of a 2049-member stack: the same bits each time
+    rng = np.random.default_rng(80 + n)
+    a, b = _complex_stack(rng, (2, n, n))
+    alone = sa.stack_product(a[None], b[None])[0]
+    for size, at in ((5, 2), (2049, 2048)):
+        xs, ys = _complex_stack(rng, (2, size, n, n))
+        xs[at], ys[at] = a, b
+        assert np.array_equal(sa.stack_product(xs, ys)[at], alone)
+        assert np.array_equal(sa.stack_product(a, ys)[at],
+                              sa.stack_product(a, b[None])[0])
+
+
 # --- exponential and logarithm ---------------------------------------------
 
 def test_exp_op_examples():
