@@ -483,7 +483,8 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
     costate in the surviving null space can carry tr[H_d F] = 1.  When no
     sampled point admits one the family is excluded outright; otherwise the
     numeric GLC test is run on the canonical surviving costate.  A seed
-    that is not an integer >= 0, or m_max < 1, raises ValidationError.
+    that is not an integer >= 0, m_max < 1, or a case whose coordinates
+    repeat or leave 0..l-1 raises ValidationError.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
@@ -491,10 +492,15 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         raise ValidationError("m_max must be >= 1")
     if not isinstance(c.kind, BallInCoords):
         raise ValidationError("boundary study needs a coefficient-ball constraint")
+    l = c.n_controls
+    picked = (*case.zero, case.eliminate)
+    if len(set(picked)) < len(picked) or not all(
+            isinstance(j, (int, np.integer)) and 0 <= j < l for j in picked):
+        raise ValidationError(
+            f"boundary case '{case.name}' needs distinct coordinates in 0..{l - 1}")
     rng = np.random.default_rng(seed)
     metric = np.asarray(c.kind.metric, float)
     r = c.kind.radius
-    l = c.n_controls
     basis = generalized_gellmann(c.dim)
     phi = expand(c.drift, basis)
 

@@ -101,6 +101,8 @@ def _scenario_from_config(config: RunConfig):
 def _drift_axis_target(drift: np.ndarray, omega0: Optional[float],
                        alpha: float) -> np.ndarray:
     """The ``--alpha`` target exp(-i alpha H_d / omega0)."""
+    if not np.isfinite(alpha):
+        raise ValidationError(f"--alpha must be finite, got {alpha!r}")
     if omega0 is None or omega0 == 0:
         raise ValidationError("--alpha needs a scenario with a drift scale")
     return exp_op(drift / omega0, alpha)

@@ -23,7 +23,7 @@ costate is orthogonal to the whole control subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -237,13 +237,7 @@ class ClassificationReport:
     drift_in_bracket: bool
 
     def as_dict(self) -> dict:
-        return {
-            "drift_in_subspace": self.drift_in_subspace,
-            "type_label": self.type_label,
-            "planar": self.planar,
-            "typical": self.typical,
-            "drift_in_bracket": self.drift_in_bracket,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

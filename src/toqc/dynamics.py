@@ -9,7 +9,7 @@ hence tr[F^2]) frozen by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -115,8 +115,7 @@ class ConservationReport:
     unitarity_drift: float
 
     def as_dict(self) -> dict:
-        return {"hf_drift": self.hf_drift, "f2_drift": self.f2_drift,
-                "unitarity_drift": self.unitarity_drift}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,17 @@ def test_boundary_study_refuses_a_bad_seed(seed):
         boundary_closure_study(sc.constraint, sc.boundary_cases[0], seed=seed)
 
 
+def test_boundary_study_refuses_a_bad_case():
+    # eliminate=7 used to raise IndexError; the others returned "excluded"
+    # for a piece that does not exist
+    from toqc.arc_analysis import BoundaryCase
+    sc = get_scenario("symmetric_two_qubit")
+    for zero, eliminate in (((), 7), ((9,), 0), ((), -1), ((3,), 3),
+                            ((1, 1), 0)):
+        with pytest.raises(ValidationError, match="boundary case"):
+            boundary_closure_study(sc.constraint, BoundaryCase("x", zero, eliminate))
+
+
 def test_interior_closure_numeric_cross_check():
     # numeric counterpart of the symbolic interior study: at an interior
     # point with any field component on, the flow closure leaves no

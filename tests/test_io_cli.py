@@ -413,6 +413,18 @@ def test_cli_refuses_non_finite_scenario_parameters_and_drift(tmp_path):
     rc, out, err = run_cli("classify", "--constraint", str(cpath))
     assert rc == 2 and "finite" in err and out == "", (rc, out, err)
 
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_cli_refuses_a_non_finite_alpha(alpha):
+    # show used to exit 0 printing NaN or -Infinity (not JSON); solve said
+    # only that the target is not unitary
+    for command in (("scenario", "show", "landau_zener"),
+                    ("solve", "--scenario", "landau_zener")):
+        rc, out, err = run_cli(*command, f"--alpha={alpha}")
+        assert rc == 2 and "--alpha" in err and "finite" in err and out == "", \
+            (command, rc, out, err)
+
+
 def test_cli_dump_json_deterministic(tmp_path):
     payload = {"b": 1.0 / 3.0, "a": [1, 2, {"z": 0.1}]}
     t1 = iof.dump_json(payload)
