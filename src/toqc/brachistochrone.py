@@ -416,6 +416,20 @@ def interaction_picture_reduce(c: ConstraintSet) -> dict:
     return {"reducible": True, "reduced": reduced, "reason": reason}
 
 
+def _flow_cell(constraint: ConstraintSet, f0: np.ndarray, u_mat: np.ndarray,
+               dt: np.ndarray):
+    """One cell of :func:`_coupled_flow` from the unitaries ``u_mat``
+    (B, N, N), with one step in ``dt`` per member: (U after the cell, not
+    projected; the mask of singular start costates; the controls (B, l)).
+    """
+    f = stack_product(stack_product(u_mat, f0), dagger(u_mat))
+    h, _, singular, _ = _span_maximizer(f, constraint)
+    half = _expm_step(h, 0.5 * dt)
+    h, controls, _, _ = _span_maximizer(
+        stack_product(stack_product(half, f), dagger(half)), constraint)
+    return stack_product(_expm_step(h, dt), u_mat), singular, controls
+
+
 def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
                   t_final: float | np.ndarray, n_cells: int,
                   record: bool = False, u0: Optional[np.ndarray] = None):
@@ -439,17 +453,11 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
     """
     n, b = constraint.dim, len(f0)
     dt = np.broadcast_to(np.asarray(t_final, dtype=float) / n_cells, (b,))
-    half_dt = 0.5 * dt
     u_mat = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)) if u0 is None else u0
     singular = np.zeros((b, n_cells), dtype=bool)
     controls = np.zeros((b, n_cells, constraint.n_controls)) if record else None
     for k in range(n_cells):
-        f = stack_product(stack_product(u_mat, f0), dagger(u_mat))
-        h, _, singular[:, k], _ = _span_maximizer(f, constraint)
-        half = _expm_step(h, half_dt)
-        h, uk, _, _ = _span_maximizer(
-            stack_product(stack_product(half, f), dagger(half)), constraint)
-        u_mat = stack_product(_expm_step(h, dt), u_mat)
+        u_mat, singular[:, k], uk = _flow_cell(constraint, f0, u_mat, dt)
         if (k + 1) % PROJECTION_PERIOD == 0:
             u_mat = reunitarize(u_mat)
         if record:
@@ -466,17 +474,27 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
 
     The unknowns are the block-start unitaries U_s; the march is stateless,
     so a block depends on its start alone.  The coarse propagator G is one
-    march cell across a block, stepped serially; the fine one F marches
-    every block from its start in lockstep.  Both end with the polar
-    projection (without it the iteration diverges).  Each sweep sets
-    U_{s+1} = F(U_s^old) + G(U_s^new) - G(U_s^old) for every block and
-    stops after at most K/64 - 1 sweeps.  With ``moved`` the largest entry
-    change of a start in a sweep, it stops when moved <= tol
-    (``DEFAULT_TOL.parareal``) or when the next sweep's correction, which
-    superlinear convergence predicts as moved^2 / moved of the sweep
-    before, is below tol too.  One recording pass over all blocks then
-    gives the controls; a last partial block is marched a full block and
-    cut to K.
+    march cell across a block, the fine one F the block's own march; both
+    end with the polar projection (without it the iteration diverges).  A
+    first pass sets U_{s+1} = G(U_s), one cell per block in turn.  Each
+    sweep then sets U_{s+1} = F(U_s^old) + DG_s (U_s^new - U_s^old): the
+    parareal correction G(U_s^new) - G(U_s^old) linearized at the old
+    start, which is multiple shooting with an approximate Jacobian.  A
+    sweep is two lockstep marches and one recurrence: one cell from every
+    old start and from its 2 N^2 forward-difference points (the real
+    directions of the N x N start, :func:`_fd_jacobian`) gives DG_s for
+    all blocks at once, the fine march runs every block, and a small linear
+    recurrence over the blocks sets the new starts.  The correction is zero
+    where a start did not move, so every sweep makes at least one more
+    start exact and the fixed point U_{s+1} = F(U_s) is the serial march's
+    whatever DG is (a forward difference across a bang-bang switch is not a
+    derivative; it costs sweeps, not accuracy).  The loop stops after at
+    most K/64 - 1 sweeps.  With ``moved`` the largest entry change of a
+    start in a sweep, it stops when moved <= tol (``DEFAULT_TOL.parareal``)
+    or when the next sweep's correction, which superlinear convergence
+    predicts as moved^2 / moved of the sweep before, is below tol too.  One
+    recording pass over all blocks then gives the controls; a last partial
+    block is marched a full block and cut to K.
     """
     n, block = constraint.dim, PROJECTION_PERIOD
     n_blocks = -(-n_cells // block)
@@ -484,26 +502,28 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
     t_width = t_final if n_cells <= block else t_final * block / n_cells
     starts = np.empty((n_blocks, n, n), dtype=complex)
     starts[0] = np.eye(n)
-    f_stack = np.broadcast_to(f0, starts.shape)
+    # the starts' real coordinates: a view, so writing x writes starts
+    x = starts.reshape(n_blocks, -1).view(float)
 
-    def coarse(s: int) -> np.ndarray:
-        one = slice(s, s + 1)
-        u_end = _coupled_flow(constraint, f_stack[one], t_width, 1, u0=starts[one])[0]
-        return reunitarize(u_end[0])
+    def g_real(xs: np.ndarray) -> np.ndarray:
+        # G on real coordinates (..., 2 N^2): one projected cell per start
+        u = xs.reshape(-1, 2 * n * n).view(complex).reshape(-1, n, n)
+        u_end = _flow_cell(constraint, f0, u, np.full(len(u), t_width))[0]
+        return reunitarize(u_end).reshape(xs.shape[:-1] + (-1,)).view(float)
 
-    coarse_old = np.empty_like(starts)
     for s in range(n_blocks - 1):
-        coarse_old[s] = starts[s + 1] = coarse(s)
+        x[s + 1] = g_real(x[s])
+    f_stack = np.broadcast_to(f0, starts.shape)
     tol, moved_before = DEFAULT_TOL.parareal, 0.0
     for _ in range(n_blocks - 1):
+        jac = _fd_jacobian(g_real, x[:-1], -np.inf, np.inf)
         fine = _coupled_flow(constraint, f_stack[:-1], t_width, block,
-                             u0=starts[:-1])[0]
-        moved = 0.0
+                             u0=starts[:-1])[0].reshape(n_blocks - 1, -1).view(float)
+        old = starts.copy()
+        old_x = old.reshape(n_blocks, -1).view(float)
         for s in range(n_blocks - 1):
-            g = coarse(s)
-            new = fine[s] + g - coarse_old[s]
-            moved = max(moved, np.max(np.abs(new - starts[s + 1])))
-            starts[s + 1], coarse_old[s] = new, g
+            x[s + 1] = fine[s] + jac[s] @ (x[s] - old_x[s])
+        moved = np.max(np.abs(starts - old))
         # moved^2 / moved_before predicts the next sweep's correction
         if moved <= tol or moved * moved <= tol * moved_before:
             break
@@ -570,13 +590,18 @@ def _fd_jacobian(residuals, x: np.ndarray, lo: np.ndarray,
 
     Uses scipy's 2-point step, sqrt(eps) sign(x) max(1, |x|), turned around
     where x + h leaves the bounds.  The base point and the perturbed points
-    are one stacked ``residuals`` call.
+    are one stacked ``residuals`` call.  ``x`` (..., n) may carry leading
+    axes: ``residuals`` then takes the points (..., n + 1, n) and returns
+    rows (..., n + 1, m), and the result is one (m, n) Jacobian per point.
     """
     h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) \
         * np.maximum(1.0, np.abs(x))
     h = np.where((x + h < lo) | (x + h > hi), -h, h)
-    rows = residuals(np.vstack([x, x + np.diag(h)]))
-    return (rows[1:] - rows[0]).T / ((x + h) - x)
+    steps = np.where(np.eye(x.shape[-1], dtype=bool), h[..., :, None], 0.0)
+    rows = residuals(np.concatenate(
+        [x[..., None, :], x[..., None, :] + steps], axis=-2))
+    return np.swapaxes(rows[..., 1:, :] - rows[..., :1, :], -1, -2) \
+        / ((x + h) - x)[..., None, :]
 
 
 def _time_scale_estimate(problem: ShootingProblem) -> float:
@@ -677,11 +702,14 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     starts the minimal-T extremal is refined on a dense grid and returned;
     all converged times are reported.  The dense march is rebuilt by
     parareal over its 64-cell projection blocks (:func:`_dense_rebuild`):
-    a serial one-cell coarse march per block, all blocks marched in
-    lockstep as the fine one in every sweep, both ending with the polar
-    projection, and one recording pass once the block starts stop moving
-    or the next sweep's correction, predicted from the last two, is below
-    the tolerance.  Its controls match the serial march to rounding.
+    a first pass of one coarse cell per block, then sweeps whose
+    correction is the coarse cell's forward-difference Jacobian, so that
+    a sweep is two lockstep marches (the one-cell Jacobian march of every
+    block start and the fine march of every block) and one small linear
+    recurrence over the blocks, and one recording pass once the block
+    starts stop moving or the next sweep's correction, predicted from the
+    last two, is below the tolerance.  The fixed point is the serial
+    march's, so its controls match the serial march to rounding.
 
     Raises
     ------

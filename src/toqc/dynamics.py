@@ -27,7 +27,9 @@ from .tolerances import DEFAULT_TOL
 
 # cells between the polar projections of a long product of steps; the
 # shooting march projects on the same period, and its parareal rebuild
-# reproduces the serial march only with blocks of this length
+# reproduces the serial march only with blocks of this length: a block's
+# march then ends with the projection, as its one-cell coarse step and that
+# step's forward-difference Jacobian do
 PROJECTION_PERIOD = 64
 
 __all__ = [

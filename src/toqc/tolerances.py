@@ -39,7 +39,10 @@ class Tolerances:
     duplicate_start : coarse-solution gap (unit costate direction, T relative
         to max(1, T)) below which two shooting starts found one extremal
     parareal : largest entry change of a block-start unitary below which
-        the parareal dense rebuild of a shooting extremal stops
+        the parareal dense rebuild of a shooting extremal stops, or below
+        which it predicts the next sweep's correction; the sweeps correct
+        the starts by the coarse cell's Jacobian, and the serial march is
+        their fixed point, so its controls come out to rounding
     """
 
     hermitian: float = 1e-12

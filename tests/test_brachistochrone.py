@@ -774,24 +774,66 @@ def test_dense_rebuild_matches_the_serial_march(case):
     dyn.Protocol(c, np.linspace(0.0, t_final, n_cells + 1), controls)
 
 
-def test_dense_rebuild_stops_on_the_predicted_correction(monkeypatch):
-    # parareal converges superlinearly, so the rebuild stops once the next
-    # sweep's correction, predicted from the last two, is below the
-    # tolerance; on 4096 cells that saves one sweep of 63 one-cell coarse
-    # calls (315 without the prediction)
-    c, f0, t_final, n_cells = _rebuild_cases()["su2"]
-    one_cell = []
+def _counted_rebuild(monkeypatch, c, f0, t_final, n_cells):
+    """The dense rebuild with its ``_coupled_flow`` calls counted.
+
+    Returns (controls, singular, sweeps, calls): a sweep's fine march is
+    the one unrecorded march of every block (PROJECTION_PERIOD cells), and
+    calls counts every march the rebuild made.
+    """
+    calls = []
     flow = br._coupled_flow
 
     def counting_flow(*args, **kwargs):
-        one_cell.append(args[3] == 1)
+        calls.append((args[3], kwargs.get("record", False)))
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(br, "_coupled_flow", counting_flow)
-    controls, _ = br._dense_rebuild(c, f0, t_final, n_cells)
-    assert sum(one_cell) <= 252
+    controls, singular = br._dense_rebuild(c, f0, t_final, n_cells)
+    return controls, singular, calls.count((dyn.PROJECTION_PERIOD, False)), len(calls)
+
+
+def test_dense_rebuild_stops_on_the_predicted_correction(monkeypatch):
+    # parareal converges superlinearly, so the rebuild stops once the next
+    # sweep's correction, predicted from the last two, is below the
+    # tolerance; a sweep is one fine march plus the coarse Jacobian cell,
+    # and the recording pass is one more march
+    c, f0, t_final, n_cells = _rebuild_cases()["su2"]
+    controls, _, sweeps, calls = _counted_rebuild(monkeypatch, c, f0, t_final, n_cells)
+    assert 1 <= sweeps <= 3
+    assert calls <= 2 * sweeps + 2
     ref_controls, _ = _serial_march(c, f0, t_final, n_cells)
     np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_cells", [1, 63, 64, 65, 129])
+def test_dense_rebuild_edge_sizes_match_the_serial_march(n_cells):
+    # one block and no sweep (1, 63, 64 cells), two blocks with a one-cell
+    # tail (65) and three blocks with a one-cell tail (129)
+    c = full_su2(0.3, 1.0)
+    f0 = _seed(c, np.random.default_rng(23))
+    ref_controls, ref_singular = _serial_march(c, f0, 1.4, n_cells)
+    controls, singular = br._dense_rebuild(c, f0, 1.4, n_cells)
+    assert controls.shape == ref_controls.shape == (n_cells, 3)
+    np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
+    assert list(singular) == ref_singular
+
+
+def test_dense_rebuild_through_bang_bang_switches(monkeypatch):
+    # across a switch of a box bound the one-cell coarse step jumps, so its
+    # forward-difference Jacobian is not a derivative: the rebuild takes more
+    # sweeps, but every sweep makes one more block start exact, and the
+    # controls are still the serial march's within the K/64 - 1 sweep cap
+    from toqc.constraint_model import Box
+    c = ConstraintSet(2, 0.5 * SIGMA_Z, (SIGMA_X, SIGMA_Y),
+                      Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0])))
+    f0 = _seed(c, np.random.default_rng(0))
+    ref_controls, ref_singular = _serial_march(c, f0, 6.0, 4096)
+    assert np.count_nonzero(np.any(np.diff(ref_controls, axis=0) != 0, axis=1)) == 9
+    controls, singular, sweeps, _ = _counted_rebuild(monkeypatch, c, f0, 6.0, 4096)
+    np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
+    assert list(singular) == ref_singular
+    assert sweeps <= 4096 // 64 - 1
 
 
 def _shooting_setup(n, rng):
