@@ -23,10 +23,14 @@ boundary mismatch is charted smoothly through the anti-Hermitian part of
 U(T) U_f^dagger plus a trace-deficit entry (no logarithm branch cuts inside
 the iteration).  The free final time needs no residual of its own: the
 seed is rescaled to tr[H(0) F(0)] = 1, and the flow conserves tr[H F], so
-the system is square (N^2 entries for N^2 unknowns, the costate scale a
-gauge) and the discrete march can hit the target exactly.  A trust-region
-least-squares iteration with a finite-difference Jacobian, whose columns
-are marched in lockstep with each residual evaluation, closes the system.
+the N^2 boundary entries meet N^2 unknowns and the discrete march can hit
+the target exactly.  The costate scale is a gauge of those entries; each
+least-squares stage pins it with one more entry, (||c||^2 - r0^2) / (2 r0)
+on the costate coefficients c, with r0 their norm where the stage starts.
+The N^2 + 1 entries are consistent and their Jacobian has full rank.  A
+trust-region least-squares iteration with a finite-difference Jacobian,
+whose columns are marched in lockstep with each residual evaluation,
+closes the system.
 Results are extremals of the necessary conditions, not certified global
 optima; among converged starts the minimal-time one is reported and all
 converged times are listed.
@@ -605,8 +609,18 @@ def _fd_jacobian(residuals, x: np.ndarray, lo: np.ndarray,
 
 
 def _time_scale_estimate(problem: ShootingProblem) -> float:
+    """||log U_f|| over ||H_d|| plus a control speed: omega for ``Typical``,
+    r sqrt(lambda_max(M^+ Gram)) (the largest ||H_c|| with u^T M u <= r^2)
+    for ``BallInCoords``, and the largest |lo_j|, |hi_j| for a box."""
     c = problem.constraint
-    speed = c._ball[1] if c._box is None else float(np.max(np.abs(c._box)))
+    if c._box is not None:
+        speed = float(np.max(np.abs(c._box)))
+    elif isinstance(c.kind, BallInCoords):
+        gram = 0.5 * np.einsum("iab,jba->ij", c._frame, c._frame).real
+        stretch = np.linalg.eigvals(np.linalg.pinv(c.kind.metric) @ gram).real
+        speed = c.kind.radius * float(np.sqrt(np.max(stretch)))
+    else:
+        speed = c.kind.omega
     speed = max(speed + hs_norm(c.drift), 1e-9)
     return max(_target_log_norm(problem.target) / speed, 1e-3)
 
@@ -614,6 +628,17 @@ def _time_scale_estimate(problem: ShootingProblem) -> float:
 def _single_start(problem: ShootingProblem, start_index: int,
                   t_init: float, t_hi: float,
                   rng: np.random.Generator, earlier: list[dict]):
+    """One start of :func:`solve_shooting`: a seed drawn from ``rng``, a
+    coarse least-squares stage, then (unless an ``earlier`` converged start
+    has the same coarse solution) a polish on the solve grid and a check
+    march.  Each stage's residual is the boundary chart of
+    :func:`_shooting_residuals` plus the gauge entry (||c||^2 - r0^2) /
+    (2 r0), c the point's costate coefficients and r0 their norm at the
+    stage's start: the boundary rows do not see the costate scale, and this
+    entry fixes it, so the Jacobian has full rank.  The entry is computed
+    next to the march and costs none.  Returns the start's record, or None
+    when no regular seed is drawn or the polish ends on a singular costate.
+    """
     c = problem.constraint
     n = c.dim
     basis = generalized_gellmann(n)
@@ -633,9 +658,14 @@ def _single_start(problem: ShootingProblem, start_index: int,
 
     def stage(x, cells: int, tol: float):
         # each residual is one lockstep march of x and its forward-difference
-        # points; the Jacobian is kept for trf's jac call at that same x
+        # points; the Jacobian is kept for trf's jac call at that same x.  The
+        # last entry is the gauge entry, on the sphere of the stage's start
+        r0 = np.linalg.norm(x[:-1])
+
         def batch(xs):
-            return _shooting_residuals(c, problem.target, basis, xs, cells)
+            gauge = (np.sum(xs[:, :-1] ** 2, axis=1) - r0 ** 2) / (2.0 * r0)
+            return np.column_stack(
+                [_shooting_residuals(c, problem.target, basis, xs, cells), gauge])
         last = [None, None]   # the last marched point (bytes) and its Jacobian
 
         def fun(x):
@@ -690,10 +720,14 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     then a polish on the solve grid.  The free-time condition
     tr[H F] = 1 needs no residual: it holds at t = 0 by the rescaling and
     is conserved along the flow, so the system is consistent and each
-    stage converges to a zero residual.  A start whose coarse solution
-    matches a converged earlier start's (unit costate direction and T, to
-    ``DEFAULT_TOL.duplicate_start``) reuses that polished extremal under
-    its own index instead of polishing again.
+    stage converges to a zero residual.  The costate scale, to which the
+    chart is blind, is pinned in each stage by one more entry that holds
+    the costate coefficients on the sphere of the stage's start point
+    (:func:`_single_start`), so the Jacobian has full rank and the
+    iteration does not creep along that direction.  A start whose coarse
+    solution matches a converged earlier start's (unit costate direction
+    and T, to ``DEFAULT_TOL.duplicate_start``) reuses that polished
+    extremal under its own index instead of polishing again.
     Each residual evaluation is one lockstep march of the coupled flow
     (:func:`_coupled_flow`) of its point and the point's N^2
     forward-difference points (scipy's 2-point step rule); the Jacobian

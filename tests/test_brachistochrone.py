@@ -437,6 +437,46 @@ def test_support_function_is_the_maximum_over_the_bound():
         assert np.all(g @ (w / scale[:, None]).T <= support[:, None] * (1 + 1e-13))
 
 
+def test_ball_time_scale_uses_the_largest_admissible_control_norm():
+    # the shooting horizon's speed for u^T M u <= r^2 is the largest ||H_c||
+    # on that ball, r sqrt(lambda_max) of the pencil (Gram, M), not r
+    import scipy.linalg
+    from toqc.constraint_model import BallInCoords
+    rng = np.random.default_rng(22)
+    target = random_special_unitary(rng, 2)
+    frame = (SIGMA_X, SIGMA_Y + 0.4 * SIGMA_X, SIGMA_Z)
+    metric = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+    c = ConstraintSet(2, np.zeros((2, 2), dtype=complex), frame, BallInCoords(0.7, metric))
+    speed = hs_norm(log_op(target)) / br._time_scale_estimate(br.ShootingProblem(c, target))
+    gram = 0.5 * np.einsum("iab,jba->ij", np.stack(frame), np.stack(frame)).real
+    pencil = scipy.linalg.eigh(gram, metric, eigvals_only=True)
+    assert speed == pytest.approx(0.7 * np.sqrt(pencil[-1]), rel=1e-12)
+    w = rng.standard_normal((4096, 3))
+    u = 0.7 * w / np.sqrt(np.einsum("si,ij,sj->s", w, metric, w))[:, None]
+    norms = [hs_norm(c.hamiltonian(ui)) for ui in u]
+    assert 0.99 * speed < max(norms) <= speed * (1 + 1e-12)
+    # a coefficient ball that is a Hilbert-Schmidt ball has its horizon
+    scaled = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
+                           BallInCoords(1.0, 100.0 * np.eye(3)))
+    assert br._time_scale_estimate(br.ShootingProblem(scaled, target)) == pytest.approx(
+        br._time_scale_estimate(br.ShootingProblem(full_su2(0.3, 0.1), target)), rel=1e-14)
+
+
+def test_ball_shooting_reaches_the_navigation_time():
+    # BallInCoords(1, 100 I) on full su(2) is Typical(0.1); with the radius
+    # taken as the speed, the time scale came out 3.25 times too short and
+    # no start converged (T = 0.718 against T_nav = 11.611)
+    from toqc.constraint_model import BallInCoords
+    rng = np.random.default_rng(3)
+    target = [random_special_unitary(rng, 2) for _ in range(9)][8]
+    c = ConstraintSet(2, 0.3 * SIGMA_Z, tuple(generalized_gellmann(2)),
+                      BallInCoords(1.0, 100.0 * np.eye(3)))
+    res = br.solve_shooting(br.ShootingProblem(c, target, FAST))
+    t_nav = br.zermelo_solve(0.3 * SIGMA_Z, 0.1, target, FAST).T
+    assert res.converged
+    assert abs(res.T - t_nav) < 1e-3 * t_nav
+
+
 def test_audit_reads_zero_on_converged_shooting_results():
     # skewing the maximizer's u_x by 0.2% (renormalized to the ball) still
     # converges, with T moved by under 1e-6, but reads about 6e-7 here;
@@ -1089,7 +1129,8 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
     # oracle: each stage of a start run again with a separate residual
     # (one march of x alone) and Jacobian (one lockstep march of x and its
     # forward-difference points); the rows of a march do not depend on the
-    # other members, so trf takes bitwise the same iterations
+    # other members, so trf takes bitwise the same iterations; both append
+    # the gauge entry (||c||^2 - r0^2) / (2 r0), r0 the start's costate norm
     lsq, residuals = br.least_squares, br._shooting_residuals
     problem = (br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(0), FAST)
                if n == 2 else _su3_shooting_problem())
@@ -1102,9 +1143,12 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
 
     def both_ways(fun, x0, jac, bounds, **kwargs):
         new = lsq(fun, x0, jac=jac, bounds=bounds, **kwargs)
+        r0 = np.linalg.norm(x0[:-1])
 
         def batch(xs):
-            return residuals(problem.constraint, problem.target, basis, xs, cells[-1])
+            gauge = (np.sum(xs[:, :-1] ** 2, axis=1) - r0 ** 2) / (2.0 * r0)
+            return np.column_stack([residuals(problem.constraint, problem.target,
+                                              basis, xs, cells[-1]), gauge])
         old = lsq(lambda x: batch(x[None])[0], x0,
                   jac=lambda x: br._fd_jacobian(batch, x, *bounds),
                   bounds=bounds, **kwargs)
@@ -1121,6 +1165,36 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
         assert (new.nfev, new.njev, new.status) == (old.nfev, old.njev, old.status)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_gauge_entry_gives_the_stage_jacobian_full_rank(monkeypatch, n):
+    # the boundary residual does not see the costate scale, so its N^2 rows
+    # alone have a null direction that the forward difference reads as a
+    # singular value near sqrt(eps) (1.9e-8 to 1.2e-7 relative here); the
+    # gauge entry (||c||^2 - r0^2) / (2 r0) has the gradient c / r0 along
+    # it, and the stage Jacobian reads 0.10 to 0.54, at the start point and
+    # at the converged coarse solution
+    lsq = br.least_squares
+    stages = []
+
+    def recording(fun, x0, jac, **kwargs):
+        sol = lsq(fun, x0, jac=jac, **kwargs)
+        stages.append((x0.copy(), sol.x, jac))
+        return sol
+
+    monkeypatch.setattr(br, "least_squares", recording)
+    problem = (br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(0), FAST)
+               if n == 2 else _su3_shooting_problem())
+    t0 = br._time_scale_estimate(problem)
+    assert br._single_start(problem, 0, t0, 6.0 * t0,
+                            np.random.default_rng(9), []) is not None
+    x0, x_coarse, jac = stages[0]
+    for x in (x0, x_coarse):
+        full = np.linalg.svd(jac(x), compute_uv=False)
+        boundary = np.linalg.svd(jac(x)[:n * n], compute_uv=False)
+        assert full[-1] > 1e-3 * full[0], full
+        assert boundary[-1] < 1e-6 * boundary[0], boundary
+
+
 def _su3_shooting_problem():
     rng = np.random.default_rng(1)
     c = ConstraintSet(3, 0.2 * random_traceless_hermitian(rng, 3),
@@ -1134,14 +1208,19 @@ def _su3_shooting_problem():
 def test_each_polish_reaches_a_zero_residual(monkeypatch, n):
     # the boundary system is consistent (no endpoint normalization entry),
     # so the discrete march hits the target and each polish converges
-    # quadratically to rounding instead of stalling at a residual floor
-    polishes, fidelities = [], []
+    # quadratically to rounding instead of stalling at a residual floor.
+    # With the gauge entry a polish takes 4 evaluations here and a coarse
+    # stage 9 or 10 (6 or 7 and 17 or 18 with the gauge left to trf); the bars
+    # leave one and two evaluations of margin
+    polishes, coarse, fidelities = [], [], []
     lsq, single_start = br.least_squares, br._single_start
 
     def recording_lsq(*args, **kwargs):
         sol = lsq(*args, **kwargs)
         if kwargs["xtol"] < 1e-12:
             polishes.append((float(np.linalg.norm(sol.fun)), sol.nfev))
+        else:
+            coarse.append(sol.nfev)
         return sol
 
     def recording_start(*args, **kwargs):
@@ -1161,5 +1240,6 @@ def test_each_polish_reaches_a_zero_residual(monkeypatch, n):
     assert br.solve_shooting(problem).converged
     assert polishes
     for norm, nfev in polishes:
-        assert norm < 1e-12 and nfev <= 10, polishes
+        assert norm < 1e-12 and nfev <= 5, polishes
+    assert coarse and max(coarse) <= 12, coarse
     assert max(fidelities) < 1e-14, fidelities
