@@ -477,10 +477,13 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
                            m_max: int = 4) -> GLCReport:
     """Audit singular arcs pinned to a quadratic boundary piece.
 
-    Samples 8 points of the piece (zero-pattern respected, eliminated
-    coordinate set from the constraint), reduces the chart there, closes the
-    condition operators under the costate flow, and checks whether any
-    costate in the surviving null space can carry tr[H_d F] = 1.  When no
+    Samples 8 points of the piece u^T M u = r^2, with M and r the ball
+    ``ConstraintSet`` resolved: the zeroed coordinates 0, the free ones
+    inside the ball in their own block of M, and the eliminated one the
+    positive root that puts the point on the ball.  It reduces the chart
+    there, closes the condition operators under the costate flow, and
+    checks whether any costate in the surviving null space can carry
+    tr[H_d F] = 1.  When no
     sampled point admits one the family is excluded outright; otherwise the
     numeric GLC test is run on the canonical surviving costate.  A seed
     that is not an integer >= 0, m_max < 1, or a case whose coordinates
@@ -499,8 +502,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         raise ValidationError(
             f"boundary case '{case.name}' needs distinct coordinates in 0..{l - 1}")
     rng = np.random.default_rng(seed)
-    metric = np.asarray(c.kind.metric, float)
-    r = c.kind.radius
+    metric, r = c._ball
     basis = generalized_gellmann(c.dim)
     phi = expand(c.drift, basis)
 
@@ -509,13 +511,16 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
     for _ in range(8):
         u = np.zeros(l)
         if free_idx:
+            # the free part inside the ball, in the metric: v^T M v <= (0.6 r)^2
             v = rng.standard_normal(len(free_idx))
-            v *= (0.6 * r) * rng.uniform(0.2, 1.0) / np.linalg.norm(v)
-            u[free_idx] = v
-        # eliminated coordinate from u^T G u = r^2 (positive root)
+            v_norm = np.sqrt(v @ metric[np.ix_(free_idx, free_idx)] @ v)
+            u[free_idx] = v * ((0.6 * r) * rng.uniform(0.2, 1.0) / v_norm)
+        # eliminated coordinate: the positive root of
+        # M_ee u_e^2 + 2 b u_e + q - r^2 = 0, b = sum_j M_ej u_j, q = u^T M u
         quad = float(u @ metric @ u)
+        b = float(metric[case.eliminate] @ u)
         gee = metric[case.eliminate, case.eliminate]
-        u[case.eliminate] = np.sqrt(max(r * r - quad, 0.0) / gee)
+        u[case.eliminate] = (np.sqrt(b * b + gee * (r * r - quad)) - b) / gee
         full_chart = ControlChart(tuple(c.control_basis), u=u, names=c.control_labels)
         red = boundary_reduce(full_chart, c.kind, case.eliminate)
         coeffs = _normalizable_costate(_flow_closure_rows(c, u, red), phi)

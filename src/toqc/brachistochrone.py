@@ -44,11 +44,10 @@ from typing import Optional
 import numpy as np
 
 from .constraint_model import (
-    BallInCoords,
-    Box,
     ConstraintSet,
     Typical,
     _span_maximizer,
+    _support,
     maximizer,
 )
 from .dynamics import (
@@ -315,22 +314,22 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     sample before a chunk carries across its edge).  It polishes that first
     sign change with Brent's method, recovers H_c(0) from the principal log
     at the root, and reproduces the motion on a dense midpoint-sampled grid
-    with the exact costate F = lambda_0 H_c.  Each scan chunk and each
-    stage after the root is one stacked operation over its sample times.
-    The dense controls are rebuilt in the eigenbasis of H_d, from one phase
-    array over its eigenvalue gaps and one matrix product
-    (:func:`_navigation_controls`).  Scan samples on the
-    logarithm branch cut are skipped; a cut met inside the bracket or at the
+    with the exact costate F = lambda_0 H_c, scaled to tr[H(0) F(0)] = 1 by
+    the normalization shooting uses (:func:`_normalize_seed`).  Each scan
+    chunk and each stage after the root is one stacked operation over its
+    sample times.  The dense controls are rebuilt in the eigenbasis of H_d,
+    from one phase array over its eigenvalue gaps and one matrix product
+    (:func:`_navigation_controls`).  Scan samples on the logarithm branch
+    cut are skipped; a cut met inside the bracket or at the
     root returns an unconverged result that says so.  The closed-form
     endpoint e^{-i H_d T} e^{-i H_c(0) T} is U_f by construction of H_c(0),
     so it is not checked again: the result is ``converged`` when the rebuilt
     endpoint's fidelity residual is below ``options.residual_tol``, and
     otherwise unconverged with its protocol and residual.  An omega that is
-    not positive and finite, or a target off the unitary group, raises
-    ValidationError; a target of the wrong shape DimensionMismatchError.
+    not positive and finite (refused by ``Typical``), or a target off the
+    unitary group, raises ValidationError; a target of the wrong shape
+    DimensionMismatchError.
     """
-    if not 0 < omega < np.inf:   # NaN fails too
-        raise ValidationError(f"omega must be positive and finite, got {omega!r}")
     n = len(drift)
     constraint = ConstraintSet(n, drift, tuple(generalized_gellmann(n)), Typical(omega))
     identity = _check_target(target, drift, options.seed)
@@ -381,12 +380,11 @@ def zermelo_solve(drift: np.ndarray, omega: float, target: np.ndarray,
     grid = np.linspace(0.0, t_star, options.refine_points + 1)
     controls = _navigation_controls(drift, hc0, constraint.control_basis,
                                     0.5 * (grid[:-1] + grid[1:]))
-    denom = float(np.trace(drift @ hc0).real) + 2.0 * omega ** 2
-    f0 = (1.0 / denom) * hc0 if denom > 0 else hc0
+    f0 = _normalize_seed(constraint, hc0)
     return _solve_result(
-        constraint, grid, controls, f0, target, options, T=t_star,
-        singular_intervals=(), n_starts=1, extremal_times=(t_star,),
-        message="" if denom > 0 else
+        constraint, grid, controls, hc0 if f0 is None else f0, target, options,
+        T=t_star, singular_intervals=(), n_starts=1, extremal_times=(t_star,),
+        message="" if f0 is not None else
         "normalization weight non-positive; costate left unscaled")
 
 
@@ -609,19 +607,12 @@ def _fd_jacobian(residuals, x: np.ndarray, lo: np.ndarray,
 
 
 def _time_scale_estimate(problem: ShootingProblem) -> float:
-    """||log U_f|| over ||H_d|| plus a control speed: omega for ``Typical``,
+    """||log U_f|| over ||H_d|| plus the control speed the constraint set
+    resolved (``ConstraintSet._speed``): omega for ``Typical``,
     r sqrt(lambda_max(M^+ Gram)) (the largest ||H_c|| with u^T M u <= r^2)
     for ``BallInCoords``, and the largest |lo_j|, |hi_j| for a box."""
     c = problem.constraint
-    if c._box is not None:
-        speed = float(np.max(np.abs(c._box)))
-    elif isinstance(c.kind, BallInCoords):
-        gram = 0.5 * np.einsum("iab,jba->ij", c._frame, c._frame).real
-        stretch = np.linalg.eigvals(np.linalg.pinv(c.kind.metric) @ gram).real
-        speed = c.kind.radius * float(np.sqrt(np.max(stretch)))
-    else:
-        speed = c.kind.omega
-    speed = max(speed + hs_norm(c.drift), 1e-9)
+    speed = max(c._speed + hs_norm(c.drift), 1e-9)
     return max(_target_log_norm(problem.target) / speed, 1e-3)
 
 
@@ -816,23 +807,6 @@ class AuditReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _support(c: ConstraintSet, g: np.ndarray) -> np.ndarray:
-    """max of u . g over the declared bound, for rows g (K, l): a box gives
-    sum_j max(lo_j g_j, hi_j g_j), a ball u^T M u <= r^2 r sqrt(g . M^{-1} g)
-    with M the declared metric or, for ``Typical``, the frame's Gram matrix.
-    M^{-1} g is a least-squares solve, so a dependent frame audits too."""
-    kind = c.kind
-    if isinstance(kind, Box):
-        return np.sum(np.maximum(np.multiply(kind.lo, g), np.multiply(kind.hi, g)), axis=-1)
-    if isinstance(kind, BallInCoords):
-        metric, radius = kind.metric, kind.radius
-    else:
-        frame = np.stack(c.control_basis)
-        metric, radius = 0.5 * np.einsum("iab,jba->ij", frame, frame).real, kind.omega
-    quad = np.einsum("kj,jk->k", g, np.linalg.lstsq(metric, g.T, rcond=None)[0])
-    return radius * np.sqrt(np.maximum(quad, 0.0))
 
 
 def qb_consistency_audit(result: SolveResult) -> AuditReport:

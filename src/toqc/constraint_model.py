@@ -110,6 +110,8 @@ class ConstraintSet:
     # the resolved bound: (lo, hi) of a box, or (metric, radius) of a ball
     _box: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
     _ball: Optional[tuple[np.ndarray, float]] = field(init=False, repr=False)
+    # the largest ||H_c|| over the bound for a ball; a box's largest |lo_j|, |hi_j|
+    _speed: float = field(init=False, repr=False)
     _frame_real: np.ndarray = field(init=False, repr=False)
     _pairing: np.ndarray = field(init=False, repr=False)
 
@@ -137,6 +139,7 @@ class ConstraintSet:
                     "typical kind needs an orthonormal control frame "
                     "(Gram matrix 2*I under the full trace)")
             ball = gram, self.kind.omega
+            speed = self.kind.omega
         elif isinstance(self.kind, Box):
             lo, hi = np.asarray(self.kind.lo, float), np.asarray(self.kind.hi, float)
             if lo.shape != (l,) or hi.shape != (l,):
@@ -146,6 +149,7 @@ class ConstraintSet:
             if np.any(lo > hi):
                 raise ValidationError("box bounds need lo_j <= hi_j")
             box = lo, hi
+            speed = float(np.max(np.abs(box)))
         elif isinstance(self.kind, BallInCoords):
             g = np.asarray(self.kind.metric, float)
             if g.shape != (l, l):
@@ -159,6 +163,10 @@ class ConstraintSet:
             if not 0 < self.kind.radius < np.inf:
                 raise ValidationError("ball radius must be positive and finite")
             ball = g, self.kind.radius
+            # max ||H_c||^2 = u^T Gram u over u^T g u <= r^2: the top of the
+            # pencil (Gram, g), r^2 lambda_max(g^+ Gram)
+            stretch = np.linalg.eigvals(np.linalg.pinv(g) @ gram).real
+            speed = self.kind.radius * float(np.sqrt(np.max(stretch)))
         else:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
         if self.control_names is not None and len(self.control_names) != l:
@@ -176,7 +184,7 @@ class ConstraintSet:
         pairing = np.concatenate(
             [half] + [half @ np.linalg.pinv(d, hermitian=True) for d in duals], axis=1)
         for name, value in (("_frame", stack), ("_span", _orthonormalize(stack)),
-                            ("_box", box), ("_ball", ball),
+                            ("_box", box), ("_ball", ball), ("_speed", speed),
                             ("_frame_real", frame_real), ("_pairing", pairing)):
             object.__setattr__(self, name, value)
 
@@ -335,6 +343,20 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
     h = _row_products(u, c._frame_real).view(complex).reshape(f.shape)
     h += c.drift
     return h, u, singular, flagged
+
+
+def _support(c: ConstraintSet, g: np.ndarray) -> np.ndarray:
+    """max of u . g over the bound, for rows g (K, l): a box gives
+    sum_j max(lo_j g_j, hi_j g_j), a ball u^T M u <= r^2 r sqrt(g . M^{-1} g)
+    (M the Gram matrix for ``Typical``).  M^{-1} g is a least-squares solve
+    of its own, not the maximizer's pairing matrix, so the audit stays
+    independent of the maximizer; a dependent frame audits too."""
+    if c._ball is None:
+        lo, hi = c._box
+        return np.sum(np.maximum(lo * g, hi * g), axis=-1)
+    metric, radius = c._ball
+    quad = np.einsum("kj,jk->k", g, np.linalg.lstsq(metric, g.T, rcond=None)[0])
+    return radius * np.sqrt(np.maximum(quad, 0.0))
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,6 +27,13 @@ matching the sign convention the worked one-qubit and two-qubit analyses
 use (the first nonzero order is antisymmetric, so the choice only flips the
 sign of odd orders and never changes a zero/semidefiniteness verdict).
 
+Along a singular arc the matrices obey the symmetry law
+Q^(m) = (-1)^m Q^(m)^T: Q^(1) is antisymmetric and an even order is
+symmetric.  ``glc_test`` notes max |Q^(m) - (-1)^m Q^(m)^T| over the orders
+it scanned when that exceeds ``DEFAULT_TOL.glc_symmetry``: a point where
+Q^(1)(F) vanishes but not along an arc gives an even order that is not
+symmetric.
+
 The first nonzero order M must be even, and (-1)^(M/2) Q^(M) must be
 negative semidefinite; otherwise the singular arc cannot be time optimal.
 Q^(m) is a linear functional of F throughout, which the test exploits to
@@ -348,7 +355,7 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
         # Q^(m) is linear in F, so Q(F) = sum_a f_a Q(tau_a).
         q = np.einsum("ija,a->ij", t, coeffs)
         matrices.append(q)
-        sym = q + ((-1) ** m) * q.T
+        sym = q - ((-1) ** m) * q.T   # the symmetry law, see the module notes
         symmetry_viol = max(symmetry_viol, float(np.max(np.abs(sym))))
         if np.max(np.abs(t)) < 1e-12:
             continue  # identically zero order

@@ -29,8 +29,9 @@ class Tolerances:
     singular : threshold on |tr[c_j F]|-type pairings below which the
         maximizer reports a singular point; looser than the matrix
         tolerances because it sits inside root-finding loops
-    glc_symmetry : allowed violation of the (anti)symmetry law of the
-        Legendre-Clebsch matrices
+    glc_symmetry : allowed violation max |Q^(m) - (-1)^m Q^(m)^T| of the
+        symmetry law of the Legendre-Clebsch matrices (odd orders
+        antisymmetric, even orders symmetric)
     semidefinite : eigenvalue slack in semidefiniteness verdicts
     congruence : allowed mismatch in reparametrization congruence checks
     admissible : how far a ``Protocol``'s controls may leave the bound

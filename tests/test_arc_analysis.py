@@ -305,3 +305,42 @@ def test_symbolic_glc_matrices_equal_the_numeric_ones():
         for g, w in zip(got, want):
             assert np.max(np.abs(g.imag)) < 1e-12
             np.testing.assert_allclose(g.real, w, rtol=0, atol=1e-12)
+
+
+CROSS_METRIC = np.eye(4)
+CROSS_METRIC[0, 3] = CROSS_METRIC[3, 0] = 0.5
+
+
+@pytest.mark.parametrize("metric, case", [
+    # the cross term 2 u_3 M_30 u_0 of the eliminated coordinate
+    (CROSS_METRIC, ((1, 2), 3)),
+    # a free part scaled in the Euclidean norm leaves the ball
+    (10.0 * np.eye(4), ((), 2)),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_boundary_study_samples_points_on_the_ball(monkeypatch, metric, case, seed):
+    # the sampled points used to drop the cross term and clip at u_e = 0:
+    # u^T M u ranged from 2.1 to 5.9 against r^2 = 4 on the first metric; on
+    # the second the free part left the ball, u_e was clipped to 0 and
+    # ImplicitFunctionError followed
+    from toqc import arc_analysis
+    from toqc.arc_analysis import BoundaryCase
+    from toqc.constraint_model import BallInCoords, ConstraintSet
+    from toqc.scenarios import triplet_operators
+    ops = triplet_operators()
+    c = ConstraintSet(3, ops["Sigma_x_tilde"],
+                      (ops["S1"], ops["S2"], ops["S3"], ops["Sigma_z_tilde"]),
+                      BallInCoords(2.0, metric))
+    points = []
+    reduce = arc_analysis.boundary_reduce
+
+    def spy(chart, active, eliminate):
+        points.append(chart.u)
+        return reduce(chart, active, eliminate)
+
+    monkeypatch.setattr(arc_analysis, "boundary_reduce", spy)
+    boundary_closure_study(c, BoundaryCase("x", *case), seed=seed)
+    assert points
+    for u in points:
+        assert u @ metric @ u == pytest.approx(4.0, rel=1e-12)
+        assert u[case[1]] > 0 and np.all(u[list(case[0])] == 0)

@@ -16,10 +16,12 @@ from toqc.sun_algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    commutator,
     expand,
     gellmann_basis,
     generalized_gellmann,
     random_traceless_hermitian,
+    reconstruct,
 )
 
 RNG = np.random.default_rng(99)
@@ -546,3 +548,37 @@ def test_normalized_singular_costate_is_the_minimal_norm_solution():
                                  frame, cm.Box(-np.ones(l), np.ones(l)))
         assert sg.normalized_singular_costate(lolli) is None
         assert lstsq_singular_costate(lolli) is None
+
+
+def test_symmetry_note_measures_the_law():
+    # the law is Q^(m) = (-1)^m Q^(m)^T; the note used to add up
+    # max |Q + (-1)^m Q^T|, which flags every symmetric even order.  At a
+    # point of an su(3) chart where Q^(1)(F) = 0 but not along an arc, Q^(2)
+    # is not symmetric, and the note gives max |Q^(2) - Q^(2)^T|
+    lam = gellmann_basis()
+    basis = generalized_gellmann(3)
+    chart = sg.ControlChart((lam[0], lam[3]))
+    rng = np.random.default_rng(0)
+    h = random_traceless_hermitian(rng, 3)
+    coeffs = expand(random_traceless_hermitian(rng, 3), basis)
+    bracket = expand(commutator(lam[0], lam[3]), basis)
+    coeffs -= (coeffs @ bracket) / (bracket @ bracket) * bracket
+    rep = sg.glc_test(chart, h, reconstruct(coeffs, basis))
+    assert np.max(np.abs(rep.matrices[0])) < 1e-12
+    assert rep.order == 2
+    q2 = rep.matrices[1]
+    antisym = float(np.max(np.abs(q2 - q2.T)))
+    assert antisym > 1.0
+    assert rep.notes == (f"symmetry law violated by {antisym:.3e}",)
+
+
+def test_symmetric_even_order_carries_no_symmetry_note():
+    # the exchange-saturated boundary piece closes at a diagonal Q^(2)
+    from toqc.arc_analysis import boundary_closure_study
+    from toqc.scenarios import get_scenario
+    sc = get_scenario("symmetric_two_qubit")
+    case = next(c for c in sc.boundary_cases if c.name == "J")
+    rep = boundary_closure_study(sc.constraint, case)
+    q2 = rep.matrices[rep.order - 1]
+    assert rep.order == 2 and np.array_equal(q2, np.diag(np.diag(q2)))
+    assert not any("symmetry" in note for note in rep.notes)

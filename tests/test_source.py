@@ -98,6 +98,40 @@ def test_every_parameter_is_read():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
+BOUND_FIELDS = {"omega", "lo", "hi", "radius", "metric"}
+
+
+def bound_field_reads(path: pathlib.Path) -> list[str]:
+    """Reads of a bound kind's declared fields: x.kind.<field>, or
+    k.<field> for a name k assigned from some x.kind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "kind"
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_kind(v: ast.expr) -> bool:
+        return (isinstance(v, ast.Attribute) and v.attr == "kind") or (
+            isinstance(v, ast.Name) and v.id in aliases)
+
+    return [f"{path.name}:{n.lineno} .{n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in BOUND_FIELDS
+            and is_kind(n.value)]
+
+
+def test_only_the_constraint_model_reads_the_bound():
+    # ConstraintSet resolves every kind to a box or a ball (and its speed);
+    # the solvers, the audit and the boundary study read that, so a second
+    # copy of the geometry cannot drift from the first.  Serialization
+    # writes the declared fields, and the zermelo command passes omega on
+    owners = {"constraint_model.py", "io_formats.py", "cli.py"}
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name not in owners]
+    assert len(modules) > 5
+    reads = [entry for p in modules for entry in bound_field_reads(p)]
+    assert not reads, "bound fields read outside the constraint model: " + \
+        ", ".join(reads)
+    assert bound_field_reads(SRC / "io_formats.py")   # the scan sees reads
+
+
 def test_cli_import_leaves_sympy_unloaded():
     # every toqc process pays for the import; sympy is loaded only by the
     # symbolic arc analysis that needs it
