@@ -522,7 +522,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         gee = metric[case.eliminate, case.eliminate]
         u[case.eliminate] = (np.sqrt(b * b + gee * (r * r - quad)) - b) / gee
         full_chart = ControlChart(tuple(c.control_basis), u=u, names=c.control_labels)
-        red = boundary_reduce(full_chart, c.kind, case.eliminate)
+        red = boundary_reduce(full_chart, metric, case.eliminate)
         coeffs = _normalizable_costate(_flow_closure_rows(c, u, red), phi)
         if coeffs is None:
             continue  # no normalizable singular costate at this point

@@ -1,7 +1,17 @@
 """Command-line interface.
 
-Subcommands: classify, evolve, solve, glc, zermelo, scenario; each takes
-only the flags its command reads (``_COMMANDS``), so any other flag exits 2.
+Subcommands: classify, evolve, solve, glc, zermelo, scenario.  Each
+subparser takes only the flags its command reads (``_COMMANDS``), so any
+other flag exits 2, and carries its command, which runs from the parsed
+``argparse.Namespace``.  A flag that is not given leaves the default of
+what reads it in force: ``ShootingOptions`` for the shooting flags,
+``boundary_closure_study`` for the glc seed, ``_FLAGS`` for the rest.  An
+input the run would not read also exits 2: --scenario with --constraint,
+--omega0 or --Omega without --scenario, --target with --alpha, either of
+them with a problem file that holds a target, a boundary --arc with a glc
+input file, and anything but --out on ``scenario list``.  A new flag goes
+in ``_FLAGS``, in the flag list of its commands in ``_COMMANDS``, and in
+the commands that read it.
 Structured results are printed as JSON (or written with --out); time series
 go to CSV.
 Exit codes: 0 success, 2 validation error, 3 numeric non-convergence.
@@ -12,14 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import brachistochrone as brach
 from .arc_analysis import boundary_closure_study, derive_singular_structure
-from .constraint_model import ConstraintSet, Typical, classify
+from .constraint_model import Typical, classify
 from .dynamics import conservation_report, evolve_costate, evolve_unitary
 from .errors import DegenerateProblemError, ToqcError, ValidationError
 from .io_formats import (
@@ -39,44 +48,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one command plus its inputs and options."""
-
-    command: str
-    scenario: Optional[str] = None
-    constraint_path: Optional[str] = None
-    target_path: Optional[str] = None
-    protocol_path: Optional[str] = None
-    omega0: Optional[float] = None
-    Omega: Optional[float] = None
-    alpha: Optional[float] = None
-    grid: int = brach.ShootingOptions.grid_points
-    multistarts: int = brach.ShootingOptions.multistarts
-    seed: int = brach.ShootingOptions.seed
-    tol: Optional[float] = None
-    out: Optional[str] = None
-    fmt: str = "json"
-    arc: str = "interior"
-    m_max: int = 4
-    action: Optional[str] = None
-    name: Optional[str] = None
-    options: Optional[brach.ShootingOptions] = field(default=None, init=False)
-
-    def __post_init__(self):
-        if self.command not in {"classify", "evolve", "solve", "glc",
-                                "zermelo", "scenario"}:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if self.fmt not in {"json", "csv"}:
-            raise ValidationError("--format must be json or csv")
-        if self.fmt == "csv" and self.out is None:
-            raise ValidationError("--format csv writes the trajectory to a "
-                                  "file: give it with --out FILE")
-        if self.command in {"solve", "zermelo"}:
-            # ShootingOptions alone checks the grid floor, counts, seed and tol
-            self.options = _solve_options(self)
-
-
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,15 +58,46 @@ def _load_json(path: str, what: str) -> dict:
         raise ValidationError(f"{what}: malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    text = dump_json(payload, config.out)
-    if config.out is None:
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    text = dump_json(payload, args.out)
+    if args.out is None:
         sys.stdout.write(text)
 
 
-def _scenario_from_config(config: RunConfig):
-    return get_scenario(config.scenario, omega0=config.omega0,
-                        Omega=config.Omega)
+def _given(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """The given flags among ``names``, keyed by dest, so that the callee's
+    own default holds for the others."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+
+
+def _refuse(inputs: dict, why: str) -> None:
+    """Exit 2 naming the first given input of ``inputs`` (flag -> value),
+    which the run would not read."""
+    for flag, value in inputs.items():
+        if value is not None:
+            raise ValidationError(f"{flag} is not read {why}")
+
+
+def _options(args: argparse.Namespace) -> brach.ShootingOptions:
+    # ShootingOptions alone checks the grid floor, counts, seed and tol
+    return brach.ShootingOptions(**_given(
+        args, ("grid_points", "multistarts", "seed", "residual_tol")))
+
+
+def _source(args: argparse.Namespace, what: str):
+    """Where classify, solve and glc take their system from: (the scenario
+    of --scenario with its --omega0/--Omega overrides, None), or else (None,
+    the JSON of --constraint)."""
+    if args.scenario is not None:
+        _refuse({"--constraint": args.constraint},
+                "with --scenario: give one of them")
+        return get_scenario(args.scenario, omega0=args.omega0,
+                            Omega=args.Omega), None
+    _refuse({"--omega0": args.omega0, "--Omega": args.Omega},
+            "without --scenario: it overrides a scenario parameter")
+    if args.constraint is None:
+        raise ValidationError(f"{args.command} needs --scenario or --constraint")
+    return None, _load_json(args.constraint, what)
 
 
 def _drift_axis_target(drift: np.ndarray, omega0: Optional[float],
@@ -108,35 +110,27 @@ def _drift_axis_target(drift: np.ndarray, omega0: Optional[float],
     return exp_op(drift / omega0, alpha)
 
 
-def _target_from_config(config: RunConfig, constraint: ConstraintSet,
-                        omega0: Optional[float]) -> np.ndarray:
-    if config.target_path is not None:
-        data = _load_json(config.target_path, "target")
-        if isinstance(data, dict) and "target" in data:
-            data = data["target"]
-        return matrix_from_json(data, "target")
-    if config.alpha is not None:
-        return _drift_axis_target(constraint.drift, omega0, config.alpha)
-    raise ValidationError("provide --target FILE or --alpha")
+def _target_file(path: str) -> np.ndarray:
+    data = _load_json(path, "target")
+    if isinstance(data, dict) and "target" in data:
+        data = data["target"]
+    return matrix_from_json(data, "target")
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    if config.scenario is not None:
-        constraint = _scenario_from_config(config).constraint
-    elif config.constraint_path is not None:
-        constraint = constraint_from_json(
-            _load_json(config.constraint_path, "constraint"))
-    else:
-        raise ValidationError("classify needs --constraint or --scenario")
-    _emit(classify(constraint).as_dict(), config)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    sc, data = _source(args, "constraint")
+    constraint = sc.constraint if sc is not None else constraint_from_json(data)
+    _emit(classify(constraint).as_dict(), args)
     return EXIT_OK
 
 
-def _cmd_evolve(config: RunConfig) -> int:
-    if config.protocol_path is None:
+def _cmd_evolve(args: argparse.Namespace) -> int:
+    if args.format == "csv" and args.out is None:
+        raise ValidationError("--format csv writes the trajectory to a "
+                              "file: give it with --out FILE")
+    if args.protocol is None:
         raise ValidationError("evolve needs --protocol FILE")
-    protocol, f0 = protocol_from_json(
-        _load_json(config.protocol_path, "protocol"))
+    protocol, f0 = protocol_from_json(_load_json(args.protocol, "protocol"))
     traj = evolve_unitary(protocol)
     if f0 is not None:
         traj = evolve_costate(f0, traj)
@@ -147,82 +141,63 @@ def _cmd_evolve(config: RunConfig) -> int:
         "conservation": report,
         "final_unitary": matrix_to_json(traj.final_unitary),
     }
-    if config.fmt == "csv":
-        export_plotdata(traj, config.out)
+    if args.format == "csv":
+        export_plotdata(traj, args.out)
         sys.stdout.write(dump_json(payload))
     else:
-        _emit(payload, config)
+        _emit(payload, args)
     return EXIT_OK
 
 
-def _solve_options(config: RunConfig) -> brach.ShootingOptions:
-    kwargs = {"grid_points": config.grid, "multistarts": config.multistarts,
-              "seed": config.seed}
-    if config.tol is not None:
-        kwargs["residual_tol"] = config.tol
-    return brach.ShootingOptions(**kwargs)
-
-
-def _cmd_solve(config: RunConfig) -> int:
-    omega0 = None
-    target = None
-    if config.scenario is not None:
-        sc = _scenario_from_config(config)
-        constraint = sc.constraint
-        omega0 = sc.parameters.get("omega0")
-    elif config.constraint_path is not None:
-        data = _load_json(config.constraint_path, "constraint")
-        if "constraint" in data:
-            # a full shooting-problem artifact: constraint + target (+ options)
-            constraint = constraint_from_json(data["constraint"],
-                                              "problem.constraint")
-            if "target" in data:
-                target = matrix_from_json(data["target"], "problem.target")
-        else:
-            constraint = constraint_from_json(data)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    options = _options(args)
+    sc, data = _source(args, "constraint")
+    omega0 = target = None
+    if sc is not None:
+        constraint, omega0 = sc.constraint, sc.parameters.get("omega0")
+    elif "constraint" in data:
+        # a shooting-problem artifact: the constraint and, optionally, the target
+        constraint = constraint_from_json(data["constraint"], "problem.constraint")
+        if "target" in data:
+            _refuse({"--target": args.target, "--alpha": args.alpha},
+                    "when the problem file holds a target")
+            target = matrix_from_json(data["target"], "problem.target")
     else:
-        raise ValidationError("solve needs --scenario or --constraint")
+        constraint = constraint_from_json(data)
     if target is None:
-        target = _target_from_config(config, constraint, omega0)
-    result = brach.solve_shooting(
-        brach.ShootingProblem(constraint, target, config.options))
-    _emit(result.as_dict(), config)
+        if args.target is not None:
+            _refuse({"--alpha": args.alpha}, "with --target: give one of them")
+            target = _target_file(args.target)
+        elif args.alpha is not None:
+            target = _drift_axis_target(constraint.drift, omega0, args.alpha)
+        else:
+            raise ValidationError("provide --target FILE or --alpha")
+    result = brach.solve_shooting(brach.ShootingProblem(constraint, target, options))
+    _emit(result.as_dict(), args)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
-def _cmd_zermelo(config: RunConfig) -> int:
-    if config.constraint_path is None or config.target_path is None:
+def _cmd_zermelo(args: argparse.Namespace) -> int:
+    options = _options(args)
+    if args.constraint is None or args.target is None:
         raise ValidationError("zermelo needs --constraint FILE and --target FILE")
-    constraint = constraint_from_json(
-        _load_json(config.constraint_path, "constraint"))
+    constraint = constraint_from_json(_load_json(args.constraint, "constraint"))
     if not isinstance(constraint.kind, Typical):
         raise ValidationError("zermelo needs a typical (Hilbert-Schmidt ball) bound")
     if constraint.n_controls != constraint.dim ** 2 - 1:
         raise ValidationError("zermelo needs the full control subspace")
-    target = _target_from_config(config, constraint, None)
     result = brach.zermelo_solve(constraint.drift, constraint.kind.omega,
-                                 target, config.options)
-    _emit(result.as_dict(), config)
+                                 _target_file(args.target), options)
+    _emit(result.as_dict(), args)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
-def _cmd_glc(config: RunConfig) -> int:
-    if config.scenario is not None:
-        sc = _scenario_from_config(config)
-        if config.arc == "interior":
-            report = derive_singular_structure(sc.arc_model(), m_max=config.m_max)
-        else:
-            wanted = config.arc.removeprefix("boundary-")
-            cases = {c.name: c for c in sc.boundary_cases}
-            if wanted not in cases:
-                raise ValidationError(
-                    f"scenario {sc.name} has no boundary case {wanted!r}; "
-                    f"available: interior, "
-                    + ", ".join(f"boundary-{n}" for n in cases))
-            report = boundary_closure_study(sc.constraint, cases[wanted],
-                                            seed=config.seed, m_max=config.m_max)
-    elif config.constraint_path is not None:
-        data = _load_json(config.constraint_path, "glc input")
+def _cmd_glc(args: argparse.Namespace) -> int:
+    sc, data = _source(args, "glc input")
+    if sc is None:
+        if args.arc != "interior":
+            raise ValidationError(f"--arc {args.arc} is not read with --constraint: "
+                                  "a glc input file is audited at its own point")
         if "constraint" not in data or "costate" not in data:
             raise ValidationError(
                 "glc input file needs keys 'constraint' and 'costate' "
@@ -233,96 +208,84 @@ def _cmd_glc(config: RunConfig) -> int:
                              u=data.get("controls", np.zeros(constraint.n_controls)),
                              names=constraint.control_names)
         h = constraint.hamiltonian(chart.u)
-        report = glc_test(chart, h, f, m_max=config.m_max)
+        report = glc_test(chart, h, f, m_max=args.m_max)
+    elif args.arc == "interior":
+        report = derive_singular_structure(sc.arc_model(), m_max=args.m_max)
     else:
-        raise ValidationError("glc needs --scenario or --constraint")
-    _emit(report.as_dict(), config)
+        wanted = args.arc.removeprefix("boundary-")
+        cases = {c.name: c for c in sc.boundary_cases}
+        if wanted not in cases:
+            raise ValidationError(
+                f"scenario {sc.name} has no boundary case {wanted!r}; "
+                f"available: interior, "
+                + ", ".join(f"boundary-{n}" for n in cases))
+        report = boundary_closure_study(sc.constraint, cases[wanted],
+                                        m_max=args.m_max, **_given(args, ("seed",)))
+    _emit(report.as_dict(), args)
     return EXIT_OK
 
 
-def _cmd_scenario(config: RunConfig) -> int:
-    if config.action == "list":
-        _emit({"scenarios": sorted(SCENARIOS)}, config)
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    if args.action == "list":
+        _refuse({"NAME": args.name, "--omega0": args.omega0,
+                 "--Omega": args.Omega, "--alpha": args.alpha},
+                "by scenario list")
+        _emit({"scenarios": sorted(SCENARIOS)}, args)
         return EXIT_OK
-    if config.action == "show":
-        if config.name is None:
-            raise ValidationError("scenario show needs a name")
-        sc = get_scenario(config.name, omega0=config.omega0, Omega=config.Omega)
-        payload = sc.as_dict()
-        payload["classification"] = classify(sc.constraint).as_dict()
-        if config.alpha is not None:
-            omega0 = sc.parameters["omega0"]
-            payload["canonical_target"] = matrix_to_json(
-                _drift_axis_target(sc.constraint.drift, omega0, config.alpha))
-            payload["singular_time_cost"] = config.alpha / omega0
-        _emit(payload, config)
-        return EXIT_OK
-    raise ValidationError("scenario needs an action: list | show NAME")
+    if args.name is None:
+        raise ValidationError("scenario show needs a name")
+    sc = get_scenario(args.name, omega0=args.omega0, Omega=args.Omega)
+    payload = sc.as_dict()
+    payload["classification"] = classify(sc.constraint).as_dict()
+    if args.alpha is not None:
+        omega0 = sc.parameters["omega0"]
+        payload["canonical_target"] = matrix_to_json(
+            _drift_axis_target(sc.constraint.drift, omega0, args.alpha))
+        payload["singular_time_cost"] = args.alpha / omega0
+    _emit(payload, args)
+    return EXIT_OK
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "evolve": _cmd_evolve,
-    "solve": _cmd_solve,
-    "glc": _cmd_glc,
-    "zermelo": _cmd_zermelo,
-    "scenario": _cmd_scenario,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated configuration; returns the process exit code."""
-    try:
-        return _DISPATCH[config.command](config)
-    except DegenerateProblemError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    except ToqcError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-
-
-# every flag, keyed by its spelling; each dest is a RunConfig field, whose
-# default applies when the flag is not given
+# every flag, keyed by its spelling; a flag without a default here is None
+# when not given, and what reads it then applies its own default
 _FLAGS = {
     "--scenario": dict(help="built-in scenario name"),
-    "--constraint": dict(dest="constraint_path",
-                         help="constraint (or glc input) JSON file"),
-    "--target": dict(dest="target_path", help="target unitary JSON file"),
-    "--protocol": dict(dest="protocol_path", help="protocol JSON file"),
+    "--constraint": dict(help="constraint (or glc input) JSON file"),
+    "--target": dict(help="target unitary JSON file"),
+    "--protocol": dict(help="protocol JSON file"),
     "--omega0": dict(type=float, help="drift scale override"),
     "--Omega": dict(type=float, help="control bound override"),
     "--alpha": dict(type=float,
                     help="build the drift-axis target exp(-i alpha D)"),
-    "--grid": dict(type=int, help="solver grid cells (>= 16)"),
+    "--grid": dict(dest="grid_points", type=int, help="solver grid cells (>= 16)"),
     "--multistarts": dict(type=int),
     "--seed": dict(type=int),
-    "--tol": dict(type=float,
+    "--tol": dict(dest="residual_tol", type=float,
                   help="fidelity-residual bar of a converged solve or "
                        "zermelo result (ShootingOptions.residual_tol)"),
     "--out": dict(help="output file (default: stdout)"),
-    "--format": dict(dest="fmt", choices=("json", "csv")),
-    "--arc": dict(help="glc arc: interior | boundary-<name>"),
-    "--m-max": dict(dest="m_max", type=int),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--arc": dict(default="interior", help="glc arc: interior | boundary-<name>"),
+    "--m-max": dict(type=int, default=4),
 }
 
 # where classify, solve and glc take their system from
 _SOURCE = ("--scenario", "--constraint", "--omega0", "--Omega")
 
-# each subcommand: its help line and the flags its command reads
+# each subcommand: its help line, the flags it reads and its command
 _COMMANDS = {
-    "classify": ("classify a constraint set", _SOURCE + ("--out",)),
+    "classify": ("classify a constraint set", _SOURCE + ("--out",), _cmd_classify),
     "evolve": ("propagate a protocol and report conserved quantities",
-               ("--protocol", "--out", "--format")),
+               ("--protocol", "--out", "--format"), _cmd_evolve),
     "solve": ("multistart shooting for a target unitary",
               _SOURCE + ("--target", "--alpha", "--grid", "--multistarts",
-                         "--seed", "--tol", "--out")),
+                         "--seed", "--tol", "--out"), _cmd_solve),
     "glc": ("Legendre-Clebsch audit of a singular arc",
-            _SOURCE + ("--arc", "--m-max", "--seed", "--out")),
+            _SOURCE + ("--arc", "--m-max", "--seed", "--out"), _cmd_glc),
     "zermelo": ("navigation solve (full control subspace)",
-                ("--constraint", "--target", "--seed", "--tol", "--out")),
+                ("--constraint", "--target", "--tol", "--out"), _cmd_zermelo),
     "scenario": ("list or show built-in scenarios",
-                 ("--omega0", "--Omega", "--alpha", "--out")),
+                 ("--omega0", "--Omega", "--alpha", "--out"), _cmd_scenario),
 }
 
 
@@ -332,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-optimal unitary control: classification, "
                     "propagation, shooting, navigation and singular-arc audits.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
+    for name, (blurb, flags, command) in _COMMANDS.items():
+        p = sub.add_parser(name, help=blurb)
+        p.set_defaults(command_fn=command)
         if name == "scenario":
             p.add_argument("action", choices=("list", "show"))
             p.add_argument("name", nargs="?")
@@ -345,11 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(**vars(args))
+        return args.command_fn(args)
     except ToqcError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    return run(config)
+        return EXIT_NUMERIC if isinstance(exc, DegenerateProblemError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraint_model import BallInCoords, ConstraintSet, classify
+from .constraint_model import ConstraintSet, classify
 from .errors import (
     DimensionMismatchError,
     ImplicitFunctionError,
@@ -389,12 +389,13 @@ def glc_test(chart: ControlChart, h: np.ndarray, f: np.ndarray,
                      tuple(derived), (), tuple(notes))
 
 
-def boundary_reduce(chart: ControlChart, active: BallInCoords,
+def boundary_reduce(chart: ControlChart, metric: np.ndarray,
                     eliminate: int) -> ControlChart:
     """Eliminate one coordinate of a chart pinned to a quadratic boundary.
 
-    On the boundary u^T G u = r^2, solving for u_e via the implicit function
-    theorem gives the reduced partials
+    On the boundary u^T G u = r^2, G the ``metric`` of the ball the
+    constraint set resolved (``ConstraintSet._ball``), solving for u_e via
+    the implicit function theorem gives the reduced partials
 
         h_i' = h_i - ((G u)_i / (G u)_e) h_e,
 
@@ -406,7 +407,7 @@ def boundary_reduce(chart: ControlChart, active: BallInCoords,
     l = chart.n_controls
     if not 0 <= eliminate < l:
         raise ValidationError(f"eliminate index {eliminate} out of range")
-    g = np.asarray(active.metric, float) @ chart.u
+    g = np.asarray(metric, float) @ chart.u
     if abs(g[eliminate]) < 1e-10:
         raise ImplicitFunctionError(
             "eliminated coordinate's constraint gradient is within 1e-10 of "

@@ -334,9 +334,9 @@ def test_boundary_study_samples_points_on_the_ball(monkeypatch, metric, case, se
     points = []
     reduce = arc_analysis.boundary_reduce
 
-    def spy(chart, active, eliminate):
+    def spy(chart, metric, eliminate):
         points.append(chart.u)
-        return reduce(chart, active, eliminate)
+        return reduce(chart, metric, eliminate)
 
     monkeypatch.setattr(arc_analysis, "boundary_reduce", spy)
     boundary_closure_study(c, BoundaryCase("x", *case), seed=seed)

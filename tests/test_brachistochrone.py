@@ -4,8 +4,8 @@ import pytest
 from toqc import brachistochrone as br
 from toqc import dynamics as dyn
 from toqc.constraint_model import ConstraintSet, Typical, maximizer
-from toqc.errors import DimensionMismatchError, ValidationError
-from toqc.scenarios import one_qubit_xy
+from toqc.errors import DegenerateProblemError, DimensionMismatchError, ValidationError
+from toqc.scenarios import landau_zener, one_qubit_xy
 from toqc.sun_algebra import (
     SIGMA_X,
     SIGMA_Y,
@@ -692,6 +692,44 @@ def test_shooting_keeps_distinct_extremals():
     assert res.converged
     assert res.extremal_times == (1.953157, 3.98413)
     assert res.n_starts == 3
+
+
+# --- failure exits --------------------------------------------------------------
+
+UNCONVERGED = br.ShootingOptions(grid_points=16, multistarts=2, refine_points=64)
+
+
+def _lz_problem() -> br.ShootingProblem:
+    """landau_zener(0.5, 1.0) at the first target of default_rng(0): on a
+    16-cell grid neither of two starts converges."""
+    target = random_special_unitary(np.random.default_rng(0), 2)
+    return br.ShootingProblem(landau_zener(0.5, 1.0).constraint, target,
+                              UNCONVERGED)
+
+
+def test_shooting_reports_the_best_unconverged_start():
+    res = br.solve_shooting(_lz_problem())
+    assert not res.converged and res.message == \
+        "no start converged; best residual reported"
+    assert res.n_starts == 2 and res.extremal_times == ()
+    assert res.T == pytest.approx(0.2250, abs=1e-4)
+    assert res.residual == pytest.approx(0.112, abs=1e-3)
+    assert res.protocol is None and res.costate0 is None
+
+
+def test_shooting_refuses_a_singular_best_start(singular_starts):
+    # an unconverged best start on singular cells throughout is a problem for
+    # the singular-arc analysis, not a failed solve
+    with pytest.raises(DegenerateProblemError, match="singular-arc analysis"):
+        br.solve_shooting(_lz_problem())
+
+
+def test_shooting_reports_starts_without_a_regular_seed(monkeypatch):
+    monkeypatch.setattr(br, "_single_start", lambda *args: None)
+    res = br.solve_shooting(_lz_problem())
+    assert not res.converged and res.protocol is None
+    assert res.message == "all starts failed to draw a regular seed"
+    assert res.n_starts == UNCONVERGED.multistarts
 
 
 # --- lockstep march ------------------------------------------------------------

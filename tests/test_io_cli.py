@@ -17,6 +17,7 @@ from toqc.sun_algebra import (
     exp_op,
     expand,
     generalized_gellmann,
+    random_special_unitary,
     random_traceless_hermitian,
 )
 
@@ -324,8 +325,10 @@ def test_cli_glc_refuses_m_max_below_one(m_max):
 
 
 def test_cli_refuses_flags_its_command_does_not_read():
-    # zermelo reads no scenario and builds no --alpha target
-    for flag, value in (("--alpha", "0.5"), ("--scenario", "landau_zener")):
+    # zermelo reads no scenario, builds no --alpha target and draws no
+    # random numbers
+    for flag, value in (("--alpha", "0.5"), ("--scenario", "landau_zener"),
+                        ("--seed", "3")):
         rc, _, err = run_cli("zermelo", "--constraint", "c.json",
                              "--target", "t.json", flag, value)
         assert rc == 2 and flag in err, (flag, rc, err)
@@ -414,6 +417,80 @@ def test_cli_refuses_non_finite_scenario_parameters_and_drift(tmp_path):
     assert rc == 2 and "finite" in err and out == "", (rc, out, err)
 
 
+# each of these used to run, leaving the named input unread; the small
+# solve options bound the run that used to happen
+SOLVE = ("--grid", "16", "--multistarts", "1")
+UNREAD = {
+    "classify-scenario-and-file": (
+        ("classify", "--scenario", "landau_zener", "--constraint", "{c}"),
+        "--constraint"),
+    "solve-scenario-and-file": (
+        ("solve", "--scenario", "landau_zener", "--alpha", "0.5",
+         "--constraint", "{c}", *SOLVE), "--constraint"),
+    "glc-scenario-and-file": (
+        ("glc", "--scenario", "symmetric_two_qubit", "--arc", "boundary-b3",
+         "--constraint", "{glc}"), "--constraint"),
+    "classify-file-omega0": (
+        ("classify", "--constraint", "{c}", "--omega0", "nan"), "--omega0"),
+    "solve-file-Omega": (
+        ("solve", "--constraint", "{c}", "--target", "{t}", "--Omega", "2",
+         *SOLVE), "--Omega"),
+    "glc-file-omega0": (
+        ("glc", "--constraint", "{glc}", "--omega0", "0.5"), "--omega0"),
+    "scenario-list-omega0": (("scenario", "list", "--omega0", "0.5"), "--omega0"),
+    "scenario-list-Omega": (("scenario", "list", "--Omega", "2"), "--Omega"),
+    "solve-target-and-alpha": (
+        ("solve", "--scenario", "one_qubit_xy", "--target", "{t}",
+         "--alpha", "0.5", *SOLVE), "--alpha"),
+    "solve-problem-target-and-target": (
+        ("solve", "--constraint", "{problem}", "--target", "{t}", *SOLVE),
+        "--target"),
+    "solve-problem-target-and-alpha": (
+        ("solve", "--constraint", "{problem}", "--alpha", "0.5", *SOLVE),
+        "--alpha"),
+    "scenario-list-alpha": (("scenario", "list", "--alpha", "0.5"), "--alpha"),
+    "scenario-list-name": (("scenario", "list", "landau_zener"), "NAME"),
+    "glc-file-boundary-arc": (
+        ("glc", "--constraint", "{glc}", "--arc", "boundary-b3"), "--arc"),
+}
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Paths of a one_qubit_xy constraint, a glc input, an SU(2) target and
+    a shooting problem that holds a target."""
+    c = iof.constraint_to_json(get_scenario("one_qubit_xy").constraint)
+    files = {
+        "c": c,
+        "glc": {"constraint": c, "costate": iof.matrix_to_json(SIGMA_Z / 2),
+                "controls": [0.0, 0.0]},
+        "t": iof.matrix_to_json(exp_op(SIGMA_X, 0.9)),
+        "problem": {"constraint": c,
+                    "target": iof.matrix_to_json(exp_op(SIGMA_X, 0.6))},
+    }
+    for key, payload in files.items():
+        (tmp_path / f"{key}.json").write_text(iof.dump_json(payload))
+    return {key: str(tmp_path / f"{key}.json") for key in files}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_cli_refuses_an_input_the_run_would_not_read(case, cli_inputs):
+    args, flag = UNREAD[case]
+    rc, out, err = run_cli(*(a.format(**cli_inputs) for a in args))
+    assert rc == 2 and out == "" and f"error: {flag} " in err, (rc, out, err)
+
+
+@pytest.mark.parametrize("source", [("--scenario", "landau_zener"),
+                                    ("--constraint", "{glc}")])
+def test_cli_glc_accepts_a_seed_it_does_not_read(source, cli_inputs):
+    # the seed drives only the boundary study; the interior and file audits
+    # accept it, so that one argv serves every arc
+    args = ("glc", *(a.format(**cli_inputs) for a in source))
+    rc, plain, _ = run_cli(*args)
+    rc_seeded, seeded, err = run_cli(*args, "--seed", "5")
+    assert rc == rc_seeded == 0 and plain == seeded, err
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_cli_refuses_a_non_finite_alpha(alpha):
     # show used to exit 0 printing NaN or -Infinity (not JSON); solve said
@@ -432,11 +509,34 @@ def test_cli_dump_json_deterministic(tmp_path):
     assert t1 == t2
 
 
-def test_run_config_validation():
-    with pytest.raises(ValidationError):
-        cli.RunConfig(command="fly")
-    with pytest.raises(ValidationError):
-        cli.RunConfig(command="solve", grid=4)
+def test_cli_unknown_command_exits_2():
+    rc, out, err = run_cli("fly")
+    assert rc == 2 and out == "" and "invalid choice: 'fly'" in err, (rc, err)
+
+
+def test_cli_solve_without_a_converged_start_exits_numeric(tmp_path, capsys):
+    # the best unconverged start is reported on stdout, with exit 3
+    target = random_special_unitary(np.random.default_rng(0), 2)
+    tpath = tmp_path / "T0.json"
+    tpath.write_text(iof.dump_json(iof.matrix_to_json(target)))
+    rc = cli.main(["solve", "--scenario", "landau_zener", "--omega0", "0.5",
+                   "--Omega", "1", "--target", str(tpath), "--grid", "16",
+                   "--multistarts", "2"])
+    out = capsys.readouterr().out
+    expected = cli.brach.solve_shooting(cli.brach.ShootingProblem(
+        get_scenario("landau_zener", 0.5, 1.0).constraint, target,
+        cli.brach.ShootingOptions(grid_points=16, multistarts=2)))
+    assert rc == cli.EXIT_NUMERIC
+    assert out == iof.dump_json(expected.as_dict())
+    assert json.loads(out)["message"] == "no start converged; best residual reported"
+
+
+def test_cli_solve_on_a_degenerate_problem_exits_numeric(singular_starts, capsys):
+    rc = cli.main(["solve", "--scenario", "landau_zener", "--alpha", "0.5",
+                   "--grid", "16", "--multistarts", "2"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_NUMERIC and captured.out == ""
+    assert "singular-arc analysis" in captured.err
 
 
 def test_cli_solve_output_protocol_feeds_evolve(tmp_path):

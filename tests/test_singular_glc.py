@@ -348,7 +348,7 @@ def test_boundary_reduce_partial_formulas():
     b3 = np.sqrt(omega_bound ** 2 - b1 ** 2 - b2 ** 2 - j_val ** 2)
     u = np.array([b1, b2, b3, j_val])
     chart = sg.ControlChart(frame, u=u, names=("b1", "b2", "b3", "J"))
-    red = sg.boundary_reduce(chart, BallInCoords(omega_bound, np.eye(4)), 2)
+    red = sg.boundary_reduce(chart, np.eye(4), 2)
     assert red.names == ("b1", "b2", "J")
     np.testing.assert_allclose(red.partials[0],
                                ops["S1"] - (b1 / b3) * ops["S3"], atol=1e-12)
@@ -366,7 +366,7 @@ def test_boundary_reduce_q1_first_chart():
     b3 = np.sqrt(omega_bound ** 2 - b1 ** 2 - b2 ** 2 - j_val ** 2)
     u = np.array([b1, b2, b3, j_val])
     chart = sg.ControlChart(frame, u=u)
-    red = sg.boundary_reduce(chart, BallInCoords(omega_bound, np.eye(4)), 2)
+    red = sg.boundary_reduce(chart, np.eye(4), 2)
     f1, f2, f4 = 0.11, 0.23, 0.41
     f = singular_costate_ex3(f1, f2, f4)
     h = omega0 * ops["Sigma_x_tilde"] + b1 * ops["S1"] + b2 * ops["S2"] \
@@ -384,7 +384,7 @@ def test_boundary_reduce_q1_second_chart():
     b1 = np.sqrt(omega_bound ** 2 - b2 ** 2 - j_val ** 2)
     u = np.array([b1, b2, 0.0, j_val])
     chart = sg.ControlChart(frame, u=u)
-    red = sg.boundary_reduce(chart, BallInCoords(omega_bound, np.eye(4)), 0)
+    red = sg.boundary_reduce(chart, np.eye(4), 0)
     f1, f2, f4 = 0.11, 0.23, 0.41
     f = singular_costate_ex3(f1, f2, f4)
     h = omega0 * ops["Sigma_x_tilde"] + b1 * ops["S1"] + b2 * ops["S2"] \
@@ -398,7 +398,7 @@ def test_boundary_reduce_trivial_when_point_on_axis():
     frame, ops = ex3_frame()
     u = np.array([0.0, 0.0, 0.0, 2.0])
     chart = sg.ControlChart(frame, u=u)
-    red = sg.boundary_reduce(chart, BallInCoords(2.0, np.eye(4)), 3)
+    red = sg.boundary_reduce(chart, np.eye(4), 3)
     for got, want in zip(red.partials, frame[:3]):
         np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -407,7 +407,7 @@ def test_boundary_reduce_rejects_vanishing_coordinate():
     frame, _ = ex3_frame()
     chart = sg.ControlChart(frame, u=np.array([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ImplicitFunctionError):
-        sg.boundary_reduce(chart, BallInCoords(2.0, np.eye(4)), 2)
+        sg.boundary_reduce(chart, np.eye(4), 2)
 
 
 # --- reparametrization invariance --------------------------------------------------

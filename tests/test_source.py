@@ -99,15 +99,27 @@ def test_every_parameter_is_read():
 
 
 BOUND_FIELDS = {"omega", "lo", "hi", "radius", "metric"}
+BOUND_KINDS = {"Typical", "Box", "BallInCoords", "Kind"}
+
+
+def names_a_kind(annotation: ast.expr | None) -> bool:
+    return annotation is not None and any(
+        (isinstance(n, ast.Name) and n.id in BOUND_KINDS)
+        or (isinstance(n, ast.Attribute) and n.attr in BOUND_KINDS)
+        for n in ast.walk(annotation))
 
 
 def bound_field_reads(path: pathlib.Path) -> list[str]:
     """Reads of a bound kind's declared fields: x.kind.<field>, or
-    k.<field> for a name k assigned from some x.kind."""
+    k.<field> for a name k assigned from some x.kind or a parameter k
+    annotated with a bound kind."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     aliases = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                and isinstance(node.value, ast.Attribute) and node.value.attr == "kind"
                for t in node.targets if isinstance(t, ast.Name)}
+    aliases |= {a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                for a in node.posonlyargs + node.args + node.kwonlyargs
+                if names_a_kind(a.annotation)}
 
     def is_kind(v: ast.expr) -> bool:
         return (isinstance(v, ast.Attribute) and v.attr == "kind") or (
@@ -118,7 +130,7 @@ def bound_field_reads(path: pathlib.Path) -> list[str]:
             and is_kind(n.value)]
 
 
-def test_only_the_constraint_model_reads_the_bound():
+def test_only_the_constraint_model_reads_the_bound(tmp_path):
     # ConstraintSet resolves every kind to a box or a ball (and its speed);
     # the solvers, the audit and the boundary study read that, so a second
     # copy of the geometry cannot drift from the first.  Serialization
@@ -130,6 +142,10 @@ def test_only_the_constraint_model_reads_the_bound():
     assert not reads, "bound fields read outside the constraint model: " + \
         ", ".join(reads)
     assert bound_field_reads(SRC / "io_formats.py")   # the scan sees reads
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(active: Optional[BallInCoords]):\n"
+                     "    return active.metric\n")
+    assert bound_field_reads(probe) == ["probe.py:2 .metric"]
 
 
 def test_cli_import_leaves_sympy_unloaded():
