@@ -100,6 +100,17 @@ def _source(args: argparse.Namespace, what: str):
     return None, _load_json(args.constraint, what)
 
 
+def _constraint_file(data: dict):
+    """The constraint of a --constraint file and the target it holds (None
+    when it holds none): a bare constraint, or the shooting-problem artifact
+    {constraint, target (optional)}.  classify and solve read it here."""
+    if "constraint" not in data:
+        return constraint_from_json(data), None
+    target = data.get("target")
+    return (constraint_from_json(data["constraint"], "problem.constraint"),
+            None if target is None else matrix_from_json(target, "problem.target"))
+
+
 def _drift_axis_target(drift: np.ndarray, omega0: Optional[float],
                        alpha: float) -> np.ndarray:
     """The ``--alpha`` target exp(-i alpha H_d / omega0)."""
@@ -119,7 +130,7 @@ def _target_file(path: str) -> np.ndarray:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     sc, data = _source(args, "constraint")
-    constraint = sc.constraint if sc is not None else constraint_from_json(data)
+    constraint = sc.constraint if sc is not None else _constraint_file(data)[0]
     _emit(classify(constraint).as_dict(), args)
     return EXIT_OK
 
@@ -155,15 +166,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     omega0 = target = None
     if sc is not None:
         constraint, omega0 = sc.constraint, sc.parameters.get("omega0")
-    elif "constraint" in data:
-        # a shooting-problem artifact: the constraint and, optionally, the target
-        constraint = constraint_from_json(data["constraint"], "problem.constraint")
-        if "target" in data:
+    else:
+        constraint, target = _constraint_file(data)
+        if target is not None:
             _refuse({"--target": args.target, "--alpha": args.alpha},
                     "when the problem file holds a target")
-            target = matrix_from_json(data["target"], "problem.target")
-    else:
-        constraint = constraint_from_json(data)
     if target is None:
         if args.target is not None:
             _refuse({"--alpha": args.alpha}, "with --target: give one of them")
@@ -250,7 +257,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 # when not given, and what reads it then applies its own default
 _FLAGS = {
     "--scenario": dict(help="built-in scenario name"),
-    "--constraint": dict(help="constraint (or glc input) JSON file"),
+    "--constraint": dict(help="constraint, shooting-problem or glc input "
+                              "JSON file"),
     "--target": dict(help="target unitary JSON file"),
     "--protocol": dict(help="protocol JSON file"),
     "--omega0": dict(type=float, help="drift scale override"),

@@ -1,10 +1,13 @@
 """Propagation of the unitary and costate flows.
 
 Controls are piecewise constant on grid cells, so each step is one exact
-matrix exponential and the trajectory stays in SU(N) to rounding.  The
-costate flow i dF/dt = [H, F] is solved exactly by conjugation with the
-propagator, F(t) = U(t) F(0) U(t)^dagger, which keeps the spectrum of F (and
-hence tr[F^2]) frozen by construction.
+matrix exponential and the trajectory stays in SU(N) to rounding.  Long
+products are polar-projected every ``PROJECTION_PERIOD`` cells
+(:func:`reunitarize`, a Newton-Schulz step near the group), and
+:func:`evolve_unitary` chains its blocks in log depth.  The costate flow
+i dF/dt = [H, F] is solved exactly by conjugation with the propagator,
+F(t) = U(t) F(0) U(t)^dagger, which keeps the spectrum of F (and hence
+tr[F^2]) frozen by construction.
 """
 
 from __future__ import annotations
@@ -151,27 +154,59 @@ def protocol_from_function(constraint: ConstraintSet, grid: np.ndarray,
     return Protocol(constraint, grid, controls)
 
 
+# the largest defect max|U^dagger U - I| that reunitarize meets with a
+# Newton-Schulz step, which leaves about (3/4) defect^2 (<= 1e-14 here); the
+# step diverges for ||U||_2 >= sqrt(3), so members further off the group,
+# such as the parareal starts of a bang-bang rebuild, take the SVD
+_NEWTON_SCHULZ_DEFECT = 1e-7
+
+
 def reunitarize(u: np.ndarray) -> np.ndarray:
-    """Project a near-unitary matrix back onto the unitary group (polar)."""
-    w, _, vt = np.linalg.svd(u)
-    return w @ vt
+    """Project near-unitary matrices (one, or a stack) back onto the unitary
+    group: their polar factors.
+
+    A member within ``_NEWTON_SCHULZ_DEFECT`` of the group takes one
+    Newton-Schulz step U (3I - U^dagger U) / 2 (Higham, *Functions of
+    Matrices*, SIAM 2008, section 8.3), written U (I - E/2) with E = U^dagger U
+    - I: two :func:`~toqc.sun_algebra.stack_product` calls over the stack,
+    the first of which also measures the defect.  The others are then
+    overwritten with the SVD's W V^dagger.  The choice is made per member,
+    so a member's result does not depend on the stack it sits in.
+    """
+    n = u.shape[-1]
+    stack = u.reshape(-1, n, n)
+    eye = np.eye(n)
+    err = stack_product(dagger(stack), stack)
+    err -= eye
+    near = np.max(np.abs(err), axis=(-2, -1)) <= _NEWTON_SCHULZ_DEFECT
+    err *= -0.5
+    err += eye   # I - E/2, in place
+    out = stack_product(stack, err)
+    if not near.all():
+        w, _, vt = np.linalg.svd(stack[~near])
+        out[~near] = w @ vt
+    return out.reshape(u.shape)
 
 
 def evolve_unitary(protocol: Protocol) -> Trajectory:
     """Integrate i dU/dt = H(t) U with U(0) = 1 by exact exponential steps.
 
     Every ``PROJECTION_PERIOD`` (64) steps the accumulated product is
-    polar-projected back onto the unitary group, so rounding does not build
-    up over long grids (keeps tr[F^2] frozen to ~1e-14 even at 10^5 cells).
+    polar-projected back onto the unitary group (:func:`reunitarize`), so
+    rounding does not build up over long grids (keeps tr[F^2] frozen to
+    ~1e-14 even at 10^5 cells).
 
     The running product is blocked along those 64-cell projection blocks:
     the prefix products inside every block are formed for all blocks at
     once (63 calls of :func:`~toqc.sun_algebra.stack_product`, each on one
-    member per block, written back into the step stack), the block totals are
-    chained one after another with the projection at each block end, and
-    every node is then one :func:`~toqc.sun_algebra.stack_product` of an
-    in-block prefix with its block's start, taken in chunks of 2048 nodes.
-    The last K mod 64 cells are stepped one by one.
+    member per block, written back into the step stack).  The projected
+    block totals are chained by a Hillis-Steele scan: in round d = 1, 2, 4,
+    ... every block from d on takes the product with the block d before it,
+    projected, so ceil(log2(K / 64)) stacked rounds give every block end in
+    place of K / 64 serial products and projections.  Every
+    node is then one :func:`~toqc.sun_algebra.stack_product` of an in-block
+    prefix with its block's start, taken in chunks of 2048 nodes.  The last
+    K mod 64 cells are stepped one by one.
     """
     n = protocol.constraint.dim
     k_cells = protocol.n_cells
@@ -186,10 +221,14 @@ def evolve_unitary(protocol: Protocol) -> Trajectory:
         prefix[:, j] = stack_product(prefix[:, j], prefix[:, j - 1])
     starts = np.empty((n_blocks + 1, n, n), dtype=complex)
     starts[0] = out[0]
-    for b in range(n_blocks):
-        starts[b + 1] = reunitarize(prefix[b, -1] @ starts[b])
+    ends = starts[1:]
+    ends[:] = reunitarize(prefix[:, -1])
+    d = 1
+    while d < n_blocks:
+        ends[d:] = reunitarize(stack_product(ends[d:], ends[:-d]))
+        d *= 2
     stack_product(prefix, starts[:-1, None], out=out[1:full + 1].reshape(prefix.shape))
-    out[block:full + 1:block] = starts[1:]   # block ends carry the projection
+    out[block:full + 1:block] = ends   # block ends carry the projection
     acc = starts[-1]
     for k in range(full, k_cells):
         acc = steps[k] @ acc

@@ -11,8 +11,8 @@ Operators are plain complex ``numpy`` arrays.  Conventions used throughout:
 
 The exponential has three forms (:func:`exp_op`): the Cayley-Hamilton
 closed form for N = 2; for the small steps of a generator stack with
-N >= 3, the diagonal Pade approximant r_3, which maps su(N) onto a unitary
-because its denominator is the adjoint of its numerator; and otherwise the
+N >= 3, the degree-6 Taylor polynomial, three stacked products and no
+solve, whose remainder there is below unit roundoff; and otherwise the
 eigendecomposition of the Hermitian generator (always diagonalizable).
 Logarithms go through the eigendecomposition, which keeps unitarity exact
 and the logarithm branch under explicit control.  Products of stacks of
@@ -77,8 +77,9 @@ def traceless(a: np.ndarray) -> np.ndarray:
     return a - (np.trace(a) / n) * np.eye(n)
 
 
-# members per pass over a long stack, in stack_product and the Pade kernel:
-# bounds the stack-sized temporaries of a pass (peak memory)
+# members per pass over a long stack, in stack_product and the Taylor
+# kernel of _exp_stack: bounds the stack-sized temporaries of a pass (peak
+# memory)
 _STACK_CHUNK = 2048
 
 
@@ -277,7 +278,7 @@ def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
       e^{-i s a} [cos(s r) I - i (sin(s r) / r) H] with a = tr A / 2,
       H = A - a I and r^2 = (1/2) tr H^2 (a zero generator gives exactly I).
     * N >= 3, a generator stack: each member with ||s_k A_k||_1 <= theta_3
-      takes the diagonal Pade approximant r_3 (:func:`_exp_stack`), exact to
+      takes the degree-6 Taylor polynomial (:func:`_exp_stack`), exact to
       unit roundoff there; a member above theta_3 takes the
       eigendecomposition.  The choice is made per member, so every member's
       result is independent of the rest of the stack.  The time steps of
@@ -294,23 +295,26 @@ def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
     return _exp_eigh(a, s)
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3: below this
-# 1-norm of X the diagonal Pade approximant r_3(X) is e^X to unit roundoff
-_PADE3_THETA = 1.495585217958292e-2
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3 (theta_3):
+# below this 1-norm of X the remainder of the degree-6 Taylor polynomial of
+# e^X is at most theta^7 / 7! ~ 3.3e-17, under unit roundoff
+_TAYLOR_THETA = 1.495585217958292e-2
 
 
 def _exp_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """:func:`exp_op` of a generator stack (K, N, N) with times (K,).
 
-    With X = -i s_k A_k, r_3(X) = q(X)^{-1} p(X), where p(X) = even + odd,
-    q(X) = even - odd, odd = X (I/2 + X^2/120) and even = I + X^2/10.  For
-    Hermitian A, q(X) = p(X)^dagger, so r_3(X) is unitary.  Members above
-    ``_PADE3_THETA`` take :func:`_exp_eigh`; the rest go through in chunks
+    With X = -i s_k A_k, the degree-6 Taylor polynomial in Paterson-Stockmeyer
+    form, T_6(X) = (I + X + X^2/2) + X^3 (I/6 + X/24 + X^2/120 + X^3/720)
+    (Bader, Blanes and Casas, Mathematics 7, 1174 (2019)): three
+    :func:`stack_product` calls and no solve, summed from the small terms up.
+    Below theta_3 it is e^X, and so unitary, to unit roundoff.  Members above
+    ``_TAYLOR_THETA`` take :func:`_exp_eigh`; the rest go through in chunks
     of ``_STACK_CHUNK`` written into one output.
     """
     n = a.shape[-1]
     out = np.empty(a.shape, dtype=complex)
-    fits = np.abs(s) * np.max(np.sum(np.abs(a), axis=-2), axis=-1) <= _PADE3_THETA
+    fits = np.abs(s) * np.max(np.sum(np.abs(a), axis=-2), axis=-1) <= _TAYLOR_THETA
     large, small = np.flatnonzero(~fits), np.flatnonzero(fits)
     if large.size:
         out[large] = _exp_eigh(a[large], s[large])
@@ -319,9 +323,11 @@ def _exp_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
         rows = small[start:start + _STACK_CHUNK]
         x = (-1j * s[rows])[:, None, None] * a[rows]
         x2 = stack_product(x, x)
-        odd = stack_product(x, 0.5 * eye + x2 / 120.0)
-        even = eye + x2 / 10.0
-        out[rows] = np.linalg.solve(even - odd, even + odd)
+        x3 = stack_product(x2, x)
+        tail = stack_product(x3, eye / 6.0 + x / 24.0 + x2 / 120.0 + x3 / 720.0)
+        tail += 0.5 * x2
+        tail += x
+        out[rows] = tail + eye
     return out
 
 

@@ -6,7 +6,6 @@ The solves of criteria 3 and 4 come from session fixtures, so the
 conservation sweep of criterion 5 reuses them and still runs on its own.
 """
 
-import json
 import subprocess
 import sys
 
@@ -17,11 +16,10 @@ from toqc import brachistochrone as br
 from toqc import dynamics as dyn
 from toqc import io_formats as iof
 from toqc.arc_analysis import boundary_closure_study, derive_singular_structure
-from toqc.constraint_model import BallInCoords, ConstraintSet, Typical
+from toqc.constraint_model import ConstraintSet, Typical
 from toqc.scenarios import get_scenario, singular_replacement, triplet_operators
 from toqc.singular_glc import (
     ControlChart,
-    boundary_reduce,
     glc_matrices,
     glc_test,
     normalized_singular_costate,
@@ -39,7 +37,6 @@ from toqc.sun_algebra import (
     hs_norm,
     random_special_unitary,
     random_traceless_hermitian,
-    reconstruct,
 )
 
 

@@ -260,7 +260,7 @@ def test_zermelo_scan_without_a_bracket_keeps_its_message(monkeypatch, case):
 
 
 def test_navigation_solve_makes_no_batched_eigh(monkeypatch):
-    # the 16384 steps of an SU(3) navigation rebuild lie below the Pade
+    # the 16384 steps of an SU(3) navigation rebuild lie below the Taylor
     # radius, so evolve_unitary takes no stacked eigendecomposition; the
     # scan, the root and the control rebuild take single-matrix ones
     rng = np.random.default_rng(66)

@@ -8,7 +8,6 @@ from toqc.sun_algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    exp_op,
     gellmann_basis,
     generalized_gellmann,
     hs_norm,

@@ -15,6 +15,8 @@ from toqc.sun_algebra import (
     exp_op,
     gellmann_basis,
     generalized_gellmann,
+    hs_norm,
+    random_special_unitary,
     random_traceless_hermitian,
     unitarity_defect,
 )
@@ -124,6 +126,17 @@ def test_evolve_unitary_matches_expm_product():
         np.testing.assert_allclose(traj.unitaries[k + 1], acc, rtol=0, atol=1e-13)
 
 
+def _random_protocol(n, cells, seed):
+    """A random full-subspace SU(n) protocol with steps dt in [0.005, 0.02]."""
+    basis = tuple(generalized_gellmann(n))
+    rng = np.random.default_rng(seed)
+    c = cm.ConstraintSet(n, random_traceless_hermitian(rng, n, 0.3), basis,
+                         cm.Typical(1.0))
+    grid = np.cumsum(np.concatenate([[0.0], rng.uniform(0.005, 0.02, cells)]))
+    w = rng.standard_normal((cells, len(basis)))
+    return dyn.Protocol(c, grid, w / np.linalg.norm(w, axis=1, keepdims=True))
+
+
 def _per_cell_product(p):
     """The running product one cell at a time, re-projected every 64 cells:
     the oracle for the blocked product in evolve_unitary."""
@@ -144,16 +157,94 @@ def _per_cell_product(p):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("cells", [1, 63, 64, 65, 130, 4113])
 def test_blocked_product_matches_per_cell_loop(n, cells):
-    basis = tuple(generalized_gellmann(n))
-    rng = np.random.default_rng(100 * n + cells)
-    c = cm.ConstraintSet(n, random_traceless_hermitian(rng, n, 0.3), basis,
-                         cm.Typical(1.0))
-    grid = np.cumsum(np.concatenate([[0.0], rng.uniform(0.005, 0.02, cells)]))
-    w = rng.standard_normal((cells, len(basis)))
-    p = dyn.Protocol(c, grid, w / np.linalg.norm(w, axis=1, keepdims=True))
+    p = _random_protocol(n, cells, 100 * n + cells)
     us = dyn.evolve_unitary(p).unitaries
     np.testing.assert_allclose(us, _per_cell_product(p), rtol=0, atol=1e-13)
     assert np.max(unitarity_defect(us)) < 1e-13
+
+
+def _long_double_chain(p):
+    """The running product of the protocol's steps in long double, one cell
+    after another and never projected: each step is the degree-16 Taylor
+    polynomial of -i dt H (for ||dt H|| <= 0.1 its remainder is below 1e-30),
+    from the same double H and dt as evolve_unitary."""
+    h = p.hamiltonians().astype(np.clongdouble)
+    x = (-1j * np.diff(p.grid).astype(np.longdouble))[:, None, None] * h
+    assert np.max(np.abs(x)) <= 0.1 / p.constraint.dim
+    eye = np.eye(p.constraint.dim, dtype=np.clongdouble)
+    steps = eye + x / 16
+    for k in range(15, 0, -1):
+        steps = eye + (x @ steps) / k
+    out = np.empty((p.n_cells + 1,) + eye.shape, dtype=np.clongdouble)
+    out[0] = eye
+    for k, step in enumerate(steps):
+        out[k + 1] = step @ out[k]
+    return out
+
+
+@pytest.mark.parametrize("cells", [63, 64, 65, 192, 16384])
+def test_block_chain_against_a_long_double_serial_chain(cells):
+    # the block ends are chained in ceil(log2(K / 64)) stacked rounds; every
+    # node stays near the exact product of the same steps (8.9e-15 at 16384
+    # cells; Pade steps with serial SVD projections were 6.7e-14 off)
+    p = _random_protocol(3, cells, 300 + cells)
+    us = dyn.evolve_unitary(p).unitaries
+    assert np.max(np.abs(us - _long_double_chain(p))) <= 2e-14
+
+
+def test_navigation_nodes_against_a_long_double_chain():
+    # the 16384 nodes of a seed-4 SU(3) navigation rebuild (the benchmark's
+    # first navigate-su3 instance): Taylor steps, Newton-Schulz projections
+    # and the log-depth chain keep them 1.9e-15 from the exact product of
+    # the same steps (Pade steps with serial SVD projections: 2.1e-13)
+    from toqc import brachistochrone as br
+    rng = np.random.default_rng(4)
+    drift = random_traceless_hermitian(rng, 3)
+    drift *= 0.3 / hs_norm(drift)
+    target = random_special_unitary(rng, 3)
+    p = br.zermelo_solve(drift, 1.0, target).protocol
+    assert p.n_cells == 16384
+    us = dyn.evolve_unitary(p).unitaries
+    assert np.max(np.abs(us - _long_double_chain(p))) <= 5e-14
+
+
+def _off_the_group(rng, n, defect):
+    """(U, its polar factor): U = V (I + S) with V in SU(n) and S Hermitian,
+    scaled so that max|U^dagger U - I| is about ``defect``."""
+    v = random_special_unitary(rng, n)
+    s = random_traceless_hermitian(rng, n) + rng.normal() * np.eye(n)
+    s *= 0.5 * defect / np.max(np.abs(s))
+    return v @ (np.eye(n) + s), v
+
+
+def _svd_polar(u):
+    w, _, vt = np.linalg.svd(u)
+    return w @ vt
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reunitarize_takes_newton_schulz_near_the_group_and_svd_off_it(n):
+    rng = np.random.default_rng(40 + n)
+    near = [_off_the_group(rng, n, d) for d in (0.0, 1e-12, 1e-10, 3e-8)
+            for _ in range(4)]
+    # 2 V is normal, but its norm 2 > sqrt(3) makes Newton-Schulz diverge
+    far = [_off_the_group(rng, n, d)[0] for d in (1e-3, 0.5)] \
+        + [2.0 * random_special_unitary(rng, n)]
+    members = np.stack([u for u, _ in near] + far)
+    got = dyn.reunitarize(members)
+    # near the group: the polar factor V itself to rounding (the SVD's own
+    # W V^dagger is up to 4e-15 from V)
+    for (u, v), w in zip(near, got):
+        assert np.max(np.abs(w - v)) <= 3e-15
+    assert np.max(unitarity_defect(got)) <= 1e-14
+    # off it: the SVD's polar factor, bit for bit
+    for u, w in zip(far, got[len(near):]):
+        assert np.array_equal(w, _svd_polar(u))
+    # the form is chosen per member: a member's bits do not depend on its
+    # stack, and one matrix is a stack of one
+    for k in range(len(members)):
+        assert np.array_equal(dyn.reunitarize(members[k]), got[k])
+        assert np.array_equal(dyn.reunitarize(members[k:k + 1])[0], got[k])
 
 
 def test_unitarity_preserved_on_long_grids():

@@ -480,6 +480,15 @@ def test_cli_refuses_an_input_the_run_would_not_read(case, cli_inputs):
     assert rc == 2 and out == "" and f"error: {flag} " in err, (rc, out, err)
 
 
+def test_cli_classify_reads_a_shooting_problem_file(cli_inputs):
+    # the {constraint, target} file that solve --constraint takes classifies
+    # as its constraint does
+    rc, bare, err = run_cli("classify", "--constraint", cli_inputs["c"])
+    assert rc == 0, err
+    rc, problem, err = run_cli("classify", "--constraint", cli_inputs["problem"])
+    assert rc == 0 and problem == bare, err
+
+
 @pytest.mark.parametrize("source", [("--scenario", "landau_zener"),
                                     ("--constraint", "{glc}")])
 def test_cli_glc_accepts_a_seed_it_does_not_read(source, cli_inputs):

@@ -4,9 +4,9 @@ import pytest
 from toqc import constraint_model as cm
 from toqc import dynamics as dyn
 from toqc import scenarios as sc
-from toqc.errors import InfeasibleReplacementError, ValidationError
+from toqc.errors import ValidationError
 from toqc.singular_glc import bracket_obstruction
-from toqc.sun_algebra import SIGMA_X, SIGMA_Z, exp_op, gellmann_basis
+from toqc.sun_algebra import SIGMA_Z, exp_op, gellmann_basis
 
 
 # --- operator tables -----------------------------------------------------------

@@ -177,7 +177,7 @@ def _complex_stack(rng, shape):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stack_product_equals_matmul_on_every_caller_shape(n):
     # the shapes its callers pass: a stack and one matrix (the costate
-    # flow), stack times stack (the march, the Pade kernel), and the
+    # flow), stack times stack (the march, the Taylor kernel), and the
     # blocked node product of evolve_unitary; 40 blocks of 64 cross the
     # 2048-member chunk, and so do the 2500-member stacks
     rng = np.random.default_rng(70 + n)
@@ -303,15 +303,15 @@ def test_exp_op_su2_closed_form_against_expm():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_exp_op_pade_stack_against_expm(n):
-    # a generator stack with N >= 3 takes the Pade form member by member
+def test_exp_op_taylor_stack_against_expm(n):
+    # a generator stack with N >= 3 takes the Taylor form member by member
     # below theta_3 (in the 1-norm of s A) and the eigendecomposition above
     import scipy.linalg
     rng = np.random.default_rng(34 + n)
     gens = np.stack([sa.random_traceless_hermitian(rng, n) for _ in range(16)])
     one_norms = np.max(np.sum(np.abs(gens), axis=-2), axis=-1)
-    below = sa._PADE3_THETA * rng.uniform(0.9, 0.999999, 16) / one_norms
-    above = sa._PADE3_THETA * rng.uniform(1.000001, 1.1, 16) / one_norms
+    below = sa._TAYLOR_THETA * rng.uniform(0.9, 0.999999, 16) / one_norms
+    above = sa._TAYLOR_THETA * rng.uniform(1.000001, 1.1, 16) / one_norms
     mixed = np.where(np.arange(16) % 2 == 0, below, -above)
     for ts in (below, -below, above, mixed):
         stack = sa.exp_op(gens, ts)
@@ -320,6 +320,24 @@ def test_exp_op_pade_stack_against_expm(n):
         assert np.max(sa.unitarity_defect(stack)) <= 1e-14
         for k in range(16):
             assert np.array_equal(stack[k], sa.exp_op(gens[k:k + 1], ts[k:k + 1])[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_exp_op_taylor_step_is_the_exponential_to_unit_roundoff(n):
+    # just below theta_3 the degree-6 Taylor remainder is theta^7 / 7!, about
+    # 3.3e-17, so the step is expm's to rounding and unitary to rounding
+    import scipy.linalg
+    rng = np.random.default_rng(50 + n)
+    gens = np.stack([sa.random_traceless_hermitian(rng, n) for _ in range(32)])
+    one_norms = np.max(np.sum(np.abs(gens), axis=-2), axis=-1)
+    ts = sa._TAYLOR_THETA * rng.uniform(0.99, 0.999999, 32) / one_norms
+    ts[::2] *= -1.0
+    stack = sa.exp_op(gens, ts)
+    ref = [scipy.linalg.expm(-1j * t * g) for g, t in zip(gens, ts)]
+    assert np.max(np.abs(stack - ref)) <= 2e-16
+    assert np.max(sa.unitarity_defect(stack)) <= 1e-15
+    for k in range(32):
+        assert np.array_equal(stack[k], sa.exp_op(gens[k:k + 1], ts[k:k + 1])[0])
 
 
 def test_random_special_unitary_draws_keep_the_eigendecomposition():
