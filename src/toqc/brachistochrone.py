@@ -434,7 +434,8 @@ def _flow_cell(constraint: ConstraintSet, f0: np.ndarray, u_mat: np.ndarray,
 
 def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
                   t_final: float | np.ndarray, n_cells: int,
-                  record: bool = False, u0: Optional[np.ndarray] = None):
+                  record: bool = False, u0: Optional[np.ndarray] = None,
+                  nodes: Optional[np.ndarray] = None):
     """March the maximizer-consistent flow of B costates in lockstep.
 
     A member's only state is its unitary U.  Each cell takes the costate
@@ -444,9 +445,12 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
     costate H is the maximizer's own choice, the admissible control nearest
     zero.  ``f0`` is a stack (B, N, N); ``t_final`` is a scalar or one time
     per member, so each member has its own dt.  ``u0`` (B, N, N) starts the
-    members at given unitaries instead of the identity.  Each stage of a
-    cell is one :func:`_span_maximizer` call and one :func:`_expm_step`
-    call on the whole stack, so B members cost about as much as one.
+    members at given unitaries instead of the identity.  ``nodes``
+    (B, n_cells + 1, N, N), when given, receives U at every node: the start,
+    then U after each cell (projected where the cell ends a period).  Each
+    stage of a cell is one :func:`_span_maximizer` call and one
+    :func:`_expm_step` call on the whole stack, so B members cost about as
+    much as one.
 
     Returns (U, F, singular, controls) at the end of the march, each
     stacked over the members: singular is a (B, n_cells) mask of the cells
@@ -458,45 +462,56 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
     u_mat = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)) if u0 is None else u0
     singular = np.zeros((b, n_cells), dtype=bool)
     controls = np.zeros((b, n_cells, constraint.n_controls)) if record else None
+    if nodes is not None:
+        nodes[:, 0] = u_mat
     for k in range(n_cells):
         u_mat, singular[:, k], uk = _flow_cell(constraint, f0, u_mat, dt)
         if (k + 1) % PROJECTION_PERIOD == 0:
             u_mat = reunitarize(u_mat)
         if record:
             controls[:, k] = uk
+        if nodes is not None:
+            nodes[:, k + 1] = u_mat
     return (u_mat, stack_product(stack_product(u_mat, f0), dagger(u_mat)),
             singular, controls)
 
 
 def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
-                   n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+                   n_cells: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Controls (K, l) and singular-cell indices of the march of ``f0`` on
     K = ``n_cells`` cells, by parareal over its projection blocks
-    (``PROJECTION_PERIOD`` cells each).
+    (``PROJECTION_PERIOD`` cells each), started from ``nodes``.
 
+    ``nodes`` (M + 1, N, N) holds U at the nodes j t_final / M of a march of
+    ``f0`` on any M cells, such as the polish's march on the solve grid.
     The unknowns are the block-start unitaries U_s; the march is stateless,
-    so a block depends on its start alone.  The coarse propagator G is one
-    march cell across a block, the fine one F the block's own march; both
-    end with the polar projection (without it the iteration diverges).  A
-    first pass sets U_{s+1} = G(U_s), one cell per block in turn.  Each
-    sweep then sets U_{s+1} = F(U_s^old) + DG_s (U_s^new - U_s^old): the
+    so a block depends on its start alone.  Block s starts at
+    t_s = s t_final 64 / K; its initial U_s is one march cell of length
+    t_s - t_j from the node t_j at or before t_s, then the polar projection,
+    one lockstep call for all blocks.  The coarse propagator G is one march
+    cell across a block, the fine one F the block's own march; both end
+    with the polar projection (without it the iteration diverges).  Each
+    sweep sets U_{s+1} = F(U_s^old) + DG_s (U_s^new - U_s^old): the
     parareal correction G(U_s^new) - G(U_s^old) linearized at the old
-    start, which is multiple shooting with an approximate Jacobian.  A
-    sweep is two lockstep marches and one recurrence: one cell from every
-    old start and from its 2 N^2 forward-difference points (the real
-    directions of the N x N start, :func:`_fd_jacobian`) gives DG_s for
-    all blocks at once, the fine march runs every block, and a small linear
-    recurrence over the blocks sets the new starts.  The correction is zero
-    where a start did not move, so every sweep makes at least one more
-    start exact and the fixed point U_{s+1} = F(U_s) is the serial march's
-    whatever DG is (a forward difference across a bang-bang switch is not a
-    derivative; it costs sweeps, not accuracy).  The loop stops after at
-    most K/64 - 1 sweeps.  With ``moved`` the largest entry change of a
-    start in a sweep, it stops when moved <= tol (``DEFAULT_TOL.parareal``)
-    or when the next sweep's correction, which superlinear convergence
-    predicts as moved^2 / moved of the sweep before, is below tol too.  One
-    recording pass over all blocks then gives the controls; a last partial
-    block is marched a full block and cut to K.
+    start, which is multiple shooting with an approximate Jacobian.  A sweep
+    is two lockstep marches and one recurrence: one cell from every old
+    start and from its 2 N^2 forward-difference points (the real directions
+    of the N x N start, :func:`_fd_jacobian`) gives DG_s, the fine march
+    runs the blocks, and a small linear recurrence over the blocks sets the
+    new starts.  The correction is zero where a start did not move, so the
+    blocks before the first start that moved in a sweep start where they
+    did and keep their fine ends, DG_s and starts bitwise; the next sweep
+    marches only the blocks from that start on.  So every sweep makes at
+    least one more start exact, at most K/64 - 1 sweeps run, and the fixed
+    point U_{s+1} = F(U_s) is the serial march's whatever the initial starts
+    and DG are (a forward difference across a bang-bang switch is not a
+    derivative; it costs sweeps, not accuracy).  With ``moved`` the largest
+    entry change of a start in a sweep, the loop stops when moved <= tol
+    (``DEFAULT_TOL.parareal``) or when the next sweep's correction, which
+    superlinear convergence predicts as moved^2 / moved of the sweep
+    before, is below tol too.  One recording pass over all blocks then
+    gives the controls; a last partial block is marched a full block and
+    cut to K.
     """
     n, block = constraint.dim, PROJECTION_PERIOD
     n_blocks = -(-n_cells // block)
@@ -504,6 +519,12 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
     t_width = t_final if n_cells <= block else t_final * block / n_cells
     starts = np.empty((n_blocks, n, n), dtype=complex)
     starts[0] = np.eye(n)
+    if n_blocks > 1:
+        # t_s - t_j = t_final (64 s M - j K) / (K M), the numerator an integer
+        m, s = len(nodes) - 1, np.arange(1, n_blocks)
+        j = s * block * m // n_cells
+        tau = t_final * (s * block * m - j * n_cells) / (n_cells * m)
+        starts[1:] = reunitarize(_flow_cell(constraint, f0, nodes[j], tau)[0])
     # the starts' real coordinates: a view, so writing x writes starts
     x = starts.reshape(n_blocks, -1).view(float)
 
@@ -513,23 +534,26 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
         u_end = _flow_cell(constraint, f0, u, np.full(len(u), t_width))[0]
         return reunitarize(u_end).reshape(xs.shape[:-1] + (-1,)).view(float)
 
-    for s in range(n_blocks - 1):
-        x[s + 1] = g_real(x[s])
     f_stack = np.broadcast_to(f0, starts.shape)
-    tol, moved_before = DEFAULT_TOL.parareal, 0.0
-    for _ in range(n_blocks - 1):
-        jac = _fd_jacobian(g_real, x[:-1], -np.inf, np.inf)
-        fine = _coupled_flow(constraint, f_stack[:-1], t_width, block,
-                             u0=starts[:-1])[0].reshape(n_blocks - 1, -1).view(float)
+    fine = np.empty_like(x[1:])
+    jac = np.empty((n_blocks - 1, x.shape[1], x.shape[1]))
+    tol, moved_before, first = DEFAULT_TOL.parareal, 0.0, 0
+    while first < n_blocks - 1:
+        # blocks before ``first`` start where they did: their F and DG stand
+        jac[first:] = _fd_jacobian(g_real, x[first:-1], -np.inf, np.inf)
+        fine[first:] = _coupled_flow(
+            constraint, f_stack[first:-1], t_width, block,
+            u0=starts[first:-1])[0].reshape(n_blocks - 1 - first, -1).view(float)
         old = starts.copy()
         old_x = old.reshape(n_blocks, -1).view(float)
-        for s in range(n_blocks - 1):
+        for s in range(first, n_blocks - 1):
             x[s + 1] = fine[s] + jac[s] @ (x[s] - old_x[s])
         moved = np.max(np.abs(starts - old))
         # moved^2 / moved_before predicts the next sweep's correction
         if moved <= tol or moved * moved <= tol * moved_before:
             break
         moved_before = moved
+        first = int(np.flatnonzero(np.any(starts != old, axis=(1, 2)))[0])
     _, _, singular, controls = _coupled_flow(
         constraint, f_stack, t_width, width, record=True, u0=starts)
     return (controls.reshape(-1, constraint.n_controls)[:n_cells],
@@ -537,40 +561,62 @@ def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,
 
 
 def _normalize_seed(constraint: ConstraintSet, f0: np.ndarray) -> Optional[np.ndarray]:
+    """``f0`` rescaled to tr[H(0) F(0)] = 1, or None when tr[H(0) F(0)] is
+    at most 1e-9 or F(0) is singular; :func:`_normalize_seeds` is the
+    stacked form."""
     mr = maximizer(f0, constraint)
     c0 = 0.0 if mr.singular else float(np.trace(mr.hamiltonian @ f0).real)
     return None if c0 <= 1e-9 else f0 / c0
 
 
+def _normalize_seeds(constraint: ConstraintSet,
+                     fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_normalize_seed` of every member of a stack (B, N, N), from one
+    stacked maximizer call and one stacked trace: (the rescaled seeds, with
+    the zero costate where a seed cannot be rescaled; the mask of the seeds
+    that can).  Each row is bitwise the one-costate result."""
+    h, _, singular, _ = _span_maximizer(fs, constraint)
+    c0 = np.where(singular, 0.0, np.trace(h @ fs, axis1=1, axis2=2).real)
+    regular = c0 > 1e-9
+    seeds = fs / np.where(regular, c0, 1.0)[:, None, None]
+    seeds[~regular] = 0.0
+    return seeds, regular
+
+
 def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
                         basis: list[np.ndarray], xs: np.ndarray,
-                        n_cells: int) -> np.ndarray:
+                        n_cells: int, nodes: bool = False):
     """Boundary residuals of a stack of shooting points, one lockstep march.
 
     Each row of ``xs`` (B, N^2) holds the N^2 - 1 costate coefficients on
-    ``basis`` and T; its seed is rescaled to tr[H(0) F(0)] = 1.  A residual
-    row is the chart of M = U(T) U_f^dagger: the coefficients of its
-    anti-Hermitian part and the trace deficit N - Re tr M, N^2 entries.
-    There is no final-time entry tr[H(T) F(T)] - 1: the rescaling sets
-    tr[H F] = 1 at t = 0 and the flow conserves it, so such an entry would
-    measure only the march's drift (order dt^3) and keep the least-squares
-    residual from reaching zero.  A seed that cannot be rescaled gives
-    10 + ||x|| in every entry, a march singular on more than half of its
-    cells gives 10.
+    ``basis`` and T; its seed is rescaled to tr[H(0) F(0)] = 1
+    (:func:`_normalize_seeds`).  A residual row is the chart of
+    M = U(T) U_f^dagger: the coefficients of its anti-Hermitian part and the
+    trace deficit N - Re tr M, N^2 entries.  There is no final-time entry
+    tr[H(T) F(T)] - 1: the rescaling sets tr[H F] = 1 at t = 0 and the flow
+    conserves it, so such an entry would measure only the march's drift
+    (order dt^3) and keep the least-squares residual from reaching zero.  A
+    seed that cannot be rescaled gives 10 + ||x|| in every entry, a march
+    singular on more than half of its cells gives 10.  With ``nodes`` it
+    returns (rows, march), where march is the first row's own march: its
+    rescaled seed (None when it cannot be rescaled), U at the n_cells + 1
+    nodes and its singular-cell count.
     """
-    n = constraint.dim
-    seeds = [_normalize_seed(constraint, f) for f in reconstruct(xs[:, :-1], basis)]
-    regular = np.array([f is not None for f in seeds])
+    n, b = constraint.dim, len(xs)
+    seeds, regular = _normalize_seeds(constraint, reconstruct(xs[:, :-1], basis))
     # a seed that cannot be rescaled is marched as the zero costate
-    u_t, _, sing, _ = _coupled_flow(
-        constraint, np.stack([np.zeros((n, n)) if f is None else f for f in seeds]),
-        xs[:, -1], n_cells)
+    u_nodes = np.empty((b, n_cells + 1, n, n), dtype=complex) if nodes else None
+    u_t, _, sing, _ = _coupled_flow(constraint, seeds, xs[:, -1], n_cells,
+                                    nodes=u_nodes)
     m = u_t @ dagger(target)
     out = np.column_stack([expand((m - dagger(m)) / 2j, basis),
                            n - np.trace(m, axis1=1, axis2=2).real])
     out[np.count_nonzero(sing, axis=1) > n_cells // 2] = 10.0
     out[~regular] = 10.0 + np.linalg.norm(xs[~regular], axis=1)[:, None]
-    return out
+    if not nodes:
+        return out
+    return out, (seeds[0] if regular[0] else None, u_nodes[0].copy(),
+                 int(np.count_nonzero(sing[0])))
 
 
 def least_squares(fun, x0, **kwargs):
@@ -621,14 +667,20 @@ def _single_start(problem: ShootingProblem, start_index: int,
                   rng: np.random.Generator, earlier: list[dict]):
     """One start of :func:`solve_shooting`: a seed drawn from ``rng``, a
     coarse least-squares stage, then (unless an ``earlier`` converged start
-    has the same coarse solution) a polish on the solve grid and a check
-    march.  Each stage's residual is the boundary chart of
-    :func:`_shooting_residuals` plus the gauge entry (||c||^2 - r0^2) /
-    (2 r0), c the point's costate coefficients and r0 their norm at the
-    stage's start: the boundary rows do not see the costate scale, and this
-    entry fixes it, so the Jacobian has full rank.  The entry is computed
-    next to the march and costs none.  Returns the start's record, or None
-    when no regular seed is drawn or the polish ends on a singular costate.
+    has the same coarse solution) a polish on the solve grid.  Each stage's
+    residual is the boundary chart of :func:`_shooting_residuals` plus the
+    gauge entry (||c||^2 - r0^2) / (2 r0), c the point's costate
+    coefficients and r0 their norm at the stage's start: the boundary rows
+    do not see the costate scale, and this entry fixes it, so the Jacobian
+    has full rank.  The entry is computed next to the march and costs none.
+    Every evaluation keeps, next to its Jacobian, its point's own march
+    (row 0 of the lockstep batch): the rescaled seed, U at the solve grid's
+    K + 1 nodes and the singular-cell count.  trf returns a point it has
+    evaluated, so the polished point's march is the start's check with no
+    march of its own: the record's ``f0``, ``fidelity``, ``exact`` and
+    ``singular_cells`` come from it, and its ``nodes`` start the dense
+    rebuild.  Returns the start's record, or None when no regular seed is
+    drawn or the polish ends on a seed that cannot be rescaled.
     """
     c = problem.constraint
     n = c.dim
@@ -649,34 +701,36 @@ def _single_start(problem: ShootingProblem, start_index: int,
 
     def stage(x, cells: int, tol: float):
         # each residual is one lockstep march of x and its forward-difference
-        # points; the Jacobian is kept for trf's jac call at that same x.  The
-        # last entry is the gauge entry, on the sphere of the stage's start
+        # points; the march gives trf's residual, the Jacobian it asks for at
+        # that same x and x's own march (row 0), kept by point.  The last
+        # entry is the gauge entry, on the sphere of the stage's start
         r0 = np.linalg.norm(x[:-1])
+        marched = {}   # point bytes -> (residual, Jacobian, the point's march)
 
-        def batch(xs):
-            gauge = (np.sum(xs[:, :-1] ** 2, axis=1) - r0 ** 2) / (2.0 * r0)
-            return np.column_stack(
-                [_shooting_residuals(c, problem.target, basis, xs, cells), gauge])
-        last = [None, None]   # the last marched point (bytes) and its Jacobian
+        def evaluate(x):
+            key = x.tobytes()
+            if key not in marched:
+                kept = []   # x's residual and march
 
-        def fun(x):
-            rows = []
+                def batch(xs):
+                    out, march = _shooting_residuals(c, problem.target, basis, xs,
+                                                     cells, nodes=True)
+                    gauge = (np.sum(xs[:, :-1] ** 2, axis=1) - r0 ** 2) / (2.0 * r0)
+                    rows = np.column_stack([out, gauge])
+                    kept[:] = rows[0], march
+                    return rows
+                jac = _fd_jacobian(batch, x, lo, hi)
+                marched[key] = kept[0], jac, kept[1]
+            return marched[key]
 
-            def marched(xs):
-                rows.append(batch(xs))
-                return rows[0]
-            last[:] = x.tobytes(), _fd_jacobian(marched, x, lo, hi)
-            return rows[0][0]
-
-        def jac(x):
-            if x.tobytes() != last[0]:
-                fun(x)
-            return last[1]
-        return least_squares(fun, x, jac=jac, bounds=(lo, hi), method="trf",
-                             xtol=tol, ftol=tol, gtol=tol, max_nfev=200)
+        sol = least_squares(lambda x: evaluate(x)[0], x,
+                            jac=lambda x: evaluate(x)[1], bounds=(lo, hi),
+                            method="trf", xtol=tol, ftol=tol, gtol=tol, max_nfev=200)
+        # trf returns a point it has evaluated
+        return sol, evaluate(sol.x)[2]
 
     # locate the extremal on fewer cells of the same march, then polish
-    sol = stage(x0, max(16, k_cells // 6), 1e-11)
+    sol, _ = stage(x0, max(16, k_cells // 6), 1e-11)
     # a coarse solution on a converged earlier start's extremal reuses its
     # polish; the scale is a gauge (_normalize_seed), so compare directions
     direction, t_coarse = sol.x[:-1] / np.linalg.norm(sol.x[:-1]), sol.x[-1]
@@ -685,18 +739,17 @@ def _single_start(problem: ShootingProblem, start_index: int,
                   abs(t_coarse - known["t_coarse"]) / max(1.0, t_coarse))
         if known["converged"] and gap < DEFAULT_TOL.duplicate_start:
             return {**known, "start": start_index}
-    sol = stage(sol.x, k_cells, 1e-14)
-    f_star = _normalize_seed(c, reconstruct(sol.x[:-1], basis))
+    # the polished point's own march is the check: its seed, U(T), its
+    # singular cells and its nodes, which start the dense rebuild
+    sol, (f_star, nodes, singular_cells) = stage(sol.x, k_cells, 1e-14)
     if f_star is None:
         return None
-    t_star = float(sol.x[-1])
-    u_t, _, sing, _ = _coupled_flow(c, f_star[None], t_star, k_cells)
-    fid = fidelity_residual(u_t[0], problem.target)
+    fid = fidelity_residual(nodes[-1], problem.target)
     return {
-        "start": start_index, "f0": f_star, "T": t_star, "fidelity": fid,
-        "exact": float(np.linalg.norm(u_t[0] - problem.target)),
+        "start": start_index, "f0": f_star, "T": float(sol.x[-1]), "fidelity": fid,
+        "exact": float(np.linalg.norm(nodes[-1] - problem.target)),
         "converged": bool(fid < max(1e-6, opts.residual_tol)),
-        "singular_cells": np.count_nonzero(sing), "direction": direction,
+        "singular_cells": singular_cells, "nodes": nodes, "direction": direction,
         "t_coarse": t_coarse,
     }
 
@@ -725,16 +778,21 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     that the trust-region iteration then asks for at that point is the one
     this march gave, so it costs no march of its own.  Among converged
     starts the minimal-T extremal is refined on a dense grid and returned;
-    all converged times are reported.  The dense march is rebuilt by
-    parareal over its 64-cell projection blocks (:func:`_dense_rebuild`):
-    a first pass of one coarse cell per block, then sweeps whose
-    correction is the coarse cell's forward-difference Jacobian, so that
-    a sweep is two lockstep marches (the one-cell Jacobian march of every
-    block start and the fine march of every block) and one small linear
-    recurrence over the blocks, and one recording pass once the block
-    starts stop moving or the next sweep's correction, predicted from the
-    last two, is below the tolerance.  The fixed point is the serial
-    march's, so its controls match the serial march to rounding.
+    all converged times are reported.  A start's check (its fidelity,
+    singular cells and U at the solve grid's nodes) is the march that its
+    polish made at the point it returns, so the extremal is marched
+    serially once, on the solve grid.  The dense march is rebuilt
+    by parareal over its 64-cell projection blocks (:func:`_dense_rebuild`):
+    each block start is one lockstep midpoint cell from the solve-grid node
+    at or before it, then sweeps whose correction is the coarse cell's
+    forward-difference Jacobian, so that a sweep is two lockstep marches
+    (the one-cell Jacobian march of the block starts and the fine march of
+    the blocks, both from the first start that moved in the sweep before)
+    and one small linear recurrence over the blocks, and one recording pass
+    once the block starts stop moving or the next sweep's correction,
+    predicted from the last two, is below the tolerance.  The fixed point
+    is the serial march's, so its controls match the serial march to
+    rounding.
 
     Raises
     ------
@@ -788,7 +846,8 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
 
     # dense rebuild of the winning extremal
     k_fine = opts.refine_points
-    controls, singular_cells = _dense_rebuild(c, best["f0"], best["T"], k_fine)
+    controls, singular_cells = _dense_rebuild(c, best["f0"], best["T"], k_fine,
+                                              best["nodes"])
     grid = np.linspace(0.0, best["T"], k_fine + 1)
     return _solve_result(
         c, grid, controls, best["f0"], problem.target, opts, T=best["T"],

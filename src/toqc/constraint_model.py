@@ -231,7 +231,7 @@ class ConstraintSet:
             return np.maximum(np.max(lo - u, axis=-1, initial=0.0),
                               np.max(u - hi, axis=-1, initial=0.0))
         metric, radius = self._ball
-        quad = np.einsum("...i,ij,...j->...", u, metric, u)
+        quad = np.einsum("...i,...i->...", u @ metric, u)
         return np.maximum(0.0, np.sqrt(np.maximum(quad, 0.0)) - radius)
 
 

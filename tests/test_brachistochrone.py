@@ -810,6 +810,22 @@ def _seed(c, rng):
             return f0
 
 
+def _solve_grid_nodes(c, f0, t_final, m):
+    """U at the m + 1 nodes of the march of ``f0`` on m cells, recorded as the
+    polish records its march."""
+    nodes = np.empty((1, m + 1, c.dim, c.dim), dtype=complex)
+    br._coupled_flow(c, f0[None], t_final, m, nodes=nodes)
+    return nodes[0]
+
+
+def _rebuild(c, f0, t_final, n_cells, m=None):
+    """The dense rebuild started from the nodes of a march on m cells, by
+    default one cell per 64-cell block."""
+    m = m or -(-n_cells // dyn.PROJECTION_PERIOD)
+    return br._dense_rebuild(c, f0, t_final, n_cells,
+                             _solve_grid_nodes(c, f0, t_final, m))
+
+
 def _rebuild_cases():
     from toqc.constraint_model import Box
     from toqc.scenarios import landau_zener, symmetric_two_qubit
@@ -842,7 +858,7 @@ def test_dense_rebuild_matches_the_serial_march(case):
     # excludes 0), and on a grid that is not a multiple of the 64-cell block
     c, f0, t_final, n_cells = _rebuild_cases()[case]
     ref_controls, ref_singular = _serial_march(c, f0, t_final, n_cells)
-    controls, singular = br._dense_rebuild(c, f0, t_final, n_cells)
+    controls, singular = _rebuild(c, f0, t_final, n_cells)
     assert controls.shape == ref_controls.shape
     np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
     assert list(singular) == ref_singular
@@ -852,22 +868,24 @@ def test_dense_rebuild_matches_the_serial_march(case):
     dyn.Protocol(c, np.linspace(0.0, t_final, n_cells + 1), controls)
 
 
-def _counted_rebuild(monkeypatch, c, f0, t_final, n_cells):
-    """The dense rebuild with its ``_coupled_flow`` calls counted.
+def _counted_rebuild(monkeypatch, c, f0, t_final, n_cells, m=None):
+    """The dense rebuild (from the nodes of a march on m cells, by default
+    one per block) with its ``_coupled_flow`` calls counted.
 
     Returns (controls, singular, sweeps, calls): a sweep's fine march is
-    the one unrecorded march of every block (PROJECTION_PERIOD cells), and
+    the one unrecorded march of its blocks (PROJECTION_PERIOD cells), and
     calls counts every march the rebuild made.
     """
     calls = []
     flow = br._coupled_flow
+    nodes = _solve_grid_nodes(c, f0, t_final, m or -(-n_cells // dyn.PROJECTION_PERIOD))
 
     def counting_flow(*args, **kwargs):
         calls.append((args[3], kwargs.get("record", False)))
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(br, "_coupled_flow", counting_flow)
-    controls, singular = br._dense_rebuild(c, f0, t_final, n_cells)
+    controls, singular = br._dense_rebuild(c, f0, t_final, n_cells, nodes)
     return controls, singular, calls.count((dyn.PROJECTION_PERIOD, False)), len(calls)
 
 
@@ -891,7 +909,7 @@ def test_dense_rebuild_edge_sizes_match_the_serial_march(n_cells):
     c = full_su2(0.3, 1.0)
     f0 = _seed(c, np.random.default_rng(23))
     ref_controls, ref_singular = _serial_march(c, f0, 1.4, n_cells)
-    controls, singular = br._dense_rebuild(c, f0, 1.4, n_cells)
+    controls, singular = _rebuild(c, f0, 1.4, n_cells)
     assert controls.shape == ref_controls.shape == (n_cells, 3)
     np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
     assert list(singular) == ref_singular
@@ -912,6 +930,84 @@ def test_dense_rebuild_through_bang_bang_switches(monkeypatch):
     np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
     assert list(singular) == ref_singular
     assert sweeps <= 4096 // 64 - 1
+
+
+@pytest.fixture(scope="module")
+def serial_reference():
+    """The serial march of a ``_rebuild_cases`` case, marched once per module."""
+    marched = {}
+
+    def reference(case):
+        if case not in marched:
+            marched[case] = _serial_march(*_rebuild_cases()[case])
+        return marched[case]
+    return reference
+
+
+@pytest.mark.parametrize("m", [16, 32, 96, 100])
+@pytest.mark.parametrize("case", ["su2", "su3", "box", "ball", "hold",
+                                  "off_zero", "ragged"])
+def test_dense_rebuild_from_solve_grid_nodes(monkeypatch, serial_reference, case, m):
+    # the block starts come from the nodes of a march on m cells, one cell
+    # from the node at or before each block start (aligned with the block
+    # starts or not); parareal then reaches the serial march's fixed point,
+    # in at most one sweep more than a serial first pass of one coarse cell
+    # per block took (3, 3, 1, 4, 1, 1 and 3 sweeps); a start stepped the
+    # wrong way from its node takes up to 6
+    c, f0, t_final, n_cells = _rebuild_cases()[case]
+    ref_controls, ref_singular = serial_reference(case)
+    controls, singular, sweeps, _ = _counted_rebuild(monkeypatch, c, f0, t_final,
+                                                     n_cells, m)
+    np.testing.assert_allclose(controls, ref_controls, rtol=0, atol=1e-12)
+    assert list(singular) == ref_singular
+    first_pass = {"su2": 3, "su3": 3, "box": 1, "ball": 4, "hold": 1,
+                  "off_zero": 1, "ragged": 3}
+    assert sweeps <= first_pass[case] + 1
+
+
+def test_sweeps_march_only_from_the_first_moved_start(monkeypatch):
+    # a start that did not move keeps its block's fine end and Jacobian, so
+    # each sweep marches only the blocks from the first start that moved in
+    # the sweep before: at least one fewer per sweep.  A sweep that marched
+    # every block gives the same bits, since a row of a march or of a
+    # Jacobian does not depend on the rest of its stack
+    from toqc.constraint_model import Box
+    c = ConstraintSet(2, 0.5 * SIGMA_Z, (SIGMA_X, SIGMA_Y),
+                      Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0])))
+    f0 = _seed(c, np.random.default_rng(0))
+    nodes = _solve_grid_nodes(c, f0, 6.0, 64)
+    members = []
+    flow, fd = br._coupled_flow, br._fd_jacobian
+
+    def counting_flow(*args, **kwargs):
+        if not kwargs.get("record", False):
+            members.append(len(args[1]))
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(br, "_coupled_flow", counting_flow)
+    controls, singular = br._dense_rebuild(c, f0, 6.0, 4096, nodes)
+    assert len(members) > 2 and members[0] == 4096 // 64 - 1
+    assert all(b < a for a, b in zip(members, members[1:])), members
+
+    # the oracle: the same rebuild with each sweep's march and Jacobian
+    # padded to every block, the rows before the first moved start dropped
+    full = 4096 // 64 - 1
+
+    def pad(a):
+        return np.concatenate([np.repeat(a[:1], full - len(a), axis=0), a])
+
+    def full_flow(constraint, f_stack, t_width, block, record=False, u0=None):
+        if record:
+            return flow(constraint, f_stack, t_width, block, record=True, u0=u0)
+        out = flow(constraint, pad(f_stack), t_width, block, u0=pad(u0))
+        return (out[0][full - len(u0):],) + out[1:]
+
+    monkeypatch.setattr(br, "_coupled_flow", full_flow)
+    monkeypatch.setattr(br, "_fd_jacobian",
+                        lambda g, x, lo, hi: fd(g, pad(x), lo, hi)[full - len(x):])
+    again, again_singular = br._dense_rebuild(c, f0, 6.0, 4096, nodes)
+    assert np.array_equal(controls, again)
+    assert np.array_equal(singular, again_singular)
 
 
 def _shooting_setup(n, rng):
@@ -1124,8 +1220,9 @@ def test_returned_extremal_matches_an_independent_integrator(case):
 def test_each_jacobian_costs_one_march(monkeypatch):
     # every residual evaluation of the least-squares stages is one march,
     # which also gives the Jacobian at its point, so a Jacobian costs no
-    # march of its own; the rest are the check march after each polish and
-    # the dense rebuild's calls, of which only the last returns controls
+    # march of its own, and a polish's check is its point's own march; the
+    # rest are the dense rebuild's calls, of which only the last returns
+    # controls
     marches, rebuild_marches, stages = [], [], []
     in_rebuild = []
     flow, rebuild, lsq = br._coupled_flow, br._dense_rebuild, br.least_squares
@@ -1155,11 +1252,88 @@ def test_each_jacobian_costs_one_march(monkeypatch):
     res = br.solve_shooting(br.ShootingProblem(
         full_su2(0.3, 1.0), _test_04_target(0), opts))
     assert res.converged
-    polishes = sum(1 for xtol, _, _ in stages if xtol == min(s[0] for s in stages))
     assert all(njev > 0 for _, _, njev in stages)
-    assert len(marches) == sum(nfev for _, nfev, _ in stages) + polishes
+    assert len(marches) == sum(nfev for _, nfev, _ in stages)
     assert not any(marches)
     assert rebuild_marches.count(True) == 1 and rebuild_marches[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_start_check_is_its_points_own_march(n):
+    # a start's fidelity, exact residual, singular cells and nodes come from
+    # the polish's march of its returned point (row 0 of the lockstep
+    # batch); they equal a fresh one-member march of its (f0, T) bitwise
+    from toqc.dynamics import fidelity_residual
+    problem = (br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(0), FAST)
+               if n == 2 else _su3_shooting_problem())
+    c, k = problem.constraint, problem.options.grid_points
+    t0 = br._time_scale_estimate(problem)
+    out = br._single_start(problem, 0, t0, 6.0 * t0, np.random.default_rng(9), [])
+    assert out is not None and out["converged"]
+    nodes = np.empty((1, k + 1, n, n), dtype=complex)
+    u_t, _, singular, _ = br._coupled_flow(c, out["f0"][None], out["T"], k,
+                                           nodes=nodes)
+    assert np.array_equal(out["nodes"], nodes[0])
+    assert np.array_equal(u_t[0], nodes[0, -1])
+    assert out["fidelity"] == fidelity_residual(u_t[0], problem.target)
+    assert out["exact"] == float(np.linalg.norm(u_t[0] - problem.target))
+    assert out["singular_cells"] == np.count_nonzero(singular)
+
+
+def test_no_one_member_march_after_the_least_squares(monkeypatch):
+    # outside the least-squares stages only the dense rebuild marches: its
+    # first sweep runs every block but the last (255 of 16384 / 64), each
+    # later sweep the blocks from the first start that moved (one or two
+    # fewer per sweep here), and its recording pass all 256.  No one-member
+    # check march after a polish and no serial first pass remain
+    outside, in_stage = [], []
+    flow, lsq = br._coupled_flow, br.least_squares
+
+    def counting_flow(*args, **kwargs):
+        if not in_stage:
+            outside.append(len(args[1]))
+        return flow(*args, **kwargs)
+
+    def counting_lsq(*args, **kwargs):
+        in_stage.append(True)
+        try:
+            return lsq(*args, **kwargs)
+        finally:
+            in_stage.pop()
+
+    monkeypatch.setattr(br, "_coupled_flow", counting_flow)
+    monkeypatch.setattr(br, "least_squares", counting_lsq)
+    opts = br.ShootingOptions(grid_points=96, multistarts=32, seed=40,
+                              stop_after_converged=3, refine_points=16384)
+    assert br.solve_shooting(br.ShootingProblem(
+        full_su2(0.3, 1.0), _test_04_target(0), opts)).converged
+    assert outside[0] == 255 and outside[-1] == 256, outside
+    assert min(outside) >= 250, outside
+
+
+def test_batched_seeds_equal_the_per_row_normalization():
+    # one stacked maximizer call and one stacked trace give each row
+    # bitwise as _normalize_seed does, with a singular row and a row whose
+    # tr[H F] is negative (the drift outweighs the control) flagged as not
+    # rescalable
+    from toqc.constraint_model import Box
+    from toqc.scenarios import symmetric_two_qubit
+    rng = np.random.default_rng(14)
+    cases = [full_su2(2.0, 1.0), one_qubit_xy(0.5, 1.0).constraint,
+             ConstraintSet(2, 0.5 * SIGMA_Z, (SIGMA_X, SIGMA_Y),
+                           Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0]))),
+             symmetric_two_qubit(0.5, 1.0).constraint]
+    for c in cases:
+        fs = reconstruct(rng.standard_normal((12, c.dim ** 2 - 1)),
+                         generalized_gellmann(c.dim))
+        fs[0] = c.drift - c.project_control(c.drift)   # singular, or zero
+        fs[1] = 1e-3 * c.project_control(fs[2]) - 40.0 * c.drift   # tr[H F] < 0
+        seeds, regular = br._normalize_seeds(c, fs)
+        assert not regular[0] and not regular[1] and regular.sum() > 6
+        for f, seed, ok in zip(fs, seeds, regular):
+            one = br._normalize_seed(c, f)
+            assert (one is not None) == ok
+            assert np.array_equal(seed, one if ok else np.zeros_like(f))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1175,9 +1349,9 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
     basis = generalized_gellmann(n)
     cells, stages = [], []
 
-    def recording_residuals(c, target, basis, xs, n_cells):
+    def recording_residuals(c, target, basis, xs, n_cells, **kwargs):
         cells.append(n_cells)
-        return residuals(c, target, basis, xs, n_cells)
+        return residuals(c, target, basis, xs, n_cells, **kwargs)
 
     def both_ways(fun, x0, jac, bounds, **kwargs):
         new = lsq(fun, x0, jac=jac, bounds=bounds, **kwargs)
