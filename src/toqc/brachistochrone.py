@@ -584,8 +584,7 @@ def _normalize_seeds(constraint: ConstraintSet,
 
 
 def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
-                        basis: list[np.ndarray], xs: np.ndarray,
-                        n_cells: int, nodes: bool = False):
+                        basis: list[np.ndarray], xs: np.ndarray, n_cells: int):
     """Boundary residuals of a stack of shooting points, one lockstep march.
 
     Each row of ``xs`` (B, N^2) holds the N^2 - 1 costate coefficients on
@@ -597,15 +596,15 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
     conserves it, so such an entry would measure only the march's drift
     (order dt^3) and keep the least-squares residual from reaching zero.  A
     seed that cannot be rescaled gives 10 + ||x|| in every entry, a march
-    singular on more than half of its cells gives 10.  With ``nodes`` it
-    returns (rows, march), where march is the first row's own march: its
-    rescaled seed (None when it cannot be rescaled), U at the n_cells + 1
-    nodes and its singular-cell count.
+    singular on more than half of its cells gives 10.  Returns (rows,
+    march): march is the first row's own march, its rescaled seed (None
+    when it cannot be rescaled), U at the n_cells + 1 nodes and its
+    singular-cell count.
     """
     n, b = constraint.dim, len(xs)
     seeds, regular = _normalize_seeds(constraint, reconstruct(xs[:, :-1], basis))
     # a seed that cannot be rescaled is marched as the zero costate
-    u_nodes = np.empty((b, n_cells + 1, n, n), dtype=complex) if nodes else None
+    u_nodes = np.empty((b, n_cells + 1, n, n), dtype=complex)
     u_t, _, sing, _ = _coupled_flow(constraint, seeds, xs[:, -1], n_cells,
                                     nodes=u_nodes)
     m = u_t @ dagger(target)
@@ -613,8 +612,6 @@ def _shooting_residuals(constraint: ConstraintSet, target: np.ndarray,
                            n - np.trace(m, axis1=1, axis2=2).real])
     out[np.count_nonzero(sing, axis=1) > n_cells // 2] = 10.0
     out[~regular] = 10.0 + np.linalg.norm(xs[~regular], axis=1)[:, None]
-    if not nodes:
-        return out
     return out, (seeds[0] if regular[0] else None, u_nodes[0].copy(),
                  int(np.count_nonzero(sing[0])))
 
@@ -714,7 +711,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
 
                 def batch(xs):
                     out, march = _shooting_residuals(c, problem.target, basis, xs,
-                                                     cells, nodes=True)
+                                                     cells)
                     gauge = (np.sum(xs[:, :-1] ** 2, axis=1) - r0 ** 2) / (2.0 * r0)
                     rows = np.column_stack([out, gauge])
                     kept[:] = rows[0], march

@@ -1025,10 +1025,10 @@ def test_residual_batch_rows_equal_single_evaluations(n):
     c, basis, target, x = _shooting_setup(n, rng)
     xs = x + 1e-3 * rng.standard_normal((n * n + 1, n * n))
     for cells in (16, 96):
-        batch = br._shooting_residuals(c, target, basis, xs, cells)
+        batch = br._shooting_residuals(c, target, basis, xs, cells)[0]
         assert batch.shape == (n * n + 1, n * n)
         for row, xi in zip(batch, xs):
-            single = br._shooting_residuals(c, target, basis, xi[None], cells)
+            single = br._shooting_residuals(c, target, basis, xi[None], cells)[0]
             np.testing.assert_allclose(row, single[0], rtol=0, atol=1e-13)
 
 
@@ -1049,7 +1049,7 @@ def test_final_time_normalization_is_no_boundary_condition(n):
     order = -np.polyfit(np.log(cells), np.log(drift), 1)[0]
     assert 2.8 <= order <= 3.2, drift
     rows = br._shooting_residuals(
-        c, target, basis, np.stack([x, np.append(2.5 * x[:-1], x[-1])]), 96)
+        c, target, basis, np.stack([x, np.append(2.5 * x[:-1], x[-1])]), 96)[0]
     np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-13)
 
 
@@ -1064,10 +1064,10 @@ def test_lockstep_jacobian_matches_a_column_loop(n):
     eps = np.sqrt(np.finfo(float).eps)
 
     def fun(xi):
-        return br._shooting_residuals(c, target, basis, xi[None], 64)[0]
+        return br._shooting_residuals(c, target, basis, xi[None], 64)[0][0]
 
     def batch(xs):
-        return br._shooting_residuals(c, target, basis, xs, 64)
+        return br._shooting_residuals(c, target, basis, xs, 64)[0]
 
     for t_hi in (5.0, x[-1]):
         hi = np.append(np.full(n * n - 1, np.inf), t_hi)
@@ -1349,9 +1349,9 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
     basis = generalized_gellmann(n)
     cells, stages = [], []
 
-    def recording_residuals(c, target, basis, xs, n_cells, **kwargs):
+    def recording_residuals(c, target, basis, xs, n_cells):
         cells.append(n_cells)
-        return residuals(c, target, basis, xs, n_cells, **kwargs)
+        return residuals(c, target, basis, xs, n_cells)
 
     def both_ways(fun, x0, jac, bounds, **kwargs):
         new = lsq(fun, x0, jac=jac, bounds=bounds, **kwargs)
@@ -1360,7 +1360,7 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
         def batch(xs):
             gauge = (np.sum(xs[:, :-1] ** 2, axis=1) - r0 ** 2) / (2.0 * r0)
             return np.column_stack([residuals(problem.constraint, problem.target,
-                                              basis, xs, cells[-1]), gauge])
+                                              basis, xs, cells[-1])[0], gauge])
         old = lsq(lambda x: batch(x[None])[0], x0,
                   jac=lambda x: br._fd_jacobian(batch, x, *bounds),
                   bounds=bounds, **kwargs)
