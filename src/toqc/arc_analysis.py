@@ -4,15 +4,16 @@ Two complementary engines:
 
 * :func:`derive_singular_structure` works symbolically (sympy) on a planar
   chart, the :class:`ArcModel` that :func:`arc_model` derives from a
-  constraint set.  It stacks the singularity conditions, the odd-order GLC
-  equalities, and the flow-invariance derivatives of everything already
-  established, solving the linear layers at the coefficient level; the
-  closing even order is then reduced to sign conditions on the remaining
-  free coefficients and control values.  The flow derivatives and the
-  GLC matrices come from the numeric engine's own recurrence
-  (``singular_glc._r_jets``) run on exact sympy matrices with the unit
-  ``sympy.I``.  This is the engine behind the "interior arc" reports of
-  the built-in scenarios.
+  constraint set.  One reduced row echelon form over the costate
+  coefficients holds the singularity conditions and the first-order GLC
+  equalities; one closure loop differentiates every condition operator
+  along H and adds each rate as rows over the coefficients or solves it
+  for the controls; the closing even order is then reduced to sign
+  conditions on the remaining free coefficients and control values.  The
+  flow derivatives and the GLC matrices come from the numeric engine's own
+  recurrence (``singular_glc._r_jets``) run on exact sympy matrices with
+  the unit ``sympy.I``.  This is the engine behind the "interior arc"
+  reports of the built-in scenarios.
 
 * :func:`boundary_closure_study` works numerically at sampled points of a
   quadratic boundary piece.  Condition operators (control directions plus
@@ -142,302 +143,200 @@ def _fmt_equality(row, names) -> str:
     return f"{expr} = 0"
 
 
-class _SignFacts:
-    """Tracks sign knowledge about symbols during inequality reduction."""
-
-    def __init__(self, positive_params):
-        self.positive = set(positive_params)
-        self.nonneg = set()
-        self.nonzero = set()
-
-    def sign_of(self, expr):
-        """Return '+', '-', '0' or None for a factor."""
-        import sympy
-        expr = sympy.expand(expr)
-        if expr.is_number:
-            if expr == 0:
-                return "0"
-            return "+" if expr > 0 else "-"
-        if expr in self.positive:
-            return "+"
-        if expr in self.nonneg and expr in self.nonzero:
-            return "+"
-        return None
+def _sign(expr, positive) -> int:
+    """+1 or -1 for a nonzero number or a symbol in ``positive``, else 0."""
+    import sympy
+    expr = sympy.expand(expr)
+    if expr.is_number:
+        return 0 if expr == 0 else (1 if expr > 0 else -1)
+    return 1 if expr in positive else 0
 
 
-def _reduce_inequalities(entries, free_syms, facts: _SignFacts,
-                         conditions: list[str]) -> str:
-    """Impose entry >= 0 for each entry; returns 'ok' or 'contradiction'.
+def _reduce_inequalities(entries, free_syms, positive, nonzero,
+                         conditions: list[str]) -> bool:
+    """Impose entry >= 0 for each entry; False on a contradiction.
 
     Entries are factored; factors of known sign are stripped (flipping the
     required sign for negative ones).  A surviving bare symbol yields a
     "s >= 0" condition; a surviving expression affine in one symbol yields a
     one-sided bound on it.  Iterates until stable so that facts established
-    by simple entries (e.g. positivity of a normalization coefficient)
-    unlock the composite ones.
+    by simple entries (a normalization carrier in ``nonzero`` bounded below
+    by 0 joins ``positive``) unlock the composite ones.
     """
     import sympy
-    pending = [sympy.factor(sympy.expand(e)) for e in entries]
-    pending = [e for e in pending if e != 0]
-    for _ in range(len(pending) + 2):
-        progress = False
+    pending = [e for e in (sympy.factor(sympy.expand(e)) for e in entries) if e != 0]
+    progress = True
+    while pending and progress:
         still = []
         for e in pending:
-            sign = 1
-            residue = []
+            sign, residue = 1, []
             for fac, mult in sympy.factor(e).as_powers_dict().items():
-                s = facts.sign_of(fac)
-                if s == "0":
-                    residue = []
-                    break
-                if s == "+":
-                    continue
-                if s == "-":
-                    if mult % 2 == 1:
-                        sign = -sign
-                    continue
-                if mult % 2 == 0:
-                    continue  # even power: nonnegative
-                residue.append(fac)
+                s = _sign(fac, positive)
+                if mult % 2 and s < 0:
+                    sign = -sign
+                elif mult % 2 and s == 0:
+                    residue.append(fac)
             if not residue:
                 if sign < 0:
-                    # product of known-sign factors strictly negative
-                    return "contradiction"
-                progress = True
+                    return False  # product of known-sign factors strictly negative
                 continue
-            if len(residue) == 1:
-                g = sympy.expand(sign * residue[0])
-                gsyms = [s for s in g.free_symbols if s in free_syms]
-                if len(gsyms) == 1 and sympy.degree(g, gsyms[0]) == 1:
-                    s = gsyms[0]
-                    a = g.coeff(s, 1)
-                    b = g.coeff(s, 0)
-                    sa = facts.sign_of(a)
-                    if sa == "+":
-                        bound = sympy.nsimplify(sympy.simplify(-b / a))
-                        cond = f"{s} >= {bound}" if bound != 0 else f"{s} >= 0"
-                        if cond not in conditions:
-                            conditions.append(cond)
-                        if bound == 0:
-                            facts.nonneg.add(s)
-                            if s in facts.nonzero:
-                                facts.positive.add(s)
-                        progress = True
-                        continue
-                    if sa == "-":
-                        bound = sympy.nsimplify(sympy.simplify(-b / a))
-                        cond = f"{s} <= {bound}"
-                        if cond not in conditions:
-                            conditions.append(cond)
-                        # contradiction if s is known positive and bound <= 0
-                        if facts.sign_of(sympy.expand(bound)) == "-" and \
-                                s in facts.positive:
-                            return "contradiction"
-                        if bound == 0 and s in facts.positive:
-                            return "contradiction"
-                        progress = True
-                        continue
+            g = sympy.expand(sign * residue[0])
+            gsyms = [s for s in g.free_symbols if s in free_syms]
+            if len(residue) == 1 and len(gsyms) == 1 and sympy.degree(g, gsyms[0]) == 1:
+                s = gsyms[0]
+                a = g.coeff(s, 1)
+                sa = _sign(a, positive)
+                if sa:
+                    # a s + b >= 0: s >= -b/a for a > 0, s <= -b/a for a < 0
+                    bound = sympy.nsimplify(sympy.simplify(-g.coeff(s, 0) / a))
+                    cond = f"{s} {'>=' if sa > 0 else '<='} {bound}"
+                    if cond not in conditions:
+                        conditions.append(cond)
+                    if sa > 0 and bound == 0 and s in nonzero:
+                        positive.add(s)
+                    if sa < 0 and s in positive and (
+                            bound == 0 or _sign(bound, positive) < 0):
+                        return False
+                    continue
             still.append(e)
+        progress = len(still) < len(pending)
         pending = still
-        if not pending:
-            return "ok"
-        if not progress:
-            break
-    for e in pending:
-        conditions.append(f"{sympy.nsimplify(e)} >= 0")
-    return "ok"
+    conditions.extend(f"{sympy.nsimplify(e)} >= 0" for e in pending)
+    return True
+
+
+def _linear_rows(exprs, syms) -> list:
+    """Coefficient rows over (``syms``, 1) of the nonzero linear forms
+    among ``exprs``: a form's constant term is its last column."""
+    import sympy
+    forms = [e for e in map(sympy.expand, exprs) if e != 0]
+    if not forms:
+        return []
+    a, b = sympy.linear_eq_to_matrix(forms, syms)
+    return a.row_join(-b).tolist()
+
+
+def _rref_solve(rows, syms):
+    """Solve rows . (syms, 1) = 0 in reduced row echelon form: (the
+    substitutions of the pivot symbols, the free symbols, the nonzero rref
+    rows).  A pivot in the constant column (no solution) is dropped."""
+    import sympy
+    rref, pivots = sympy.Matrix(rows).rref()
+    terms = [*syms, sympy.Integer(1)]
+    subs = {syms[p]: sympy.expand(-sum(rref[r, c] * terms[c]
+                                       for c in range(len(terms)) if c != p))
+            for r, p in enumerate(pivots) if p < len(syms)}
+    return (subs, [s for i, s in enumerate(syms) if i not in pivots],
+            [list(rref.row(r)) for r in range(len(pivots))])
 
 
 def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     """Derive the algebraic structure of a singular-arc family.
 
-    Runs the stepwise test at the coefficient level: singularity conditions
-    and odd-order equalities are solved as linear systems in the costate
-    coefficients; the closure under the costate flow turns their invariance
-    into linear conditions on the control values; the first surviving even
-    order is reduced to sign conditions.  The verdict is "excluded" when the
-    conditions force tr[H_d F] = 0 (no normal singular arc exists) or when
-    the closing order fails parity/semidefiniteness, and "consistent"
-    otherwise, with the full derived condition set attached.  m_max < 1
-    raises ValidationError.
+    The stepwise GLC test at the coefficient level.  The singularity
+    conditions tr[h_j F] = 0 and the first-order equalities Q^(1)(F) = 0
+    are solved together, in one reduced row echelon form over the costate
+    coefficients f.  If that forces tr[H_d F] = 0 the family is "excluded"
+    at order 1: no normal singular arc exists.  Otherwise every condition
+    operator C (the partials h_j and the solved rows as operators) is
+    differentiated along H with :func:`_r_jets`, and its rate
+    tr[-i[C, H] F] must vanish too.  A rate with no control in it is one
+    more row over f, as in the numeric closure (:func:`_flow_closure_rows`).
+    In a rate with a control, a free coefficient whose weight holds no
+    control is set to 0, and the other weights are linear conditions on
+    the controls, solved for them.  New rows are solved first; the loop
+    stops when a round adds nothing, and after 4 rounds.  The first
+    nonzero Q^(m), m = 2..m_max,
+    closes the test: an odd m is "excluded", an even one not diagonal is
+    "consistent" with a note, and a diagonal one is reduced to sign
+    conditions on the free coefficients and controls, "excluded" on a
+    contradiction and "consistent" otherwise.  No nonzero order up to
+    m_max is "inconclusive".  The derived conditions list the equalities
+    over f, the control values and the sign conditions.  m_max < 1 raises
+    ValidationError.
     """
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
     import sympy
-    f_syms = list(model.costate_syms)
-    u_syms = list(model.control_syms)
-    basis = list(model.costate_basis)
-    names_f = [str(s) for s in f_syms]
+    f_syms, u_syms = list(model.costate_syms), list(model.control_syms)
+    partials, basis = list(model.partials), list(model.costate_basis)
+    zero = sympy.zeros(*basis[0].shape)
+    F = sum((s * tau for s, tau in zip(f_syms, basis)), zero)
+    H = model.drift + sum((s * h for s, h in zip(u_syms, partials)), zero)
 
-    facts = _SignFacts(model.positive_params)
-
-    F = sympy.zeros(*basis[0].shape)
-    for s, tau in zip(f_syms, basis):
-        F = F + s * tau
-    u_subs = {}
-    H_full = model.drift
-    for s, h in zip(u_syms, model.partials):
-        H_full = H_full + s * h
-
-    # --- layer 1: linear conditions on the costate coefficients -------------
-    f_rows = []           # rows over f_syms (sympy row lists)
-
-    def add_f_conditions(exprs) -> bool:
-        added = False
-        for e in exprs:
-            e = sympy.expand(e)
-            if e == 0:
-                continue
-            row = [e.coeff(s) for s in f_syms]
-            f_rows.append(row)
-            added = True
-        return added
-
-    add_f_conditions([(hj * F).trace() for hj in model.partials])
-
-    derived_eqs: list[str] = []
-    u_conditions: list[str] = []
-    notes: list[str] = []
-
-    def solve_f_layer():
-        a = sympy.Matrix(f_rows)
-        rref, pivots = a.rref()
-        subs = {}
-        rows_out = []
-        for r in range(len(pivots)):
-            row = rref.row(r)
-            piv = pivots[r]
-            expr = -sum(row[c] * f_syms[c] for c in range(len(f_syms)) if c != piv)
-            subs[f_syms[piv]] = sympy.expand(expr)
-            rows_out.append([row[c] for c in range(len(f_syms))])
-        frees = [s for i, s in enumerate(f_syms) if i not in pivots]
-        return subs, frees, rows_out
-
-    f_subs, frees, rref_rows = solve_f_layer()
-
-    # odd-order GLC at m = 1 (entries are u-independent on planar charts)
-    partials = list(model.partials)
-    q1 = _sym_q_matrix(partials, _r_jets(partials, [H_full], 1, sympy.I)[0], F)
-    q1_entries = [sympy.expand(q1[i, j].subs(f_subs))
-                  for i in range(q1.rows) for j in range(q1.cols)]
-    if any(e != 0 for e in q1_entries):
-        # does imposing them contradict the normalization?
-        add_f_conditions([q1[i, j] for i in range(q1.rows) for j in range(q1.cols)])
-        f_subs, frees, rref_rows = solve_f_layer()
-
-    norm_expr = sympy.expand((model.drift * F).trace().subs(f_subs))
-    if norm_expr == 0:
-        for row in rref_rows:
-            derived_eqs.append(_fmt_equality(row, names_f))
+    q1 = _sym_q_matrix(partials, _r_jets(partials, [H], 1, sympy.I)[0], F)
+    f_subs, frees, rows = _rref_solve(
+        _linear_rows([(h * F).trace() for h in partials] + list(q1), f_syms), f_syms)
+    names = [str(s) for s in f_syms]
+    norm = sympy.expand((model.drift * F).trace().subs(f_subs))
+    if norm == 0:
         return GLCReport(
             matrices=(), order=1, parity_ok=False, sign_ok=False,
-            verdict="excluded", derived_conditions=tuple(derived_eqs),
+            verdict="excluded",
+            derived_conditions=tuple(_fmt_equality(row, names) for row in rows),
             notes=("singularity and first-order conditions force "
                    "tr[H_d F] = 0, contradicting the normalization of "
                    "normal protocols",))
 
-    # normalization carrier: a single free coefficient with positive weight
-    carrier = [s for s in frees if norm_expr.coeff(s) != 0]
+    # a single free coefficient carrying tr[H_d F] = 1 is nonzero, and
+    # positive when its weight is
+    positive, nonzero = set(model.positive_params), set()
+    carrier = [s for s in frees if norm.coeff(s) != 0]
     if len(carrier) == 1:
-        facts.nonzero.add(carrier[0])
-        if facts.sign_of(norm_expr.coeff(carrier[0])) == "+":
-            facts.nonneg.add(carrier[0])  # sign fixed by tr[H_d F] = 1 > 0
-            facts.positive.add(carrier[0])
+        nonzero.add(carrier[0])
+        if _sign(norm.coeff(carrier[0]), positive) > 0:
+            positive.add(carrier[0])
 
-    # --- layer 2: flow-invariance closure -> conditions on the controls -----
-    def condition_operators():
-        ops = [sympy.Matrix(h) for h in model.partials]
-        for row in rref_rows:
-            op = sympy.zeros(*basis[0].shape)
-            for c, tau in zip(row, basis):
-                if c != 0:
-                    op = op + c * tau
-            ops.append(op)
-        return ops
-
+    u_subs = {}
     for _round in range(4):
-        new_f = []
-        u_rows = []
-        H_cur = sympy.expand(H_full.subs(u_subs))
-        F_cur = sympy.expand(F.subs(f_subs))
-        for d_op in _r_jets(condition_operators(), [H_cur], 2, sympy.I)[1]:
-            expr = sympy.expand((d_op[0] * F_cur).trace())
-            for phi in frees:
-                coef = sympy.expand(expr.coeff(phi))
-                if coef == 0:
-                    continue
-                if not (set(coef.free_symbols) & set(u_syms)):
-                    new_f.append(phi)  # coefficient is parameter-only: free dies
-                else:
-                    u_rows.append(coef)
-        if new_f:
-            add_f_conditions([sympy.Integer(1) * phi for phi in set(new_f)])
-            f_subs, frees, rref_rows = solve_f_layer()
-            continue
-        if u_rows:
-            active_u = [s for s in u_syms if s not in u_subs]
-            a, b = sympy.linear_eq_to_matrix(u_rows, active_u)
-            aug = a.row_join(b)
-            rref, pivots = aug.rref()
-            changed = False
-            for r, piv in enumerate(pivots):
-                if piv >= len(active_u):
-                    continue
-                rhs = rref[r, -1] - sum(
-                    rref[r, c] * active_u[c]
-                    for c in range(len(active_u)) if c != piv)
-                if active_u[piv] not in u_subs:
-                    u_subs[active_u[piv]] = sympy.expand(rhs)
-                    changed = True
-            if changed:
+        h_cur, f_cur = sympy.expand(H.subs(u_subs)), sympy.expand(F.subs(f_subs))
+        ops = partials + [sum((c * tau for c, tau in zip(row, basis)), zero)
+                          for row in rows]
+        f_forms, u_forms = [], []
+        for jet in _r_jets(ops, [h_cur], 2, sympy.I)[1]:
+            rate = sympy.expand((jet[0] * f_cur).trace())
+            if not rate.free_symbols & set(u_syms):
+                f_forms.append(rate)  # one condition, as in the numeric closure
                 continue
-        break
+            for phi in frees:
+                weight = sympy.expand(rate.coeff(phi))
+                if weight.free_symbols & set(u_syms):
+                    u_forms.append(weight)
+                elif weight != 0:
+                    f_forms.append(phi)
+        new_rows = _linear_rows(f_forms, f_syms)
+        if new_rows:
+            f_subs, frees, rows = _rref_solve(rows + new_rows, f_syms)
+            continue
+        active = [s for s in u_syms if s not in u_subs]
+        solved = u_forms and _rref_solve(_linear_rows(u_forms, active), active)[0]
+        if not solved:
+            break
+        u_subs.update(solved)
 
-    for row in rref_rows:
-        derived_eqs.append(_fmt_equality(row, names_f))
-    for s in model.control_syms:
-        if s in u_subs:
-            u_conditions.append(f"{s} = {sympy.nsimplify(u_subs[s])}")
-
-    # --- layer 3: closing even order ----------------------------------------
-    H_cur = sympy.expand(H_full.subs(u_subs))
-    F_cur = sympy.expand(F.subs(f_subs))
-    verdict = "inconclusive"
-    order = None
-    parity_ok = True
-    sign_ok = True
-    inequalities: list[str] = []
-    levels = _r_jets(partials, [H_cur], m_max, sympy.I)
+    conditions = tuple(_fmt_equality(row, names) for row in rows) + tuple(
+        f"{s} = {sympy.nsimplify(u_subs[s])}" for s in u_syms if s in u_subs)
+    h_cur, f_cur = sympy.expand(H.subs(u_subs)), sympy.expand(F.subs(f_subs))
+    levels = _r_jets(partials, [h_cur], m_max, sympy.I)
     for m in range(2, m_max + 1):
-        q = _sym_q_matrix(partials, levels[m - 1], F_cur)
+        q = _sym_q_matrix(partials, levels[m - 1], f_cur)
         if all(e == 0 for e in q):
             continue
-        order = m
-        parity_ok = (m % 2 == 0)
-        if not parity_ok:
-            verdict = "excluded"
-            break
-        k = m // 2
-        signed = ((-1) ** (k + 1)) * q  # require signed >= 0
-        offdiag = [signed[i, j] for i in range(q.rows) for j in range(q.cols)
-                   if i != j]
-        if all(sympy.expand(e) == 0 for e in offdiag):
-            entries = [signed[i, i] for i in range(q.rows)]
-            outcome = _reduce_inequalities(
-                entries, set(frees) | set(u_syms), facts, inequalities)
-            sign_ok = outcome != "contradiction"
-        else:
-            notes.append("closing even order is not diagonal; "
-                         "use the numeric GLC test at a concrete point")
-            sign_ok = True
-        verdict = "consistent" if sign_ok else "excluded"
-        break
-
-    conditions = tuple(derived_eqs + u_conditions + inequalities)
-    return GLCReport(
-        matrices=(), order=order, parity_ok=parity_ok,
-        sign_ok=sign_ok, verdict=verdict, derived_conditions=conditions,
-        eigenvalues_at_order=(), notes=tuple(notes))
+        if m % 2:
+            return GLCReport((), m, False, True, "excluded", conditions)
+        signed = (-1) ** (m // 2 + 1) * q  # require signed >= 0
+        if any(sympy.expand(signed[i, j]) != 0
+               for i in range(q.rows) for j in range(q.cols) if i != j):
+            return GLCReport(
+                (), m, True, True, "consistent", conditions,
+                notes=("closing even order is not diagonal; "
+                       "use the numeric GLC test at a concrete point",))
+        signs: list[str] = []
+        ok = _reduce_inequalities([signed[i, i] for i in range(q.rows)],
+                                  set(frees) | set(u_syms), positive, nonzero, signs)
+        return GLCReport((), m, True, ok, "consistent" if ok else "excluded",
+                         conditions + tuple(signs))
+    return GLCReport((), None, True, True, "inconclusive", conditions)
 
 
 @dataclass(frozen=True)
@@ -521,7 +420,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         b = float(metric[case.eliminate] @ u)
         gee = metric[case.eliminate, case.eliminate]
         u[case.eliminate] = (np.sqrt(b * b + gee * (r * r - quad)) - b) / gee
-        full_chart = ControlChart(tuple(c.control_basis), u=u, names=c.control_labels)
+        full_chart = ControlChart(tuple(c.control_basis), u=u)
         red = boundary_reduce(full_chart, metric, case.eliminate)
         coeffs = _normalizable_costate(_flow_closure_rows(c, u, red), phi)
         if coeffs is None:

@@ -452,10 +452,11 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
     :func:`_expm_step` call on the whole stack, so B members cost about as
     much as one.
 
-    Returns (U, F, singular, controls) at the end of the march, each
-    stacked over the members: singular is a (B, n_cells) mask of the cells
-    whose start costate is singular, controls (B, n_cells, l) with
-    ``record`` (None without).
+    Returns (U, nodes, singular, controls), each stacked over the members:
+    U at the end of the march, ``nodes`` as given (filled, or None),
+    singular a (B, n_cells) mask of the cells whose start costate is
+    singular, controls (B, n_cells, l) with ``record`` (None without).  The
+    end costate U F0 U^dagger is left to the callers that need it.
     """
     n, b = constraint.dim, len(f0)
     dt = np.broadcast_to(np.asarray(t_final, dtype=float) / n_cells, (b,))
@@ -472,8 +473,7 @@ def _coupled_flow(constraint: ConstraintSet, f0: np.ndarray,
             controls[:, k] = uk
         if nodes is not None:
             nodes[:, k + 1] = u_mat
-    return (u_mat, stack_product(stack_product(u_mat, f0), dagger(u_mat)),
-            singular, controls)
+    return u_mat, nodes, singular, controls
 
 
 def _dense_rebuild(constraint: ConstraintSet, f0: np.ndarray, t_final: float,

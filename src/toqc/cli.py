@@ -212,8 +212,7 @@ def _cmd_glc(args: argparse.Namespace) -> int:
         constraint = constraint_from_json(data["constraint"], "glc.constraint")
         f = matrix_from_json(data["costate"], "glc.costate")
         chart = ControlChart(tuple(constraint.control_basis),
-                             u=data.get("controls", np.zeros(constraint.n_controls)),
-                             names=constraint.control_names)
+                             u=data.get("controls", np.zeros(constraint.n_controls)))
         h = constraint.hamiltonian(chart.u)
         report = glc_test(chart, h, f, m_max=args.m_max)
     elif args.arc == "interior":

@@ -91,7 +91,6 @@ class ControlChart:
     u: Optional[np.ndarray] = None
     du_dt: Optional[np.ndarray] = None
     time_varying: bool = False
-    names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if not self.partials:
@@ -417,9 +416,7 @@ def boundary_reduce(chart: ControlChart, metric: np.ndarray,
     partials = tuple(chart.partials[i] - (g[i] / g[eliminate]) * he for i in keep)
     u = chart.u[keep]
     du = None if chart.du_dt is None else chart.du_dt[keep]
-    names = None if chart.names is None else tuple(chart.names[i] for i in keep)
-    return ControlChart(partials, u=u, du_dt=du, names=names,
-                        time_varying=chart.time_varying)
+    return ControlChart(partials, u=u, du_dt=du, time_varying=chart.time_varying)
 
 
 def _sign_flags(q: np.ndarray) -> tuple[bool, bool, bool]:

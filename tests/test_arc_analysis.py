@@ -4,9 +4,11 @@ import sympy
 
 from toqc.arc_analysis import (
     _sym_q_matrix,
+    arc_model,
     boundary_closure_study,
     derive_singular_structure,
 )
+from toqc.constraint_model import Box, ConstraintSet
 from toqc.errors import ValidationError
 from toqc.scenarios import get_scenario
 from toqc.singular_glc import (
@@ -16,7 +18,14 @@ from toqc.singular_glc import (
     glc_test,
     singular_chain,
 )
-from toqc.sun_algebra import SIGMA_Z, expand, generalized_gellmann, reconstruct
+from toqc.sun_algebra import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    expand,
+    generalized_gellmann,
+    reconstruct,
+)
 
 
 def test_landau_zener_interior_structure():
@@ -129,8 +138,7 @@ def test_interior_closure_numeric_cross_check():
     phi = expand(c.drift, basis)
 
     def feasible(u):
-        chart = ControlChart(tuple(c.control_basis), u=u,
-                             names=c.control_names)
+        chart = ControlChart(tuple(c.control_basis), u=u)
         rows = aa._flow_closure_rows(c, u, chart)
         _, s, vt = np.linalg.svd(rows)
         rank = int(np.sum(s > 1e-9 * s[0]))
@@ -140,6 +148,62 @@ def test_interior_closure_numeric_cross_check():
     assert feasible(np.array([0.0, 0.0, 0.0, 0.5]))
     assert not feasible(np.array([0.3, 0.0, 0.0, 0.5]))
     assert not feasible(np.array([0.0, 0.2, 0.1, 0.5]))
+
+
+def _box_model(drift, controls):
+    """The exact interior model of ``drift`` and ``controls`` under a unit
+    box, with omega0 = 1."""
+    n = drift.shape[0]
+    l = len(controls)
+    c = ConstraintSet(n, drift, tuple(controls), Box([-1.0] * l, [1.0] * l))
+    return c, arc_model(c, 1.0)
+
+
+LAMBDA = generalized_gellmann(3)
+
+
+def _lam(k):
+    return LAMBDA[k - 1]
+
+
+EXCLUDED_NOTE = ("singularity and first-order conditions force tr[H_d F] = 0, "
+                 "contradicting the normalization of normal protocols")
+NOT_DIAGONAL_NOTE = ("closing even order is not diagonal; use the numeric GLC "
+                     "test at a concrete point")
+
+
+@pytest.mark.parametrize("drift, controls, order, verdict, conditions, notes", [
+    # su(2), two controls: Q^(1) = tr[-i[h_1, h_2] F] kills the last
+    # coefficient that could carry tr[H_d F] = 1
+    (SIGMA_Z, (SIGMA_X, SIGMA_Y), 1, "excluded",
+     ("f1 = 0", "f2 = 0", "f3 = 0"), (EXCLUDED_NOTE,)),
+    (SIGMA_Y, (SIGMA_X,), 2, "consistent",
+     ("f1 = 0", "f3 = 0", "u1 = 0", "f2 >= 0"), ()),
+    # a control value that is not 0
+    (_lam(5) + _lam(8), (_lam(3),), 2, "consistent",
+     ("f3 = 0", "f4 = 0", "f8 = 0", "u1 = -sqrt(3)*omega0", "f5 >= 0"), ()),
+    # an equality with two terms and an upper bound
+    (_lam(3), (_lam(1), _lam(5), _lam(4)), 2, "consistent",
+     ("f1 = 0", "f2 = 0", "f3 + sqrt(3)*f8 = 0", "f4 = 0", "f5 = 0", "f6 = 0",
+      "f7 = 0", "u1 = 0", "f8 <= 0"), ()),
+    (_lam(8), (_lam(6) + _lam(2), _lam(2), _lam(3)), 2, "consistent",
+     ("f1 = 0", "f2 = 0", "f3 = 0", "f4 = 0", "f6 = 0", "f7 = 0", "u1 = 0",
+      "u2 = 0", "u3 = -sqrt(3)*omega0"), (NOT_DIAGONAL_NOTE,)),
+    # two sign conditions that stay unreduced
+    (_lam(3), (_lam(7), _lam(5)), 2, "consistent",
+     ("f1 = 0", "f2 = 0", "f4 = 0", "f5 = 0", "f6 = 0", "f7 = 0", "u1 = 0",
+      "u2 = 0", "2*omega0*(f3 - sqrt(3)*f8) >= 0",
+      "2*omega0*(f3 + sqrt(3)*f8) >= 0"), ()),
+], ids=["su2-xy-z", "su2-x-y", "l3-l5l8", "l1l5l4-l3", "l6l2l2l3-l8", "l7l5-l3"])
+def test_interior_reports_of_exact_models(drift, controls, order, verdict,
+                                          conditions, notes):
+    # models that no scenario covers: the verdict, the closing order, every
+    # derived condition string in order, and the notes
+    _, model = _box_model(drift, controls)
+    rep = derive_singular_structure(model)
+    assert (rep.order, rep.verdict) == (order, verdict)
+    assert rep.derived_conditions == conditions
+    assert rep.notes == notes
 
 
 def test_interior_study_typical_qutrit_variant():
@@ -207,16 +271,12 @@ INTERIOR_CASES = [("landau_zener", {}), ("one_qubit_xy", {}),
                   ("symmetric_two_qubit", {"typical_qutrit": True})]
 
 
-@pytest.mark.parametrize("name,kw", INTERIOR_CASES)
-def test_symbolic_interior_verdicts_match_the_numeric_engine(name, kw):
-    # sample the arc family that the symbolic derivation describes and run
-    # the numeric engine there: the chain residuals vanish and glc_test
-    # returns the symbolic order and verdict; a point that breaks one
-    # control condition is caught by the chain or by the sign test
-    sc = get_scenario(name, **kw)
-    c, omega0 = sc.constraint, sc.parameters["omega0"]
-    model = sc.arc_model()
-    rep = derive_singular_structure(model)
+def _check_against_the_numeric_engine(c, omega0, model, rep):
+    """Sample the arc family that the symbolic report ``rep`` of ``model``
+    describes and run the numeric engine there: the chain residuals vanish
+    and glc_test returns the symbolic order and verdict; a point that
+    breaks one control condition is caught by the chain or by the sign
+    test."""
     conditions = _parsed_conditions(model, rep, omega0)
     rng = np.random.default_rng(31)
 
@@ -278,6 +338,31 @@ def test_symbolic_interior_verdicts_match_the_numeric_engine(name, kw):
             assert report.verdict == "excluded", (lhs, report.verdict)
         broken += 1
     assert broken == sum(1 for lhs, _, _ in conditions if lhs in u_syms) > 0
+
+
+@pytest.mark.parametrize("name,kw", INTERIOR_CASES)
+def test_symbolic_interior_verdicts_match_the_numeric_engine(name, kw):
+    sc = get_scenario(name, **kw)
+    model = sc.arc_model()
+    _check_against_the_numeric_engine(sc.constraint, sc.parameters["omega0"],
+                                      model, derive_singular_structure(model))
+
+
+def test_a_rate_without_a_control_is_one_condition():
+    # landau_zener turned by pi/4 about x.  The rate of the control,
+    # tr[-i[sx, H] F] = 4 omega0 (f3 - f2), holds no control; setting each
+    # of its coefficients to 0 left the family F = 0, which cannot carry
+    # tr[H_d F] = 1 ("inconclusive"), while the numeric closure takes the
+    # rate as one row and glc_test finds F = (sy + sz) / 4, u = 0 consistent
+    c, model = _box_model(SIGMA_Y + SIGMA_Z, (SIGMA_X,))
+    rep = derive_singular_structure(model)
+    assert (rep.order, rep.verdict) == (2, "consistent")
+    assert rep.derived_conditions == ("f1 = 0", "f2 - f3 = 0", "u1 = 0", "f3 >= 0")
+    _check_against_the_numeric_engine(c, 1.0, model, rep)
+    f = (SIGMA_Y + SIGMA_Z) / 4.0
+    report = glc_test(ControlChart((SIGMA_X,), u=np.zeros(1)), c.hamiltonian(np.zeros(1)),
+                      f, 4)
+    assert (report.order, report.verdict) == (2, "consistent")
 
 
 def test_symbolic_glc_matrices_equal_the_numeric_ones():

@@ -1044,7 +1044,8 @@ def test_final_time_normalization_is_no_boundary_condition(n):
     cells = np.array([24, 48, 96, 192])
     drift = []
     for k in cells:
-        f_t = br._coupled_flow(c, f0[None], x[-1], k)[1][0]
+        u_t = br._coupled_flow(c, f0[None], x[-1], k)[0][0]
+        f_t = u_t @ f0 @ u_t.conj().T
         drift.append(abs(np.trace(maximizer(f_t, c).hamiltonian @ f_t).real - 1.0))
     order = -np.polyfit(np.log(cells), np.log(drift), 1)[0]
     assert 2.8 <= order <= 3.2, drift
