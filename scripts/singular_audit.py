@@ -14,7 +14,6 @@ import sys
 
 from toqc import (
     boundary_closure_study,
-    bracket_obstruction,
     classify,
     derive_singular_structure,
     get_scenario,
@@ -31,10 +30,11 @@ def main() -> int:
     summary = {}
     for name in sorted(SCENARIOS):
         sc = get_scenario(name)
+        report = classify(sc.constraint)
         entry = {
             "parameters": sc.parameters,
-            "classification": classify(sc.constraint).as_dict(),
-            "bracket_obstruction": bracket_obstruction(sc.constraint),
+            "classification": report.as_dict(),
+            "bracket_obstruction": report.drift_in_bracket,
         }
         interior = derive_singular_structure(sc.arc_model(), m_max=args.m_max)
         entry["interior"] = {

@@ -21,7 +21,6 @@ from .brachistochrone import (
     interaction_picture_reduce,
     qb_consistency_audit,
     solve_shooting,
-    zermelo_solution,
     zermelo_solve,
 )
 from .constraint_model import (
@@ -32,9 +31,7 @@ from .constraint_model import (
     MaximizerResult,
     Typical,
     classify,
-    is_singular,
     maximizer,
-    pontryagin_h,
 )
 from .dynamics import (
     BoundaryResidual,
@@ -60,7 +57,6 @@ from .singular_glc import (
     ControlChart,
     GLCReport,
     boundary_reduce,
-    bracket_obstruction,
     glc_matrices,
     glc_test,
     normalized_singular_costate,

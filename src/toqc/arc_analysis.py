@@ -242,13 +242,16 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     differentiated along H with :func:`_r_jets`, and its rate
     tr[-i[C, H] F] must vanish too.  A rate with no control in it is one
     more row over f, as in the numeric closure (:func:`_flow_closure_rows`).
-    In a rate with a control, a free coefficient whose weight holds no
-    control is set to 0, and the other weights are linear conditions on
+    A rate with a control is split: a free coefficient whose weight holds
+    no control is set to 0, and the other weights are linear conditions on
     the controls, solved for them.  New rows are solved first; the loop
-    stops when a round adds nothing, and after 4 rounds.  The first
+    stops when a round adds nothing, and after 4 rounds.  A closed family
+    that forces tr[H_d F] = 0 is "excluded" with no order, unless a split
+    narrowed it: a split is sufficient for its rate to vanish, not
+    necessary, so such a family may be too small.  The first
     nonzero Q^(m), m = 2..m_max,
     closes the test: an odd m is "excluded", an even one not diagonal is
-    "consistent" with a note, and a diagonal one is reduced to sign
+    "inconclusive" with a note, and a diagonal one is reduced to sign
     conditions on the free coefficients and controls, "excluded" on a
     contradiction and "consistent" otherwise.  No nonzero order up to
     m_max is "inconclusive".  The derived conditions list the equalities
@@ -287,7 +290,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
         if _sign(norm.coeff(carrier[0]), positive) > 0:
             positive.add(carrier[0])
 
-    u_subs = {}
+    u_subs, split = {}, False   # split: a mixed rate set a coefficient to 0
     for _round in range(4):
         h_cur, f_cur = sympy.expand(H.subs(u_subs)), sympy.expand(F.subs(f_subs))
         ops = partials + [sum((c * tau for c, tau in zip(row, basis)), zero)
@@ -304,6 +307,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
                     u_forms.append(weight)
                 elif weight != 0:
                     f_forms.append(phi)
+                    split = True
         new_rows = _linear_rows(f_forms, f_syms)
         if new_rows:
             f_subs, frees, rows = _rref_solve(rows + new_rows, f_syms)
@@ -317,6 +321,11 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     conditions = tuple(_fmt_equality(row, names) for row in rows) + tuple(
         f"{s} = {sympy.nsimplify(u_subs[s])}" for s in u_syms if s in u_subs)
     h_cur, f_cur = sympy.expand(H.subs(u_subs)), sympy.expand(F.subs(f_subs))
+    if not (split or u_subs) and sympy.expand((model.drift * f_cur).trace()) == 0:
+        return GLCReport((), None, True, True, "excluded", conditions, notes=(
+            "the flow closure of the singularity and first-order conditions "
+            "forces tr[H_d F] = 0, contradicting the normalization of normal "
+            "protocols",))
     levels = _r_jets(partials, [h_cur], m_max, sympy.I)
     for m in range(2, m_max + 1):
         q = _sym_q_matrix(partials, levels[m - 1], f_cur)
@@ -328,7 +337,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
         if any(sympy.expand(signed[i, j]) != 0
                for i in range(q.rows) for j in range(q.cols) if i != j):
             return GLCReport(
-                (), m, True, True, "consistent", conditions,
+                (), m, True, True, "inconclusive", conditions,
                 notes=("closing even order is not diagonal; "
                        "use the numeric GLC test at a concrete point",))
         signs: list[str] = []

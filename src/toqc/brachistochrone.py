@@ -87,7 +87,6 @@ __all__ = [
     "SolveResult",
     "AuditReport",
     "drift_free_geodesic",
-    "zermelo_solution",
     "zermelo_solve",
     "interaction_picture_reduce",
     "solve_shooting",
@@ -255,18 +254,6 @@ def drift_free_geodesic(target: np.ndarray, omega: float) -> dict:
     return {"H": h, "T": nrm / omega}
 
 
-def zermelo_solution(drift: np.ndarray, hc0: np.ndarray, t: float) -> dict:
-    """Closed-form navigation flow at time t for a given initial control.
-
-    H(t) = H_d + e^{-i H_d t} H_c(0) e^{i H_d t};
-    U(t) = e^{-i H_d t} e^{-i H_c(0) t}.  The control norm is constant.
-    """
-    frame = exp_op(drift, t)          # e^{-i H_d t}
-    h_t = drift + frame @ hc0 @ dagger(frame)
-    u_t = frame @ exp_op(hc0, t)
-    return {"H_t": h_t, "U_t": u_t}
-
-
 def _navigation_controls(drift: np.ndarray, hc0: np.ndarray,
                          basis: tuple[np.ndarray, ...],
                          ts: np.ndarray) -> np.ndarray:
@@ -425,9 +412,9 @@ def _flow_cell(constraint: ConstraintSet, f0: np.ndarray, u_mat: np.ndarray,
     projected; the mask of singular start costates; the controls (B, l)).
     """
     f = stack_product(stack_product(u_mat, f0), dagger(u_mat))
-    h, _, singular, _ = _span_maximizer(f, constraint)
+    h, _, singular = _span_maximizer(f, constraint)
     half = _expm_step(h, 0.5 * dt)
-    h, controls, _, _ = _span_maximizer(
+    h, controls, _ = _span_maximizer(
         stack_product(stack_product(half, f), dagger(half)), constraint)
     return stack_product(_expm_step(h, dt), u_mat), singular, controls
 
@@ -575,7 +562,7 @@ def _normalize_seeds(constraint: ConstraintSet,
     stacked maximizer call and one stacked trace: (the rescaled seeds, with
     the zero costate where a seed cannot be rescaled; the mask of the seeds
     that can).  Each row is bitwise the one-costate result."""
-    h, _, singular, _ = _span_maximizer(fs, constraint)
+    h, _, singular = _span_maximizer(fs, constraint)
     c0 = np.where(singular, 0.0, np.trace(h @ fs, axis1=1, axis2=2).real)
     regular = c0 > 1e-9
     seeds = fs / np.where(regular, c0, 1.0)[:, None, None]
@@ -659,8 +646,7 @@ def _time_scale_estimate(problem: ShootingProblem) -> float:
     return max(_target_log_norm(problem.target) / speed, 1e-3)
 
 
-def _single_start(problem: ShootingProblem, start_index: int,
-                  t_init: float, t_hi: float,
+def _single_start(problem: ShootingProblem, t_init: float, t_hi: float,
                   rng: np.random.Generator, earlier: list[dict]):
     """One start of :func:`solve_shooting`: a seed drawn from ``rng``, a
     coarse least-squares stage, then (unless an ``earlier`` converged start
@@ -735,7 +721,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
         gap = max(np.max(np.abs(direction - known["direction"])),
                   abs(t_coarse - known["t_coarse"]) / max(1.0, t_coarse))
         if known["converged"] and gap < DEFAULT_TOL.duplicate_start:
-            return {**known, "start": start_index}
+            return known
     # the polished point's own march is the check: its seed, U(T), its
     # singular cells and its nodes, which start the dense rebuild
     sol, (f_star, nodes, singular_cells) = stage(sol.x, k_cells, 1e-14)
@@ -743,7 +729,7 @@ def _single_start(problem: ShootingProblem, start_index: int,
         return None
     fid = fidelity_residual(nodes[-1], problem.target)
     return {
-        "start": start_index, "f0": f_star, "T": float(sol.x[-1]), "fidelity": fid,
+        "f0": f_star, "T": float(sol.x[-1]), "fidelity": fid,
         "exact": float(np.linalg.norm(nodes[-1] - problem.target)),
         "converged": bool(fid < max(1e-6, opts.residual_tol)),
         "singular_cells": singular_cells, "nodes": nodes, "direction": direction,
@@ -768,7 +754,7 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     iteration does not creep along that direction.  A start whose coarse
     solution matches a converged earlier start's (unit costate direction
     and T, to ``DEFAULT_TOL.duplicate_start``) reuses that polished
-    extremal under its own index instead of polishing again.
+    extremal instead of polishing again.
     Each residual evaluation is one lockstep march of the coupled flow
     (:func:`_coupled_flow`) of its point and the point's N^2
     forward-difference points (scipy's 2-point step rule); the Jacobian
@@ -816,8 +802,7 @@ def solve_shooting(problem: ShootingProblem) -> SolveResult:
     for i in range(opts.multistarts):
         rng = np.random.default_rng(seeds[i])
         jitter = 1.0 if i == 0 else float(rng.uniform(0.7, 1.8))
-        out = _single_start(problem, i, min(jitter * t0, 0.9 * t_hi), t_hi, rng,
-                            attempts)
+        out = _single_start(problem, min(jitter * t0, 0.9 * t_hi), t_hi, rng, attempts)
         n_run += 1
         if out is not None:
             attempts.append(out)

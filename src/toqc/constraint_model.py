@@ -47,8 +47,6 @@ __all__ = [
     "MaximizerResult",
     "classify",
     "maximizer",
-    "is_singular",
-    "pontryagin_h",
 ]
 
 
@@ -253,15 +251,14 @@ class MaximizerResult:
     """Pointwise maximizer of -1 + tr[H F] over the constraint set.
 
     ``singular`` means the costate is orthogonal to the control subspace and
-    the maximum condition carries no information.  For regular box results,
-    ``partially_singular`` lists coordinates whose pairing with F is below
-    threshold (their bang value is undetermined; they are set to the
-    admissible value closest to zero and flagged for singular-arc analysis).
+    the maximum condition carries no information; ``hamiltonian`` and
+    ``controls`` are then None.  A box coordinate whose pairing with F is
+    within ``DEFAULT_TOL.singular`` of zero has no bang value; it takes the
+    admissible value nearest zero.
     """
     singular: bool
     hamiltonian: Optional[np.ndarray] = None
     controls: Optional[np.ndarray] = None
-    partially_singular: tuple[int, ...] = ()
 
 
 def classify(c: ConstraintSet) -> ClassificationReport:
@@ -269,9 +266,12 @@ def classify(c: ConstraintSet) -> ClassificationReport:
 
     The drift is in the subspace iff its projection residual vanishes; it is
     in the bracket iff it lies in the span of all pairwise -i[c_i, c_j].
-    All three bound kinds describe full-dimensional closed regions of the
-    control hyperplane, so ``planar`` is always true; ``typical`` is reserved
-    for the Hilbert-Schmidt ball kind.  Both span tests use the residual
+    A drift in the bracket rules out time-optimal singular arcs: on a
+    singular arc the first-order GLC conditions tr[[c_i, c_j] F] = 0 then
+    force tr[H_d F] = 0, contradicting the normalization tr[H F] = 1 of
+    normal protocols.  All three bound kinds describe full-dimensional
+    closed regions of the control hyperplane, so ``planar`` is always true;
+    ``typical`` is reserved for the Hilbert-Schmidt ball kind.  Both span tests use the residual
     threshold ``DEFAULT_TOL.span_membership``, relative to max(1, ||H_d||).
     """
     tol = DEFAULT_TOL.span_membership
@@ -304,13 +304,13 @@ def classify(c: ConstraintSet) -> ClassificationReport:
 def _span_maximizer(f: np.ndarray, c: ConstraintSet):
     """Maximizer of tr[H F] over the constraint set for a stack F (B, N, N).
 
-    Returns (H, u, singular, flagged): the maximizing Hamiltonians (B, N, N),
-    their frame coefficients (B, l), the rows whose projection onto the
-    control subspace has norm below ``DEFAULT_TOL.singular``, and for the
-    box kind the coordinates whose pairing is within that threshold of zero
-    (all False for the balls).  At a singular row every admissible control
-    maximizes; the row takes the one nearest zero, clip(0, lo, hi) for a
-    box and 0 for a ball.  The pairings
+    Returns (H, u, singular): the maximizing Hamiltonians (B, N, N), their
+    frame coefficients (B, l) and the rows whose projection onto the
+    control subspace has norm below ``DEFAULT_TOL.singular``.  At a
+    singular row every admissible control maximizes; the row takes the one
+    nearest zero, clip(0, lo, hi) for a box and 0 for a ball, and so does a
+    box coordinate whose pairing is within that threshold of zero.  The
+    pairings
     g_j = (1/2) tr[F c_j], Gram^{-1} g and, for a ball whose metric is not
     the Gram matrix, metric^{-1} g are one product with the constraint's
     pairing matrix; ||P F||^2 = g . Gram^{-1} g.  Every product is taken row
@@ -328,7 +328,6 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
         lo, hi = c._box
         nearest = np.clip(0.0, lo, hi)
         u = np.where(g > tol, hi, np.where(g < -tol, lo, nearest))
-        flagged = np.abs(g) <= tol
     else:
         nearest = 0.0
         # maximize g . u subject to u^T M u <= r^2; for M = Gram the
@@ -338,11 +337,10 @@ def _span_maximizer(f: np.ndarray, c: ConstraintSet):
             metric_g = pairs[:, 2 * l:]
             denom = np.sqrt(np.einsum("bi,bi->b", g, metric_g))
         u = metric_g * (c._ball[1] / np.where(singular, 1.0, denom))[:, None]
-        flagged = np.zeros(u.shape, dtype=bool)
     u[singular] = nearest   # every admissible u maximizes there
     h = _row_products(u, c._frame_real).view(complex).reshape(f.shape)
     h += c.drift
-    return h, u, singular, flagged
+    return h, u, singular
 
 
 def _support(c: ConstraintSet, g: np.ndarray) -> np.ndarray:
@@ -369,15 +367,6 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-def is_singular(f: np.ndarray, c: ConstraintSet) -> bool:
-    """True iff F is orthogonal to the control subspace: the projection of F
-    onto it has induced norm below ``DEFAULT_TOL.singular``.
-
-    The same test marks a :func:`maximizer` result singular.
-    """
-    return maximizer(f, c).singular
-
-
 def maximizer(f: np.ndarray, c: ConstraintSet) -> MaximizerResult:
     """Maximize tr[H F] over the constraint set at fixed costate F.
 
@@ -398,14 +387,8 @@ def maximizer(f: np.ndarray, c: ConstraintSet) -> MaximizerResult:
     if f.shape != (c.dim, c.dim):
         raise DimensionMismatchError(
             f"costate shape {f.shape} does not match constraint dim {c.dim}")
-    h, u, singular, flagged = _span_maximizer(f[None], c)
+    h, u, singular = _span_maximizer(f[None], c)
     if singular[0]:
         return MaximizerResult(singular=True)
-    return MaximizerResult(False, h[0], u[0], tuple(np.flatnonzero(flagged[0]).tolist()))
+    return MaximizerResult(False, h[0], u[0])
 
-
-def pontryagin_h(h: np.ndarray, f: np.ndarray) -> float:
-    """The Pontryagin function -1 + tr[H F] (full trace)."""
-    if h.shape != f.shape:
-        raise DimensionMismatchError(f"shape mismatch {h.shape} vs {f.shape}")
-    return float(np.trace(h @ f).real) - 1.0

@@ -25,10 +25,6 @@ class MissingCostateError(ToqcError):
     """A trajectory operation needs costates but none are attached."""
 
 
-class MissingDerivativeError(ToqcError):
-    """A chain/recurrence order needs du/dt on a time-varying arc."""
-
-
 class ImplicitFunctionError(ToqcError):
     """Boundary-chart reduction attempted at a point where the eliminated
     coordinate (or its constraint gradient) vanishes."""

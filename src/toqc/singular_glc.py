@@ -50,13 +50,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraint_model import ConstraintSet, classify
-from .errors import (
-    DimensionMismatchError,
-    ImplicitFunctionError,
-    MissingDerivativeError,
-    ValidationError,
-)
+from .constraint_model import ConstraintSet
+from .errors import DimensionMismatchError, ImplicitFunctionError, ValidationError
 from .sun_algebra import expand, generalized_gellmann, reconstruct
 from .tolerances import DEFAULT_TOL
 
@@ -68,7 +63,6 @@ __all__ = [
     "glc_test",
     "boundary_reduce",
     "reparametrization_check",
-    "bracket_obstruction",
     "normalized_singular_costate",
 ]
 
@@ -79,18 +73,16 @@ class ControlChart:
 
     ``partials`` are the operators h_j = dH/du_j evaluated at the point under
     study.  ``u`` optionally records the control values there (needed for
-    boundary reductions).  ``du_dt`` carries the arc's control velocity; when
-    omitted the arc is treated as constant-control unless ``time_varying`` is
-    set, in which case orders from Q^(2) on raise MissingDerivativeError.
-    The partials and dH/dt are constant along the arc (as for planar
-    charts).  ``u`` and ``du_dt`` are stored as float arrays; anything but a
-    finite vector of length l raises ValidationError.
+    boundary reductions).  ``du_dt`` carries the arc's control velocity;
+    when omitted the arc is constant-control (dH/dt = 0).  The partials and
+    dH/dt are constant along the arc (as for planar charts).  ``u`` and
+    ``du_dt`` are stored as float arrays; anything but a finite vector of
+    length l raises ValidationError.
     """
 
     partials: tuple[np.ndarray, ...]
     u: Optional[np.ndarray] = None
     du_dt: Optional[np.ndarray] = None
-    time_varying: bool = False
 
     def __post_init__(self):
         if not self.partials:
@@ -125,13 +117,11 @@ class ControlChart:
     def dim(self) -> int:
         return self.partials[0].shape[0]
 
-    def hamiltonian_rate(self) -> Optional[np.ndarray]:
-        """dH/dt along the arc, or None when it is needed but unknown."""
-        if self.du_dt is not None:
-            return np.einsum("j,jab->ab", self.du_dt, np.stack(self.partials))
-        if self.time_varying:
-            return None
-        return np.zeros_like(self.partials[0])
+    def hamiltonian_rate(self) -> np.ndarray:
+        """dH/dt along the arc: zero when ``du_dt`` is None."""
+        if self.du_dt is None:
+            return np.zeros_like(self.partials[0])
+        return np.einsum("j,jab->ab", self.du_dt, np.stack(self.partials))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,18 +199,6 @@ def _r_jets(partials: Sequence, h_jet: Sequence, m_max: int,
     return levels
 
 
-def _chart_r_jets(chart: ControlChart, h: np.ndarray,
-                  m_max: int) -> list[list[list[np.ndarray]]]:
-    """:func:`_r_jets` of a numeric chart at H; dH/dt is needed from
-    m_max = 2 on."""
-    rate = chart.hamiltonian_rate()
-    if rate is None and m_max >= 2:
-        raise MissingDerivativeError(
-            "chart is time-varying but du/dt was not supplied; the recurrence "
-            "needs it from this order on")
-    return _r_jets(chart.partials, [h] if rate is None else [h, rate], m_max)
-
-
 def _q_kernels(chart: ControlChart, h: np.ndarray,
                m_max: int) -> list[np.ndarray]:
     """K^(m)_{ij} = [R^(m-1)_i, h_j] for m = 1..m_max, each (l, l, N, N).
@@ -231,7 +209,7 @@ def _q_kernels(chart: ControlChart, h: np.ndarray,
     """
     hs = np.stack(chart.partials)
     out = []
-    for level in _chart_r_jets(chart, h, m_max):
+    for level in _r_jets(chart.partials, [h, chart.hamiltonian_rate()], m_max):
         r = np.stack([jet[0] for jet in level])
         out.append(np.einsum("iab,jbc->ijac", r, hs)
                    - np.einsum("jab,ibc->ijac", hs, r))
@@ -297,8 +275,7 @@ def _format_linear_condition(row: np.ndarray, names: Sequence[str]) -> str:
 
 
 def singular_chain(f: np.ndarray, c: ConstraintSet, h: np.ndarray, depth: int,
-                   du_dt: Optional[np.ndarray] = None,
-                   time_varying: bool = False) -> dict:
+                   du_dt: Optional[np.ndarray] = None) -> dict:
     """Residuals of the singular-arc chain conditions.
 
     Returns, for n = 0..depth, the vector over control directions j of
@@ -308,10 +285,10 @@ def singular_chain(f: np.ndarray, c: ConstraintSet, h: np.ndarray, depth: int,
     """
     if depth < 0:
         raise ValidationError("depth must be >= 0")
-    chart = ControlChart(tuple(c.control_basis), du_dt=du_dt,
-                         time_varying=time_varying)
+    chart = ControlChart(tuple(c.control_basis), du_dt=du_dt)
+    levels = _r_jets(chart.partials, [h, chart.hamiltonian_rate()], depth + 1)
     residuals = [np.array([float(np.trace(jet[0] @ f).real) for jet in level])
-                 for level in _chart_r_jets(chart, h, depth + 1)]
+                 for level in levels]
     normalization = float(np.trace(c.drift @ f).real) - 1.0
     return {"residuals": residuals, "normalization": normalization}
 
@@ -416,7 +393,7 @@ def boundary_reduce(chart: ControlChart, metric: np.ndarray,
     partials = tuple(chart.partials[i] - (g[i] / g[eliminate]) * he for i in keep)
     u = chart.u[keep]
     du = None if chart.du_dt is None else chart.du_dt[keep]
-    return ControlChart(partials, u=u, du_dt=du, time_varying=chart.time_varying)
+    return ControlChart(partials, u=u, du_dt=du)
 
 
 def _sign_flags(q: np.ndarray) -> tuple[bool, bool, bool]:
@@ -454,16 +431,6 @@ def reparametrization_check(chart_a: ControlChart, chart_b: ControlChart,
     congruent = np.max(np.abs(qa_m - jac.T @ qb_m @ jac)) <= \
         DEFAULT_TOL.congruence * max(1.0, float(np.max(np.abs(qa_m))))
     return bool(congruent and _sign_flags(qa_m) == _sign_flags(qb_m))
-
-
-def bracket_obstruction(c: ConstraintSet) -> bool:
-    """True iff the drift lies in the span of the control-subspace brackets.
-
-    In that case a singular arc's first-order GLC conditions force
-    tr[H_d F] = 0, contradicting the normalization of normal protocols, so
-    time-optimal singular arcs are impossible.
-    """
-    return classify(c).drift_in_bracket
 
 
 def _normalizable_costate(rows: np.ndarray,

@@ -20,10 +20,9 @@ def child_pythonpath():
 @pytest.fixture
 def singular_starts(monkeypatch):
     """Every shooting start ends unconverged on singular cells throughout."""
-    def singular(problem, start_index, t_init, t_hi, rng, earlier):
-        return {"start": start_index, "f0": None, "T": t_init,
-                "fidelity": 0.5, "exact": 1.0, "converged": False,
-                "singular_cells": problem.options.grid_points,
+    def singular(problem, t_init, t_hi, rng, earlier):
+        return {"f0": None, "T": t_init, "fidelity": 0.5, "exact": 1.0,
+                "converged": False, "singular_cells": problem.options.grid_points,
                 "direction": np.ones(problem.constraint.dim ** 2 - 1),
                 "t_coarse": t_init}
 

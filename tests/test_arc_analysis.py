@@ -166,6 +166,9 @@ def _lam(k):
     return LAMBDA[k - 1]
 
 
+CLOSURE_EXCLUDED_NOTE = ("the flow closure of the singularity and first-order "
+                         "conditions forces tr[H_d F] = 0, contradicting the "
+                         "normalization of normal protocols")
 EXCLUDED_NOTE = ("singularity and first-order conditions force tr[H_d F] = 0, "
                  "contradicting the normalization of normal protocols")
 NOT_DIAGONAL_NOTE = ("closing even order is not diagonal; use the numeric GLC "
@@ -186,7 +189,8 @@ NOT_DIAGONAL_NOTE = ("closing even order is not diagonal; use the numeric GLC "
     (_lam(3), (_lam(1), _lam(5), _lam(4)), 2, "consistent",
      ("f1 = 0", "f2 = 0", "f3 + sqrt(3)*f8 = 0", "f4 = 0", "f5 = 0", "f6 = 0",
       "f7 = 0", "u1 = 0", "f8 <= 0"), ()),
-    (_lam(8), (_lam(6) + _lam(2), _lam(2), _lam(3)), 2, "consistent",
+    # glc_test excludes sampled family members: the verdict is open
+    (_lam(8), (_lam(6) + _lam(2), _lam(2), _lam(3)), 2, "inconclusive",
      ("f1 = 0", "f2 = 0", "f3 = 0", "f4 = 0", "f6 = 0", "f7 = 0", "u1 = 0",
       "u2 = 0", "u3 = -sqrt(3)*omega0"), (NOT_DIAGONAL_NOTE,)),
     # two sign conditions that stay unreduced
@@ -363,6 +367,74 @@ def test_a_rate_without_a_control_is_one_condition():
     report = glc_test(ControlChart((SIGMA_X,), u=np.zeros(1)), c.hamiltonian(np.zeros(1)),
                       f, 4)
     assert (report.order, report.verdict) == (2, "consistent")
+
+
+def test_a_closure_that_leaves_no_normalizable_costate_is_excluded():
+    # the first-order conditions leave a family that can carry
+    # tr[H_d F] = 1, but control-free rates of the flow closure set every
+    # coefficient to 0: the derivation excludes the family, and the
+    # numeric closure leaves no normalizable costate at u = 0 or at random
+    # controls in the box
+    import toqc.arc_analysis as aa
+    from toqc.singular_glc import _normalizable_costate
+    c, model = _box_model(_lam(4) + _lam(1), (_lam(8), _lam(5), _lam(7), _lam(2)))
+    rep = derive_singular_structure(model)
+    assert (rep.verdict, rep.order, rep.parity_ok, rep.sign_ok) == (
+        "excluded", None, True, True)
+    assert rep.derived_conditions == tuple(f"f{a} = 0" for a in range(1, 9))
+    assert rep.notes == (CLOSURE_EXCLUDED_NOTE,)
+    phi = expand(c.drift, LAMBDA)
+    rng = np.random.default_rng(5)
+    for u in [np.zeros(4), *rng.uniform(-1.0, 1.0, (10, 4))]:
+        rows = aa._flow_closure_rows(c, u, ControlChart(tuple(c.control_basis), u=u))
+        assert _normalizable_costate(rows, phi) is None
+
+
+def test_a_family_narrowed_by_a_split_rate_is_not_excluded():
+    # the closure splits a rate that holds a control, which is sufficient
+    # for it to vanish but not necessary, and is left with F = 0; yet on
+    # the line u1 + u2 = 0 the numeric closure leaves normal singular
+    # costates (at u = 0, F = (-sqrt(3) lambda3 + lambda8) / 2) that pass
+    # the GLC test, so the family must not be excluded
+    import toqc.arc_analysis as aa
+    from toqc.singular_glc import _normalizable_costate
+    c, model = _box_model(_lam(5) + _lam(8), (_lam(6) + _lam(1), _lam(1)))
+    rep = derive_singular_structure(model)
+    assert (rep.verdict, rep.order, rep.notes) == ("inconclusive", None, ())
+    assert rep.derived_conditions == tuple(f"f{a} = 0" for a in range(1, 9))
+    phi = expand(c.drift, LAMBDA)
+    for u in (np.zeros(2), np.array([0.4, -0.4]), np.array([-1.0, 1.0])):
+        rows = aa._flow_closure_rows(c, u, ControlChart(tuple(c.control_basis), u=u))
+        f = reconstruct(_normalizable_costate(rows, phi), LAMBDA)
+        if not u.any():
+            np.testing.assert_allclose(f, 0.5 * (-np.sqrt(3.0) * _lam(3) + _lam(8)),
+                                       rtol=0, atol=1e-12)
+        h = c.hamiltonian(u)
+        chain = singular_chain(f, c, h, depth=3)
+        assert max(np.max(np.abs(r)) for r in chain["residuals"]) < 1e-12
+        assert abs(chain["normalization"]) < 1e-12
+        report = glc_test(ControlChart(tuple(c.control_basis), u=u), h, f, 4)
+        assert report.verdict == "consistent"
+
+
+def test_a_closing_order_that_is_not_diagonal_is_inconclusive():
+    # Q^(2) of this family is not diagonal, so the sign reduction does not
+    # apply; glc_test excludes the sampled family members, so the
+    # derivation must not call the family consistent
+    c, model = _box_model(_lam(8), (_lam(6) + _lam(2), _lam(2), _lam(3)))
+    rep = derive_singular_structure(model)
+    assert (rep.verdict, rep.order, rep.notes) == ("inconclusive", 2,
+                                                   (NOT_DIAGONAL_NOTE,))
+    conditions = _parsed_conditions(model, rep, 1.0)
+    u = np.array([float(rhs) for lhs, rel, rhs in conditions
+                  if lhs in model.control_syms])
+    np.testing.assert_allclose(u, [0.0, 0.0, -np.sqrt(3.0)], rtol=0, atol=1e-15)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        f, _ = _family_costate(model, conditions, c, rng)
+        report = glc_test(ControlChart(tuple(c.control_basis), u=u),
+                          c.hamiltonian(u), f, 4)
+        assert (report.order, report.verdict) == (2, "excluded")
 
 
 def test_symbolic_glc_matrices_equal_the_numeric_ones():

@@ -80,14 +80,23 @@ def test_geodesic_and_navigation_refuse_a_bad_omega(omega):
 
 # --- navigation closed form ------------------------------------------------------
 
+def zermelo_solution(drift, hc0, t):
+    """Closed-form navigation flow at time t for a given initial control
+    (test oracle): H(t) = H_d + e^{-i H_d t} H_c(0) e^{i H_d t} and
+    U(t) = e^{-i H_d t} e^{-i H_c(0) t}.  The control norm is constant."""
+    frame = exp_op(drift, t)          # e^{-i H_d t}
+    return {"H_t": drift + frame @ hc0 @ dagger(frame),
+            "U_t": frame @ exp_op(hc0, t)}
+
+
 def test_zermelo_solution_t0_and_commuting():
     drift = 0.4 * SIGMA_Z
     hc0 = 0.8 * SIGMA_X
-    out = br.zermelo_solution(drift, hc0, 0.0)
+    out = zermelo_solution(drift, hc0, 0.0)
     np.testing.assert_allclose(out["H_t"], drift + hc0, atol=1e-14)
     np.testing.assert_allclose(out["U_t"], np.eye(2), atol=1e-14)
     # commuting drift and control: H constant, U = exp of the sum
-    out = br.zermelo_solution(drift, 0.8 * SIGMA_Z, 1.3)
+    out = zermelo_solution(drift, 0.8 * SIGMA_Z, 1.3)
     np.testing.assert_allclose(out["H_t"], drift + 0.8 * SIGMA_Z, atol=1e-12)
     np.testing.assert_allclose(out["U_t"], exp_op(drift + 0.8 * SIGMA_Z, 1.3),
                                atol=1e-12)
@@ -96,7 +105,7 @@ def test_zermelo_solution_t0_and_commuting():
 def test_zermelo_solution_control_norm_constant():
     drift = 0.4 * SIGMA_Z
     hc0 = 0.8 * SIGMA_X + 0.1 * SIGMA_Y
-    norms = [hs_norm(br.zermelo_solution(drift, hc0, t)["H_t"] - drift)
+    norms = [hs_norm(zermelo_solution(drift, hc0, t)["H_t"] - drift)
              for t in np.linspace(0, 5, 11)]
     np.testing.assert_allclose(norms, norms[0], atol=1e-12)
 
@@ -109,13 +118,13 @@ def test_zermelo_solution_matches_dense_propagation():
     c = full_su2(omega0, bound)
 
     def controls_at(t):
-        hc = br.zermelo_solution(drift, hc0, t)["H_t"] - drift
+        hc = zermelo_solution(drift, hc0, t)["H_t"] - drift
         return np.array([0.5 * np.trace(hc @ b).real for b in c.control_basis])
 
     grid = np.linspace(0, t_final, 2049)
     p = dyn.protocol_from_function(c, grid, controls_at, sampling="midpoint")
     u_num = dyn.evolve_unitary(p).final_unitary
-    u_exact = br.zermelo_solution(drift, hc0, t_final)["U_t"]
+    u_exact = zermelo_solution(drift, hc0, t_final)["U_t"]
     traj = dyn.evolve_unitary(p)
     assert dyn.boundary_residual(traj, u_exact).fidelity < 1e-8
 
@@ -143,7 +152,7 @@ def test_zermelo_solve_manufactured_instance():
                  zip(u0, res.protocol.constraint.control_basis))
     # midpoint sampling: compare at the first midpoint
     t_mid = 0.5 * (res.protocol.grid[0] + res.protocol.grid[1])
-    hc_expected = br.zermelo_solution(drift, bound * SIGMA_X, t_mid)["H_t"] - drift
+    hc_expected = zermelo_solution(drift, bound * SIGMA_X, t_mid)["H_t"] - drift
     np.testing.assert_allclose(hc_rec, hc_expected, atol=1e-6)
 
 
@@ -430,7 +439,7 @@ def test_support_function_is_the_maximum_over_the_bound():
         fs = np.stack([random_traceless_hermitian(rng, c.dim) for _ in range(16)])
         g = np.einsum("kab,jba->kj", fs, np.stack(c.control_basis)).real
         support = br._support(c, g)
-        _, u, _, _ = _span_maximizer(fs, c)
+        _, u, _ = _span_maximizer(fs, c)
         np.testing.assert_allclose(support, np.sum(u * g, axis=1), rtol=1e-13, atol=0)
         w = rng.standard_normal((256, c.n_controls))
         scale = np.sqrt(np.einsum("si,ij,sj->s", w, c._ball[0], w)) / c._ball[1]
@@ -1103,10 +1112,10 @@ def test_stacked_maximizer_equals_the_per_costate_maximizer():
     for c, n in cases:
         fs = np.stack([random_traceless_hermitian(rng, n) for _ in range(6)])
         # a costate orthogonal to the control subspace, and for the
-        # two-control box one with no sigma-y part (partially singular)
+        # two-control box one with no sigma-y part
         fs[0] -= c.project_control(fs[0])
         fs[1] = 0.5 * SIGMA_X if n == 2 else fs[1]
-        h, u, singular, flagged = _span_maximizer(fs, c)
+        h, u, singular = _span_maximizer(fs, c)
         assert singular[0] and not singular[1:].any()
         for k, f in enumerate(fs):
             one = maximizer(f, c)
@@ -1115,8 +1124,6 @@ def test_stacked_maximizer_equals_the_per_costate_maximizer():
                 continue
             np.testing.assert_allclose(h[k], one.hamiltonian, rtol=0, atol=1e-14)
             np.testing.assert_allclose(u[k], one.controls, rtol=0, atol=1e-14)
-            assert one.partially_singular == tuple(np.flatnonzero(flagged[k]))
-    assert maximizer(0.5 * SIGMA_X, box2).partially_singular == (1,)
 
 
 def test_singular_rows_take_the_admissible_control_nearest_zero():
@@ -1135,7 +1142,7 @@ def test_singular_rows_take_the_admissible_control_nearest_zero():
     for c in cases:
         fs = np.stack([random_traceless_hermitian(rng, c.dim) for _ in range(4)])
         fs[::2] -= np.stack([c.project_control(f) for f in fs[::2]])
-        h, u, singular, _ = _span_maximizer(fs, c)
+        h, u, singular = _span_maximizer(fs, c)
         assert list(singular) == [True, False, True, False]
         if isinstance(c.kind, Box):
             nearest = np.clip(0.0, c.kind.lo, c.kind.hi)
@@ -1269,7 +1276,7 @@ def test_start_check_is_its_points_own_march(n):
                if n == 2 else _su3_shooting_problem())
     c, k = problem.constraint, problem.options.grid_points
     t0 = br._time_scale_estimate(problem)
-    out = br._single_start(problem, 0, t0, 6.0 * t0, np.random.default_rng(9), [])
+    out = br._single_start(problem, t0, 6.0 * t0, np.random.default_rng(9), [])
     assert out is not None and out["converged"]
     nodes = np.empty((1, k + 1, n, n), dtype=complex)
     u_t, _, singular, _ = br._coupled_flow(c, out["f0"][None], out["T"], k,
@@ -1371,7 +1378,7 @@ def test_one_march_residuals_take_the_same_iterations(monkeypatch, n):
     monkeypatch.setattr(br, "_shooting_residuals", recording_residuals)
     monkeypatch.setattr(br, "least_squares", both_ways)
     t0 = br._time_scale_estimate(problem)
-    out = br._single_start(problem, 0, t0, 6.0 * t0, np.random.default_rng(9), [])
+    out = br._single_start(problem, t0, 6.0 * t0, np.random.default_rng(9), [])
     assert out is not None and len(stages) == 2   # a coarse stage and a polish
     for new, old in stages:
         assert np.array_equal(new.x, old.x)
@@ -1398,7 +1405,7 @@ def test_gauge_entry_gives_the_stage_jacobian_full_rank(monkeypatch, n):
     problem = (br.ShootingProblem(full_su2(0.3, 1.0), _test_04_target(0), FAST)
                if n == 2 else _su3_shooting_problem())
     t0 = br._time_scale_estimate(problem)
-    assert br._single_start(problem, 0, t0, 6.0 * t0,
+    assert br._single_start(problem, t0, 6.0 * t0,
                             np.random.default_rng(9), []) is not None
     x0, x_coarse, jac = stages[0]
     for x in (x0, x_coarse):

@@ -5,7 +5,6 @@ from toqc import constraint_model as cm
 from toqc import dynamics as dyn
 from toqc import scenarios as sc
 from toqc.errors import ValidationError
-from toqc.singular_glc import bracket_obstruction
 from toqc.sun_algebra import SIGMA_Z, exp_op, gellmann_basis
 
 
@@ -73,7 +72,7 @@ def test_landau_zener_reference_facts():
     assert rep.planar == s.reference_facts["planar"]
     assert rep.typical == s.reference_facts["typical"]
     assert rep.drift_in_bracket == s.reference_facts["drift_in_bracket"]
-    assert bracket_obstruction(s.constraint) == s.reference_facts["bracket_obstruction"]
+    assert rep.drift_in_bracket == s.reference_facts["bracket_obstruction"]
 
 
 def test_landau_zener_drift_axis_target_runs_on_off_arc():
@@ -93,7 +92,7 @@ def test_one_qubit_xy_reference_facts():
     s = sc.one_qubit_xy(0.3, 1.0)
     rep = cm.classify(s.constraint)
     assert rep.type_label == "lotus_leaf" and rep.typical
-    assert bracket_obstruction(s.constraint) is True
+    assert rep.drift_in_bracket is True
 
 
 def test_symmetric_two_qubit_requires_parameter_order():

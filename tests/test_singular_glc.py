@@ -6,11 +6,7 @@ import pytest
 from toqc import constraint_model as cm
 from toqc import singular_glc as sg
 from toqc.constraint_model import BallInCoords
-from toqc.errors import (
-    ImplicitFunctionError,
-    MissingDerivativeError,
-    ValidationError,
-)
+from toqc.errors import ImplicitFunctionError, ValidationError
 from toqc.scenarios import triplet_operators
 from toqc.sun_algebra import (
     SIGMA_X,
@@ -168,28 +164,6 @@ def test_chain_matches_reference_loop_bitwise(n):
             assert len(got) == depth + 1
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-
-
-def test_chain_time_varying_needs_du_dt():
-    c = cm.ConstraintSet(2, 0.8 * SIGMA_Z, (SIGMA_X,),
-                         cm.Box(np.array([-2.0]), np.array([2.0])))
-    with pytest.raises(MissingDerivativeError):
-        sg.singular_chain(SIGMA_Z, c, 0.8 * SIGMA_Z, depth=2,
-                          time_varying=True)
-    with pytest.raises(MissingDerivativeError):
-        sg.singular_chain(SIGMA_Z, c, 0.8 * SIGMA_Z, depth=1,
-                          time_varying=True)
-    # tr[c_j F] and Q^(1) need no rate, so they are returned
-    f, h = 0.3 * SIGMA_X + SIGMA_Z, 0.8 * SIGMA_Z + 0.5 * SIGMA_X
-    got = sg.singular_chain(f, c, h, depth=0, time_varying=True)
-    assert np.array_equal(got["residuals"][0], [0.6])
-    chart = sg.ControlChart((SIGMA_X, SIGMA_Y), time_varying=True)
-    q1 = sg.glc_matrices(chart, h, f, 1)
-    np.testing.assert_array_equal(
-        q1[0], sg.glc_matrices(sg.ControlChart((SIGMA_X, SIGMA_Y)), h, f, 1)[0])
-    assert q1[0][0, 1] != 0.0
-    with pytest.raises(MissingDerivativeError):
-        sg.glc_matrices(chart, h, f, 2)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -458,14 +432,14 @@ def test_reparametrization_rejects_singular_jacobian():
 
 def test_bracket_obstruction_cases():
     xy = cm.ConstraintSet(2, 0.3 * SIGMA_Z, (SIGMA_X, SIGMA_Y), cm.Typical(1.0))
-    assert sg.bracket_obstruction(xy) is True
+    assert cm.classify(xy).drift_in_bracket is True
     lz = cm.ConstraintSet(2, 0.3 * SIGMA_Z, (SIGMA_X,),
                           cm.Box(np.array([-1.0]), np.array([1.0])))
-    assert sg.bracket_obstruction(lz) is False
+    assert cm.classify(lz).drift_in_bracket is False
     frame, ops = ex3_frame()
     ex3 = cm.ConstraintSet(3, ops["Sigma_x_tilde"], frame,
                            BallInCoords(2.0, np.eye(4)))
-    assert sg.bracket_obstruction(ex3) is False
+    assert cm.classify(ex3).drift_in_bracket is False
 
 
 @pytest.mark.parametrize("n, l", [(2, 2), (3, 2), (3, 3)])
@@ -487,7 +461,6 @@ def test_bracket_predicates_on_random_frames(n, l):
         for drift, want in ((inside, True), (outside, False)):
             c = cm.ConstraintSet(n, drift, frame, cm.Box(-np.ones(l), np.ones(l)))
             assert cm.classify(c).drift_in_bracket is want
-            assert sg.bracket_obstruction(c) is want
 
 
 def test_lollipop_singular_normalization_infeasible():
@@ -511,7 +484,7 @@ def test_lotus_leaf_admits_normalized_singular_costate():
     f = sg.normalized_singular_costate(lz)
     assert f is not None
     assert abs(np.trace(lz.drift @ f).real - 1.0) < 1e-10
-    assert cm.is_singular(f, lz)
+    assert cm.maximizer(f, lz).singular
 
 
 def lstsq_singular_costate(c):
@@ -540,7 +513,7 @@ def test_normalized_singular_costate_is_the_minimal_norm_solution():
         for cj in c.control_basis:
             assert abs(np.trace(cj @ f)) < 1e-12
         assert abs(np.trace(c.drift @ f) - 1.0) < 1e-12
-        assert cm.is_singular(f, c)
+        assert cm.maximizer(f, c).singular
         np.testing.assert_allclose(f, lstsq_singular_costate(c), rtol=0, atol=1e-12)
         # lollipop: the drift inside the span admits no normalized costate
         lolli = cm.ConstraintSet(n, sum(rng.standard_normal() * x for x in frame),
