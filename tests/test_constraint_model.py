@@ -75,12 +75,6 @@ def test_classify_invariant_under_control_basis_rotation():
 def test_maximizer_singular_when_costate_orthogonal():
     assert cm.maximizer(SIGMA_Z, lz_constraint()).singular
     assert not cm.maximizer(SIGMA_X, lz_constraint()).singular
-    assert cm.maximizer(SIGMA_Z, xy_constraint()).singular
-    # two-qubit triplet sector: singular structure of the costate coefficients
-    gm = gellmann_basis()
-    f = 0.2 * (gm[0] - gm[5]) + 0.3 * (gm[1] - gm[6]) + 0.7 * gm[3]
-    assert cm.maximizer(f, ex3_constraint()).singular
-    assert not cm.maximizer(gm[0], ex3_constraint()).singular
     # a short frame element: the projection of F is 1e-7, far above the
     # singular threshold, although its raw pairing with 1e-3 sigma_x is 1e-10
     c = cm.ConstraintSet(2, 0.3 * SIGMA_Z, (1e-3 * SIGMA_X,),
@@ -103,8 +97,11 @@ def test_maximizer_box_bang_rule():
     assert r.controls[0] == pytest.approx(2.0)
     r = cm.maximizer(-0.7 * SIGMA_X + SIGMA_Z, c)
     assert r.controls[0] == pytest.approx(-2.0)
+
+
+def test_maximizer_box_partial_singular_flag():
     # a coordinate with no pairing has no bang value: it takes the
-    # admissible value nearest zero
+    # admissible value nearest zero, and the extremal as a whole is regular
     c = cm.ConstraintSet(2, 0.5 * SIGMA_Z, (SIGMA_X, SIGMA_Y),
                          cm.Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
     r = cm.maximizer(0.5 * SIGMA_X, c)  # no sigma-y component
@@ -185,6 +182,15 @@ def test_maximizer_dominates_random_admissible_points():
             w *= rng.uniform() / np.linalg.norm(w)
             k = c.drift + w[0] * SIGMA_X + w[1] * SIGMA_Y
             assert np.trace(k @ f).real <= best + 1e-10
+
+
+def test_is_singular_examples():
+    assert cm.maximizer(SIGMA_Z, xy_constraint()).singular
+    # two-qubit triplet sector: singular structure of the costate coefficients
+    gm = gellmann_basis()
+    f = 0.2 * (gm[0] - gm[5]) + 0.3 * (gm[1] - gm[6]) + 0.7 * gm[3]
+    assert cm.maximizer(f, ex3_constraint()).singular
+    assert not cm.maximizer(gm[0], ex3_constraint()).singular
 
 
 def test_singular_test_on_a_linearly_dependent_frame():
