@@ -73,7 +73,6 @@ from .sun_algebra import (
     inner,
     log_op,
     pauli_basis,
-    project,
     reconstruct,
 )
 from .tolerances import DEFAULT_TOL, Tolerances

@@ -18,7 +18,8 @@ Two complementary engines:
 * :func:`boundary_closure_study` works numerically at sampled points of a
   quadratic boundary piece.  Condition operators (control directions plus
   first-order GLC brackets of the reduced chart) are closed under the
-  costate flow C -> -i[C, H] until the rank saturates; the arc family is
+  costate flow C -> -i[C, H / ||H||] until the rank saturates (one span
+  test, ``sun_algebra._complement``, per round); the arc family is
   infeasible when no costate in the surviving null space can carry the
   normalization tr[H_d F] = 1 (``singular_glc._normalizable_costate``, the
   solve behind :func:`~toqc.singular_glc.normalized_singular_costate`).
@@ -42,7 +43,7 @@ from .singular_glc import (
     boundary_reduce,
     glc_test,
 )
-from .sun_algebra import commutator, expand, generalized_gellmann, reconstruct
+from .sun_algebra import _complement, commutator, expand, generalized_gellmann, reconstruct
 
 __all__ = [
     "ArcModel",
@@ -241,7 +242,7 @@ def derive_singular_structure(model: ArcModel, m_max: int = 4) -> GLCReport:
     operator C (the partials h_j and the solved rows as operators) is
     differentiated along H with :func:`_r_jets`, and its rate
     tr[-i[C, H] F] must vanish too.  A rate with no control in it is one
-    more row over f, as in the numeric closure (:func:`_flow_closure_rows`).
+    more row over f, as in the numeric closure (:func:`_flow_closure_complement`).
     A rate with a control is split: a free coefficient whose weight holds
     no control is set to 0, and the other weights are linear conditions on
     the controls, solved for them.  New rows are solved first; the loop
@@ -357,28 +358,28 @@ class BoundaryCase:
     eliminate: int
 
 
-def _flow_closure_rows(c: ConstraintSet, u: np.ndarray,
-                       chart: ControlChart) -> np.ndarray:
-    """Condition-operator coefficient rows, closed under C -> -i[C, H]."""
+def _flow_closure_complement(c: ConstraintSet, u: np.ndarray,
+                             chart: ControlChart) -> np.ndarray:
+    """The complement Q of the condition operators closed under
+    C -> -i[C, H / ||H||], one per round until a round adds no rank; the
+    unit-norm H keeps the closed span free of the unit of H."""
     basis = generalized_gellmann(c.dim)
     h = c.hamiltonian(u)
+    h = h / (np.linalg.norm(h) or 1.0)
     ops = list(c.control_basis)
     for i in range(chart.n_controls):
         for j in range(i + 1, chart.n_controls):
             ops.append(commutator(chart.partials[i], chart.partials[j]))
-    rows = [expand(op, basis) for op in ops]
-    frontier = list(ops)
-    rank = np.linalg.matrix_rank(np.stack(rows), tol=1e-9)
+    rows = expand(np.stack(ops), basis)
+    null = _complement(rows)
     for _ in range(len(basis)):
-        new_ops = [commutator(op, h) for op in frontier]
-        candidate = rows + [expand(op, basis) for op in new_ops]
-        new_rank = np.linalg.matrix_rank(np.stack(candidate), tol=1e-9)
-        if new_rank == rank:
+        ops = [commutator(op, h) for op in ops]
+        candidate = np.vstack([rows, expand(np.stack(ops), basis)])
+        new_null = _complement(candidate)
+        if len(new_null) >= len(null):
             break
-        rows = candidate
-        frontier = new_ops
-        rank = new_rank
-    return np.stack(rows)
+        rows, null = candidate, new_null
+    return null
 
 
 def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
@@ -431,7 +432,7 @@ def boundary_closure_study(c: ConstraintSet, case: BoundaryCase, seed: int = 0,
         u[case.eliminate] = (np.sqrt(b * b + gee * (r * r - quad)) - b) / gee
         full_chart = ControlChart(tuple(c.control_basis), u=u)
         red = boundary_reduce(full_chart, metric, case.eliminate)
-        coeffs = _normalizable_costate(_flow_closure_rows(c, u, red), phi)
+        coeffs = _normalizable_costate(_flow_closure_complement(c, u, red), phi)
         if coeffs is None:
             continue  # no normalizable singular costate at this point
         # feasible: normalized costate and numeric GLC verdict

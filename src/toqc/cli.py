@@ -41,7 +41,7 @@ from .io_formats import (
 )
 from .scenarios import get_scenario, SCENARIOS
 from .singular_glc import ControlChart, glc_test
-from .sun_algebra import exp_op, unitarity_defect
+from .sun_algebra import exp_op, require_traceless_hermitian, unitarity_defect
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,7 +97,10 @@ def _source(args: argparse.Namespace, what: str):
             "without --scenario: it overrides a scenario parameter")
     if args.constraint is None:
         raise ValidationError(f"{args.command} needs --scenario or --constraint")
-    return None, _load_json(args.constraint, what)
+    data = _load_json(args.constraint, what)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what}: expected a JSON object in {args.constraint}")
+    return None, data
 
 
 def _constraint_file(data: dict):
@@ -211,6 +214,7 @@ def _cmd_glc(args: argparse.Namespace) -> int:
                 "(optionally 'controls')")
         constraint = constraint_from_json(data["constraint"], "glc.constraint")
         f = matrix_from_json(data["costate"], "glc.costate")
+        require_traceless_hermitian(f, "glc.costate")
         chart = ControlChart(tuple(constraint.control_basis),
                              u=data.get("controls", np.zeros(constraint.n_controls)))
         h = constraint.hamiltonian(chart.u)

@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .sun_algebra import (
-    commutator,
+    _complement,
+    expand,
+    generalized_gellmann,
     hs_norm,
-    inner,
-    project,
+    reconstruct,
     require_traceless_hermitian,
 )
 from .tolerances import DEFAULT_TOL
@@ -73,20 +74,6 @@ class BallInCoords:
 Kind = Union[Typical, Box, BallInCoords]
 
 
-def _orthonormalize(frame: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt under the (1/2) tr[AB] inner product; drops vectors
-    whose remainder is below 1e-12 of max(1, their norm)."""
-    out: list[np.ndarray] = []
-    for a in frame:
-        v = a.astype(complex)
-        for b in out:
-            v = v - inner(v, b) * b
-        nrm = hs_norm(v)
-        if nrm > 1e-12 * max(1.0, hs_norm(a)):
-            out.append(v / nrm)
-    return np.stack(out)
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """The set of available Hamiltonians H_d + sum_j u_j c_j with u bounded.
@@ -104,7 +91,6 @@ class ConstraintSet:
     kind: Kind
     control_names: Optional[tuple[str, ...]] = None
     _frame: np.ndarray = field(init=False, repr=False)
-    _span: np.ndarray = field(init=False, repr=False)
     # the resolved bound: (lo, hi) of a box, or (metric, radius) of a ball
     _box: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
     _ball: Optional[tuple[np.ndarray, float]] = field(init=False, repr=False)
@@ -181,9 +167,9 @@ class ConstraintSet:
         half = 0.5 * frame_real.T
         pairing = np.concatenate(
             [half] + [half @ np.linalg.pinv(d, hermitian=True) for d in duals], axis=1)
-        for name, value in (("_frame", stack), ("_span", _orthonormalize(stack)),
-                            ("_box", box), ("_ball", ball), ("_speed", speed),
-                            ("_frame_real", frame_real), ("_pairing", pairing)):
+        for name, value in (("_frame", stack), ("_box", box), ("_ball", ball),
+                            ("_speed", speed), ("_frame_real", frame_real),
+                            ("_pairing", pairing)):
             object.__setattr__(self, name, value)
 
     @property
@@ -195,14 +181,12 @@ class ConstraintSet:
         """``control_names``, or u1, u2, ... when they are unset."""
         return self.control_names or tuple(f"u{j+1}" for j in range(self.n_controls))
 
-    @property
-    def control_span(self) -> np.ndarray:
-        """Orthonormalized spanning set of the control subspace."""
-        return self._span
-
     def project_control(self, a: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the control subspace."""
-        return project(a, self._span, check=False)
+        """Orthogonal projection of a traceless Hermitian A onto the control
+        subspace: A minus its part off the frame's span (``_complement``)."""
+        basis = generalized_gellmann(self.dim)
+        q = _complement(expand(self._frame, basis))
+        return a - reconstruct((q @ expand(a, basis)) @ q, basis)
 
     def hamiltonian(self, u: np.ndarray) -> np.ndarray:
         """H_d + sum_j u_j c_j; a stack (..., l) of u gives (..., N, N).
@@ -264,33 +248,26 @@ class MaximizerResult:
 def classify(c: ConstraintSet) -> ClassificationReport:
     """Classify a constraint set.
 
-    The drift is in the subspace iff its projection residual vanishes; it is
-    in the bracket iff it lies in the span of all pairwise -i[c_i, c_j].
+    The drift is in the subspace iff it lies in the span of the frame, and
+    in the bracket iff it lies in the span of all pairwise -i[c_i, c_j]
+    (one control has none, so the drift must vanish).
     A drift in the bracket rules out time-optimal singular arcs: on a
     singular arc the first-order GLC conditions tr[[c_i, c_j] F] = 0 then
     force tr[H_d F] = 0, contradicting the normalization tr[H F] = 1 of
     normal protocols.  All three bound kinds describe full-dimensional
     closed regions of the control hyperplane, so ``planar`` is always true;
-    ``typical`` is reserved for the Hilbert-Schmidt ball kind.  Both span tests use the residual
-    threshold ``DEFAULT_TOL.span_membership``, relative to max(1, ||H_d||).
+    ``typical`` is reserved for the Hilbert-Schmidt ball kind.  Both span
+    tests compare the drift's part off the span (``_complement``) with
+    ``DEFAULT_TOL.span_membership`` times max(1, ||H_d||).
     """
-    tol = DEFAULT_TOL.span_membership
-    drift_norm = max(1.0, hs_norm(c.drift))
-    res = hs_norm(c.drift - c.project_control(c.drift))
-    drift_in_subspace = res < tol * drift_norm
-
-    brackets = [
-        commutator(c.control_basis[i], c.control_basis[j])
-        for i in range(c.n_controls)
-        for j in range(i + 1, c.n_controls)
-    ]
-    nonzero = [b for b in brackets if hs_norm(b) > 1e-14]
-    if nonzero:
-        span = _orthonormalize(np.stack(nonzero))
-        bres = hs_norm(c.drift - project(c.drift, span, check=False))
-        drift_in_bracket = bres < tol * drift_norm
-    else:
-        drift_in_bracket = hs_norm(c.drift) < tol
+    basis = generalized_gellmann(c.dim)
+    phi = expand(c.drift, basis)
+    tol = DEFAULT_TOL.span_membership * max(1.0, hs_norm(c.drift))
+    i, j = np.triu_indices(c.n_controls, 1)
+    brackets = -1j * (c._frame[i] @ c._frame[j] - c._frame[j] @ c._frame[i])
+    drift_in_subspace, drift_in_bracket = (
+        bool(np.linalg.norm(_complement(expand(ops, basis)) @ phi) < tol)
+        for ops in (c._frame, brackets))
 
     return ClassificationReport(
         drift_in_subspace=drift_in_subspace,

@@ -13,10 +13,6 @@ class InvalidDimensionError(ToqcError):
     """Requested Hilbert-space dimension is not supported (N must be >= 2)."""
 
 
-class InvalidSubspaceError(ToqcError):
-    """A supplied subspace fails the orthonormality (Gram) check."""
-
-
 class BranchAmbiguityError(ToqcError):
     """A unitary has an eigenvalue too close to the logarithm branch cut."""
 

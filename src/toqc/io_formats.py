@@ -4,7 +4,9 @@ Matrices travel as row-major JSON arrays of [re, im] pairs.  Structured
 artifacts (constraint sets, protocols, solve results, GLC reports) have
 fixed schemas; every artifact the CLI writes can be read back as input.
 Serialization is deterministic: keys sorted, floats via repr, CSV numbers
-at 17 significant digits.
+at 17 significant digits.  A reader refuses a malformed field (a missing
+key, a value of the wrong type or shape) with a ValidationError that names
+the field; a ToqcError raised inside keeps its own message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .constraint_model import BallInCoords, Box, ConstraintSet, Typical
 from .dynamics import Protocol, Trajectory, conserved_traces
-from .errors import ValidationError
+from .errors import ToqcError, ValidationError
 from .sun_algebra import generalized_gellmann
 
 __all__ = [
@@ -29,6 +31,22 @@ __all__ = [
     "dump_json",
     "export_plotdata",
 ]
+
+
+def _read(spec, key: str, convert, where: str):
+    """convert(spec[key]); a missing or malformed field raises a
+    ValidationError that names it, a ToqcError keeps its own message."""
+    try:
+        return convert(spec[key])
+    except ToqcError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        what = "missing" if isinstance(exc, KeyError) else f"malformed ({exc})"
+        raise ValidationError(f"{where}.{key}: {what}") from exc
+
+
+def _floats(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
 
 
 def matrix_to_json(a: np.ndarray) -> list:
@@ -69,28 +87,30 @@ def constraint_to_json(c: ConstraintSet) -> dict:
 
 
 def constraint_from_json(data: dict, where: str = "constraint") -> ConstraintSet:
-    for key in ("dim", "drift", "control_basis", "kind"):
-        if key not in data:
-            raise ValidationError(f"{where}: missing key {key!r}")
-    kind_spec = data["kind"]
-    if "typical" in kind_spec:
-        kind = Typical(float(kind_spec["typical"]["omega"]))
-    elif "box" in kind_spec:
-        kind = Box(np.asarray(kind_spec["box"]["lo"], float),
-                   np.asarray(kind_spec["box"]["hi"], float))
-    elif "ball" in kind_spec:
-        kind = BallInCoords(float(kind_spec["ball"]["radius"]),
-                            np.asarray(kind_spec["ball"]["metric"], float))
-    else:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    kind_spec = data.get("kind")
+    if not (isinstance(kind_spec, dict) and len(kind_spec) == 1
+            and set(kind_spec) <= {"typical", "box", "ball"}):
         raise ValidationError(f"{where}.kind: expected typical|box|ball")
+    (name, spec), = kind_spec.items()
+    at = f"{where}.kind.{name}"
+    if name == "typical":
+        kind = Typical(_read(spec, "omega", float, at))
+    elif name == "box":
+        kind = Box(_read(spec, "lo", _floats, at), _read(spec, "hi", _floats, at))
+    else:
+        kind = BallInCoords(_read(spec, "radius", float, at),
+                            _read(spec, "metric", _floats, at))
     names = data.get("control_names")
     return ConstraintSet(
-        int(data["dim"]),
-        matrix_from_json(data["drift"], f"{where}.drift"),
-        tuple(matrix_from_json(b, f"{where}.control_basis[{i}]")
-              for i, b in enumerate(data["control_basis"])),
+        _read(data, "dim", int, where),
+        _read(data, "drift", lambda m: matrix_from_json(m, f"{where}.drift"), where),
+        _read(data, "control_basis", lambda bs: tuple(
+            matrix_from_json(b, f"{where}.control_basis[{i}]")
+            for i, b in enumerate(bs)), where),
         kind,
-        None if names is None else tuple(names),
+        None if names is None else _read(data, "control_names", tuple, where),
     )
 
 
@@ -106,12 +126,10 @@ def protocol_to_json(p: Protocol, costate0: Optional[np.ndarray] = None) -> dict
 
 
 def protocol_from_json(data: dict) -> tuple[Protocol, Optional[np.ndarray]]:
-    for key in ("constraint", "grid", "controls"):
-        if key not in data:
-            raise ValidationError(f"protocol: missing key {key!r}")
-    c = constraint_from_json(data["constraint"], "protocol.constraint")
-    p = Protocol(c, np.asarray(data["grid"], float),
-                 np.asarray(data["controls"], float))
+    c = _read(data, "constraint",
+              lambda d: constraint_from_json(d, "protocol.constraint"), "protocol")
+    p = Protocol(c, _read(data, "grid", _floats, "protocol"),
+                 _read(data, "controls", _floats, "protocol"))
     f0 = None
     if "costate0" in data and data["costate0"] is not None:
         f0 = matrix_from_json(data["costate0"], "protocol.costate0")

@@ -52,7 +52,7 @@ import numpy as np
 
 from .constraint_model import ConstraintSet
 from .errors import DimensionMismatchError, ImplicitFunctionError, ValidationError
-from .sun_algebra import expand, generalized_gellmann, reconstruct
+from .sun_algebra import _complement, expand, generalized_gellmann, reconstruct
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -433,17 +433,15 @@ def reparametrization_check(chart_a: ControlChart, chart_b: ControlChart,
     return bool(congruent and _sign_flags(qa_m) == _sign_flags(qb_m))
 
 
-def _normalizable_costate(rows: np.ndarray,
+def _normalizable_costate(null: np.ndarray,
                           phi: np.ndarray) -> Optional[np.ndarray]:
-    """Minimal-norm Gell-Mann coefficients f with rows . f = 0 and
-    2 phi . f = tr[H_d F] = 1, or None when the SVD null space of ``rows``
-    (rank cut 1e-9 relative) holds no f pairing with the drift's phi."""
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    null = vt[rank:]
-    if null.shape[0] == 0 or np.max(np.abs(null @ phi)) < 1e-9:
+    """Minimal-norm Gell-Mann coefficients f in the span of the orthonormal
+    rows ``null`` (a ``_complement``) with 2 phi . f = tr[H_d F] = 1, or None
+    when no f there pairs with the drift: |null . phi| <= 1e-9 ||phi||."""
+    pairing = null @ phi
+    if np.linalg.norm(pairing) <= 1e-9 * np.linalg.norm(phi):
         return None
-    vec = (null @ phi) @ null  # phi projected on the null space
+    vec = pairing @ null  # phi projected on the null space
     return vec / float(vec @ phi * 2.0)
 
 
@@ -456,6 +454,6 @@ def normalized_singular_costate(c: ConstraintSet) -> Optional[np.ndarray]:
     subspace and the normalization contradicts the singularity conditions.
     """
     basis = generalized_gellmann(c.dim)
-    rows = np.stack([expand(cj, basis) for cj in c.control_basis])
-    coeffs = _normalizable_costate(rows, expand(c.drift, basis))
+    null = _complement(expand(c._frame, basis))
+    coeffs = _normalizable_costate(null, expand(c.drift, basis))
     return None if coeffs is None else reconstruct(coeffs, basis)

@@ -16,7 +16,9 @@ solve, whose remainder there is below unit roundoff; and otherwise the
 eigendecomposition of the Hermitian generator (always diagonalizable).
 Logarithms go through the eigendecomposition, which keeps unitarity exact
 and the logarithm branch under explicit control.  Products of stacks of
-N x N matrices go through :func:`stack_product`.
+N x N matrices go through :func:`stack_product`, and every span question
+(is an operator in the span of others, what survives a set of conditions)
+through :func:`_complement`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
     BranchAmbiguityError,
     DimensionMismatchError,
     InvalidDimensionError,
-    InvalidSubspaceError,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -42,7 +43,6 @@ __all__ = [
     "commutator",
     "expand",
     "reconstruct",
-    "project",
     "exp_op",
     "log_op",
     "log_norms",
@@ -242,25 +242,18 @@ def reconstruct(coeffs: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return np.einsum("...j,jab->...ab", coeffs, np.stack(basis))
 
 
-def project(a: np.ndarray, subspace: list[np.ndarray] | np.ndarray,
-            check: bool = True) -> np.ndarray:
-    """Orthogonal projection of A onto span(subspace) under :func:`inner`.
-
-    The subspace elements must be mutually orthonormal; with ``check`` the
-    Gram matrix is verified against the identity to
-    ``DEFAULT_TOL.subspace_gram``.
-    """
-    stack = np.stack(subspace)
-    if a.shape != stack.shape[1:]:
-        raise DimensionMismatchError(
-            f"operator dim {a.shape} does not match subspace dim {stack.shape[1:]}")
-    if check:
-        gram = 0.5 * np.einsum("iab,jba->ij", stack, stack).real
-        if np.max(np.abs(gram - np.eye(len(stack)))) >= DEFAULT_TOL.subspace_gram:
-            raise InvalidSubspaceError(
-                "subspace is not orthonormal under (1/2) tr[AB]")
-    coeffs = 0.5 * np.einsum("ab,jba->j", a, stack).real
-    return np.einsum("j,jab->ab", coeffs, stack)
+def _complement(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows Q spanning the complement of span(rows), for rows
+    (k, d) of :func:`expand` coefficients: the one span test.  A row of norm
+    <= 1e-14 spans nothing and a singular value <= 1e-9 of the largest counts
+    as zero; with no row left Q is the identity.  The part of v off the span
+    is (Q @ v) @ Q, and the rank is d - len(Q)."""
+    rows = np.asarray(rows, dtype=float)
+    rows = rows[np.linalg.norm(rows, axis=1) > 1e-14]
+    if not len(rows):
+        return np.eye(rows.shape[1])
+    _, s, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(s > 1e-9 * s[0])):]
 
 
 def exp_op(a: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:

@@ -21,7 +21,7 @@ class Tolerances:
     hermitian : entrywise deviation allowed between A and A^dagger
     trace : allowed |tr A| for traceless representatives
     unitary : max-entry deviation of U^dagger U from the identity
-    subspace_gram : Gram tolerance for projection subspaces
+    subspace_gram : Gram tolerance of the orthonormal frame ``Typical`` needs
     branch_cut : how close a unitary eigenvalue may sit to -1 before the
         principal logarithm is refused
     span_membership : residual below which an operator counts as lying in a

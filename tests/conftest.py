@@ -17,6 +17,21 @@ def child_pythonpath():
         yield
 
 
+def orthonormalize(frame):
+    """Gram-Schmidt under (1/2) tr[AB], dropping an element whose remainder
+    is below 1e-12 of max(1, its norm): an orthonormal spanning set of the
+    frame, built independently of the library's span test."""
+    out = []
+    for a in frame:
+        v = np.asarray(a, dtype=complex)
+        for b in out:
+            v = v - 0.5 * np.trace(v @ b).real * b
+        nrm = np.sqrt(max(0.5 * np.trace(v @ v).real, 0.0))
+        if nrm > 1e-12 * max(1.0, np.sqrt(0.5 * np.trace(a @ a).real)):
+            out.append(v / nrm)
+    return np.stack(out)
+
+
 @pytest.fixture
 def singular_starts(monkeypatch):
     """Every shooting start ends unconverged on singular cells throughout."""

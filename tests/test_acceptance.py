@@ -311,12 +311,12 @@ def test_10_recurrence_vs_closed_forms():
 
 def test_11_lollipop_infeasibility():
     rng = np.random.default_rng(11)
-    from toqc.constraint_model import _orthonormalize
+    from conftest import orthonormalize
     ok = True
     for _ in range(10):
         n = int(rng.choice([2, 3]))
         l = int(rng.integers(1, n * n - 1))
-        frame = _orthonormalize(np.stack(
+        frame = orthonormalize(np.stack(
             [random_traceless_hermitian(rng, n) for _ in range(l)]))
         weights = rng.standard_normal(len(frame))
         weights /= max(np.linalg.norm(weights), 1e-3)

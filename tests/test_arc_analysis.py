@@ -139,10 +139,7 @@ def test_interior_closure_numeric_cross_check():
 
     def feasible(u):
         chart = ControlChart(tuple(c.control_basis), u=u)
-        rows = aa._flow_closure_rows(c, u, chart)
-        _, s, vt = np.linalg.svd(rows)
-        rank = int(np.sum(s > 1e-9 * s[0]))
-        null = vt[rank:]
+        null = aa._flow_closure_complement(c, u, chart)
         return null.shape[0] > 0 and np.max(np.abs(null @ phi)) > 1e-9
 
     assert feasible(np.array([0.0, 0.0, 0.0, 0.5]))
@@ -386,8 +383,9 @@ def test_a_closure_that_leaves_no_normalizable_costate_is_excluded():
     phi = expand(c.drift, LAMBDA)
     rng = np.random.default_rng(5)
     for u in [np.zeros(4), *rng.uniform(-1.0, 1.0, (10, 4))]:
-        rows = aa._flow_closure_rows(c, u, ControlChart(tuple(c.control_basis), u=u))
-        assert _normalizable_costate(rows, phi) is None
+        null = aa._flow_closure_complement(
+            c, u, ControlChart(tuple(c.control_basis), u=u))
+        assert _normalizable_costate(null, phi) is None
 
 
 def test_a_family_narrowed_by_a_split_rate_is_not_excluded():
@@ -404,8 +402,9 @@ def test_a_family_narrowed_by_a_split_rate_is_not_excluded():
     assert rep.derived_conditions == tuple(f"f{a} = 0" for a in range(1, 9))
     phi = expand(c.drift, LAMBDA)
     for u in (np.zeros(2), np.array([0.4, -0.4]), np.array([-1.0, 1.0])):
-        rows = aa._flow_closure_rows(c, u, ControlChart(tuple(c.control_basis), u=u))
-        f = reconstruct(_normalizable_costate(rows, phi), LAMBDA)
+        null = aa._flow_closure_complement(
+            c, u, ControlChart(tuple(c.control_basis), u=u))
+        f = reconstruct(_normalizable_costate(null, phi), LAMBDA)
         if not u.any():
             np.testing.assert_allclose(f, 0.5 * (-np.sqrt(3.0) * _lam(3) + _lam(8)),
                                        rtol=0, atol=1e-12)
@@ -501,3 +500,70 @@ def test_boundary_study_samples_points_on_the_ball(monkeypatch, metric, case, se
     for u in points:
         assert u @ metric @ u == pytest.approx(4.0, rel=1e-12)
         assert u[case[1]] > 0 and np.all(u[list(case[0])] == 0)
+
+
+# --- units -------------------------------------------------------------------
+
+def _scale_free(rep):
+    """The fields of a boundary report that must not change with the unit."""
+    return (rep.verdict, rep.order, rep.parity_ok, rep.sign_ok,
+            rep.derived_conditions, rep.notes)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scenario_boundary_studies_do_not_depend_on_the_unit(seed):
+    # H -> lam H (omega0 and Omega scaled together) changes no boundary
+    # report: the closure takes the rates of H / ||H|| and the drift test is
+    # relative.  Absolute rank and pairing cuts used to flip b1, b2 and b3
+    # between "no costate" and "fails semidefiniteness" at 1e-8, 1e-5, 1e6
+    # and 1e8
+    unit = get_scenario("symmetric_two_qubit")
+    want = {case.name: _scale_free(boundary_closure_study(unit.constraint, case,
+                                                          seed=seed))
+            for case in unit.boundary_cases}
+    for lam in (1e-8, 1e-5, 1e-3, 1e3, 1e6, 1e8):
+        sc = get_scenario("symmetric_two_qubit", omega0=lam, Omega=2.0 * lam)
+        for case in sc.boundary_cases:
+            rep = boundary_closure_study(sc.constraint, case, seed=seed)
+            assert _scale_free(rep) == want[case.name], (lam, case.name)
+
+
+def _random_ball_piece(rng):
+    """A coefficient-ball constraint on a random su(2) or su(3) frame, with
+    a random or a Gell-Mann drift, and a boundary case on it."""
+    from toqc.arc_analysis import BoundaryCase
+    from toqc.sun_algebra import random_traceless_hermitian
+    n = int(rng.choice([2, 3]))
+    d = n * n - 1
+    l = int(rng.integers(2, min(d, 4) + 1))
+    basis = generalized_gellmann(n)
+    if rng.random() < 0.5:
+        frame = tuple(basis[i] for i in rng.choice(d, l, replace=False))
+    else:
+        frame = tuple(random_traceless_hermitian(rng, n) for _ in range(l))
+    a = rng.standard_normal((l, l))
+    metric = a @ a.T + 0.5 * np.eye(l) if rng.random() < 0.5 else np.eye(l)
+    radius = float(rng.uniform(1.0, 3.0))
+    drift = (random_traceless_hermitian(rng, n) if rng.random() < 0.5
+             else basis[int(rng.integers(d))]) * float(rng.uniform(0.2, 1.0))
+    eliminate = int(rng.integers(l))
+    rest = [j for j in range(l) if j != eliminate]
+    zero = rng.choice(rest, int(rng.integers(0, len(rest) + 1)), replace=False)
+    case = BoundaryCase("p", tuple(int(j) for j in zero), eliminate)
+    return n, drift, frame, metric, radius, case, int(rng.integers(1000))
+
+
+def test_generated_boundary_studies_do_not_depend_on_the_unit():
+    from toqc.constraint_model import BallInCoords
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(40):
+        n, drift, frame, metric, radius, case, seed = _random_ball_piece(rng)
+        reports = [
+            _scale_free(boundary_closure_study(
+                ConstraintSet(n, lam * drift, frame, BallInCoords(lam * radius, metric)),
+                case, seed=seed))
+            for lam in (1.0, 1e-4, 1e4)]
+        assert reports[1] == reports[0] and reports[2] == reports[0], (n, case)
+        verdicts.add(reports[0][0])
+    assert verdicts == {"excluded", "consistent"}

@@ -745,9 +745,10 @@ def test_shooting_reports_starts_without_a_regular_seed(monkeypatch):
 
 def _reference_maximizer(f, c):
     """The per-costate maximizer of the scalar march: (H, u), or None."""
+    from conftest import orthonormalize
     from toqc.constraint_model import Box
     from toqc.tolerances import DEFAULT_TOL
-    span = c.control_span
+    span = orthonormalize(c.control_basis)
     coeffs = 0.5 * np.einsum("ab,iba->i", f, span).real
     nrm = float(np.linalg.norm(coeffs))
     if nrm < DEFAULT_TOL.singular:

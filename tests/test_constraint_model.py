@@ -70,6 +70,40 @@ def test_classify_invariant_under_control_basis_rotation():
         assert rep == rep0
 
 
+_GM = gellmann_basis()
+
+
+@pytest.mark.parametrize("frame, drift, in_subspace, in_bracket, costate", [
+    # a linearly dependent frame: every bracket lies along lambda3
+    ((_GM[0], _GM[1], _GM[0] + _GM[1]), _GM[2], False, True, True),
+    ((_GM[0], _GM[1], _GM[0] + _GM[1]), _GM[0] - _GM[1], True, False, False),
+    ((_GM[0], _GM[1], _GM[0] + _GM[1]), _GM[7], False, False, True),
+    # commuting controls: l = 2 and every bracket is zero, so only a zero
+    # drift is in the bracket
+    ((_GM[2], _GM[7]), 0.5 * _GM[2] + _GM[7], True, False, False),
+    ((_GM[2], _GM[7]), _GM[0], False, False, True),
+    ((_GM[2], _GM[7]), 0.0 * _GM[0], True, True, False),
+    # one control: no bracket at all
+    ((SIGMA_X,), SIGMA_Z, False, False, True),
+    ((SIGMA_X,), 0.3 * SIGMA_X, True, False, False),
+    ((SIGMA_X,), 0.0 * SIGMA_X, True, True, False),
+], ids=["dependent-bracket", "dependent-span", "dependent-off",
+        "commuting-span", "commuting-off", "commuting-zero",
+        "one-off", "one-span", "one-zero"])
+def test_classify_on_degenerate_frames(frame, drift, in_subspace, in_bracket,
+                                       costate):
+    from toqc.singular_glc import normalized_singular_costate
+    l = len(frame)
+    c = cm.ConstraintSet(len(drift), drift, frame, cm.Box(-np.ones(l), np.ones(l)))
+    rep = cm.classify(c)
+    assert (rep.drift_in_subspace, rep.drift_in_bracket) == (in_subspace, in_bracket)
+    f = normalized_singular_costate(c)
+    assert (f is not None) == costate
+    if costate:
+        assert cm.maximizer(f, c).singular
+        assert abs(np.trace(drift @ f).real - 1.0) < 1e-12
+
+
 # --- maximizer ---------------------------------------------------------------
 
 def test_maximizer_singular_when_costate_orthogonal():

@@ -187,6 +187,43 @@ def test_cli_glc_refuses_malformed_inputs(tmp_path):
         assert rc == 2 and out == "" and "Traceback" not in err, (change, rc, err)
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("classify", "kind", {"typical": {}}),
+    ("classify", "kind", "box"),
+    ("classify", "kind", {"box": {"hi": [1.0]}}),
+    ("classify", "dim", "two"),
+    ("classify", "control_basis", 3),
+    ("classify", "kind", {"typical": {"omega": "x"}}),
+    ("classify", "control_names", 5),
+    ("evolve", "grid", "abc"),
+    ("evolve", "controls", [[0.0], [0.0, 0.1], [0.0], [0.0]]),
+    ("glc", "costate", iof.matrix_to_json(np.array([[1.0, 2.0], [0.0, -1.0]]))),
+    ("glc", "costate", iof.matrix_to_json(np.diag([3.0, -1.0]))),
+], ids=["typical-empty", "kind-string", "box-without-lo", "dim-string",
+        "basis-number", "omega-string", "names-number", "grid-string",
+        "ragged-controls", "costate-not-hermitian", "costate-with-trace"])
+def test_cli_refuses_a_malformed_field(tmp_path, capsys, cmd, key, value):
+    # each used to raise a raw KeyError, TypeError or ValueError (exit 1
+    # with a traceback), or, for the costates, to be audited as their
+    # traceless Hermitian part (exit 0)
+    c = get_scenario("landau_zener").constraint
+    data = {
+        "classify": iof.constraint_to_json(c),
+        "evolve": iof.protocol_to_json(
+            dyn.Protocol(c, np.linspace(0, 1, 5), np.zeros((4, 1)))),
+        "glc": {"constraint": iof.constraint_to_json(c),
+                "costate": iof.matrix_to_json(SIGMA_X / 2)},
+    }[cmd]
+    data[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main([cmd, "--protocol" if cmd == "evolve" else "--constraint",
+                   str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_cli_evolve_refuses_non_finite_protocol(tmp_path):
     c = get_scenario("landau_zener").constraint
     p = dyn.Protocol(c, np.linspace(0, 1, 17), np.zeros((16, 1)))

@@ -465,11 +465,11 @@ def test_bracket_predicates_on_random_frames(n, l):
 
 def test_lollipop_singular_normalization_infeasible():
     rng = np.random.default_rng(101)
-    from toqc.constraint_model import _orthonormalize
+    from conftest import orthonormalize
     for _ in range(10):
         n = rng.choice([2, 3])
         l = rng.integers(1, n * n - 1)
-        frame = _orthonormalize(np.stack(
+        frame = orthonormalize(np.stack(
             [random_traceless_hermitian(rng, n) for _ in range(l)]))
         weights = rng.standard_normal(len(frame))
         drift = np.einsum("j,jab->ab", weights, frame)  # drift inside the span

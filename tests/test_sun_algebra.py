@@ -8,7 +8,6 @@ from toqc.errors import (
     BranchAmbiguityError,
     DimensionMismatchError,
     InvalidDimensionError,
-    InvalidSubspaceError,
 )
 
 RNG = np.random.default_rng(2024)
@@ -143,29 +142,25 @@ def test_jacobi_identity(a, b, c):
     assert np.max(np.abs(total)) < 1e-12 * scale ** 2 * 10
 
 
-# --- projection ----------------------------------------------------------------
+# --- span test -----------------------------------------------------------------
 
-def test_project_idempotent_and_orthogonal_residual():
-    basis = sa.generalized_gellmann(3)
-    sub = basis[:4]
-    a = sa.random_traceless_hermitian(RNG, 3)
-    p = sa.project(a, sub)
-    np.testing.assert_allclose(sa.project(p, sub), p, atol=1e-12)
-    for c in sub:
-        assert abs(sa.inner(a - p, c)) < 1e-12
-
-
-def test_project_in_span_and_orthogonal():
-    sx, sy, sz = sa.pauli_basis()
-    np.testing.assert_allclose(sa.project(sx, [sx]), sx, atol=1e-14)
-    # a z drift has no component along an x-only control subspace
-    assert np.max(np.abs(sa.project(sz, [sx]))) < 1e-14
-
-
-def test_project_rejects_non_orthonormal_subspace():
-    sx, sy, _ = sa.pauli_basis()
-    with pytest.raises(InvalidSubspaceError):
-        sa.project(sx, [sx, sx + sy])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_complement_is_the_orthogonal_complement_at_any_scale(scale):
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3, 8))
+    # a dependent row and a zero row add nothing to the span
+    rows = scale * np.vstack([rows, rows[0] - 2.0 * rows[2], np.zeros(8)])
+    q = sa._complement(rows)
+    assert q.shape == (5, 8)
+    np.testing.assert_allclose(q @ q.T, np.eye(5), rtol=0, atol=1e-12)
+    assert np.max(np.abs(rows @ q.T)) < 1e-12 * scale
+    v = rng.standard_normal(8)
+    in_span = v - (q @ v) @ q
+    coeffs = np.linalg.lstsq(rows[:3].T, in_span, rcond=None)[0]
+    np.testing.assert_allclose(rows[:3].T @ coeffs, in_span, rtol=0, atol=1e-12)
+    # no row left: the complement is everything
+    np.testing.assert_array_equal(sa._complement(np.zeros((2, 8))), np.eye(8))
+    np.testing.assert_array_equal(sa._complement(np.zeros((0, 8))), np.eye(8))
 
 
 # --- stacked products ---------------------------------------------------------
